@@ -9,12 +9,11 @@ from .anchor_tree import (
     Anchor,
     ClusterTree,
     NodeStats,
+    TreeStats,
     agglomerate_anchors,
-    bregman_information,
     build_cluster_tree,
     grow_anchors,
     merge_cost,
-    node_stats,
     steal_threshold,
 )
 from .dataset import (
@@ -51,7 +50,6 @@ from .propagation import (
     DenseBaseline,
     PropagationConfig,
     TransitionModel,
-    blocked_matvec,
     classify_one_vs_all,
     dense_transition_matrix,
     evaluate_accuracy,
@@ -60,7 +58,6 @@ from .propagation import (
 from .variational import (
     BlockParams,
     BoundReport,
-    block_divergence_sum,
     exact_loglik,
     lower_bound,
     optimize_q,
@@ -83,11 +80,9 @@ __all__ = [
     "SmoothedMatrix",
     "SyntheticSpec",
     "TransitionModel",
+    "TreeStats",
     "agglomerate_anchors",
-    "block_divergence_sum",
-    "blocked_matvec",
     "bregman_divergence",
-    "bregman_information",
     "build_cluster_tree",
     "classify_one_vs_all",
     "coarsest_partition",
@@ -104,7 +99,6 @@ __all__ = [
     "load_model",
     "lower_bound",
     "merge_cost",
-    "node_stats",
     "optimize_q",
     "pairwise_divergences",
     "phi",

@@ -7,10 +7,14 @@ multi-point anchor until all leaves are singletons. Stealing during the
 growing phase prunes with a threshold below which a member provably cannot be
 closer to the new pivot, generalizing the Euclidean halfway rule.
 
-Every node stores four additive statistics (sum of generator values, sum of
+Every node has four additive statistics (sum of generator values, sum of
 x'grad(x), coordinate sums, gradient sums) that later decouple per-block
 divergence sums into O(1) evaluations. The vector statistics keep the
-offset+sparse decomposition of the smoothed data.
+offset+sparse decomposition of the smoothed data. A tree holds them as flat
+arrays in one TreeStats: s1, s2, the baselines of s3 and s4 per node, and
+one CSR support shared by the sparse parts of s3 and s4. The tree also owns
+the row-by-node ancestor indicator that every up (subtree sum) and down
+(root path) pass over the tree goes through.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 from .divergence import (
     DivergenceSpec,
@@ -43,6 +48,7 @@ from .vectors import OffsetVec
 __all__ = [
     "Anchor",
     "NodeStats",
+    "TreeStats",
     "ClusterTree",
     "steal_threshold",
     "grow_anchors",
@@ -50,8 +56,6 @@ __all__ = [
     "agglomerate_anchors",
     "AggloTree",
     "build_cluster_tree",
-    "node_stats",
-    "bregman_information",
 ]
 
 
@@ -174,12 +178,8 @@ class _Workspace:
     def _gather(self, rows):
         """Flat positions of the sparse parts of `rows` in the CSR arrays,
         plus per-row lengths."""
-        starts = self.starts[rows]
         lens = self.nnz_row[rows]
-        ends = np.cumsum(lens)
-        total = ends[-1] if ends.size else 0
-        flat = np.arange(total) + np.repeat(starts - ends + lens, lens)
-        return flat, lens
+        return _ranges(self.starts[rows], lens), lens
 
     def mean_of_rows(self, rows):
         flat, _ = self._gather(rows)
@@ -255,6 +255,13 @@ class _Workspace:
         )
 
 
+def _ranges(starts, lens):
+    """Concatenation of the index ranges starts[k] .. starts[k] + lens[k]."""
+    ends = np.cumsum(lens)
+    total = ends[-1] if ends.size else 0
+    return np.arange(total) + np.repeat(starts - ends + lens, lens)
+
+
 def _segment_sums(vals, starts, lens):
     """Per-row sums equal to vals[start:start + len].sum() bit for bit.
     Rows of one length are summed together along the last axis, which numpy
@@ -289,9 +296,6 @@ class Anchor:
     @property
     def size(self):
         return int(self.members.size)
-
-    def pivot_dense(self):
-        return self.pivot.to_dense()
 
 
 def steal_threshold(spec, p_curr, p_new):
@@ -369,6 +373,7 @@ def _sorted_by_dist(rows, dists):
 
 DENSE_DIM_CAP = 4096  # below this, pivot math runs on dense rows
 SMALL_SCOPE = 16  # scopes up to this size grow from one _DivBlock
+STAT_CHUNK = 1 << 16  # sparse statistic entries per chunk of block pairs
 
 
 def _grow(ws, scope, m, use_pruning):
@@ -383,15 +388,13 @@ def _grow(ws, scope, m, use_pruning):
     anchors = [Anchor(pivot, first, members, dists)]
     pivot_rows = [pivot.to_dense()] if dense_ok else None
     while len(anchors) < m:
-        # the farthest member over all anchors becomes the next pivot;
-        # ties resolved to the lowest row index (member lists sort that way)
-        donor_i = 0
-        for k, a in enumerate(anchors[1:], start=1):
-            best = anchors[donor_i]
-            if a.radius > best.radius or (
-                a.radius == best.radius and a.members[0] < best.members[0]
-            ):
-                donor_i = k
+        # the farthest member over all anchors with two or more members
+        # becomes the next pivot (a singleton donor would empty); ties
+        # resolved to the lowest row index (member lists sort that way)
+        donor_i = min(
+            (k for k, a in enumerate(anchors) if a.members.size >= 2),
+            key=lambda k: (-anchors[k].radius, anchors[k].members[0]),
+        )
         new_row = int(anchors[donor_i].members[0])
         new_pivot = ws.row_ov(new_row)
         new_dense = new_pivot.to_dense() if dense_ok else None
@@ -479,13 +482,10 @@ class _DivBlock:
         while len(anchors) < m:
             if not all(a[1] for a in anchors):
                 return None
-            donor_i = 0
-            for k in range(1, len(anchors)):
-                (_, mem, dis), (_, best_mem, best_dis) = anchors[k], anchors[donor_i]
-                if dis[0] > best_dis[0] or (
-                    dis[0] == best_dis[0] and mem[0] < best_mem[0]
-                ):
-                    donor_i = k
+            donor_i = min(  # _grow's donor rule
+                (k for k, a in enumerate(anchors) if len(a[1]) >= 2),
+                key=lambda k: (-anchors[k][2][0], anchors[k][1][0]),
+            )
             new = anchors[donor_i][1][0]
             cut_of = self._cuts(anchors, new, donor_i) if use_pruning else None
             stolen = []
@@ -579,9 +579,6 @@ class AggloTree:
     right: list
     root: int
     merges: list  # (i, j, cost) in merge order
-
-    def leaf_count(self):
-        return sum(1 for l in self.left if l < 0)
 
     def inorder_leaves(self):
         out, stack = [], [self.root]
@@ -719,23 +716,65 @@ def agglomerate_anchors(anchors, spec):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class NodeStats:
-    """Additive subtree sums: generator values, x'grad(x), coordinates,
-    gradients."""
+    """Additive subtree sums of one node: generator values, x'grad(x),
+    coordinates, gradients. A read-only view into the tree's TreeStats."""
 
     s1: float
     s2: float
     s3: OffsetVec
     s4: OffsetVec
 
-    def add(self, other):
+
+class TreeStats:
+    """The statistics of every node of a tree, as flat read-only arrays.
+
+    Node v has scalar sums s1[v] and s2[v] and baselines b3[v] and b4[v] for
+    s3 and s4, whose sparse parts share the sorted support
+    idx[ptr[v]:ptr[v + 1]] with values v3 and v4 there. Indexing gives a
+    NodeStats view.
+    """
+
+    def __init__(self, dim, s1, s2, b3, b4, ptr, idx, v3, v4):
+        self.dim = int(dim)
+        self.s1, self.s2, self.b3, self.b4 = s1, s2, b3, b4
+        self.ptr, self.idx, self.v3, self.v4 = ptr, idx, v3, v4
+        for arr in (s1, s2, b3, b4, ptr, idx, v3, v4):
+            arr.flags.writeable = False
+
+    def __len__(self):
+        return self.s1.size
+
+    def __getitem__(self, nid):
+        nid = range(len(self))[nid]
+        lo, hi = self.ptr[nid], self.ptr[nid + 1]
+        idx = self.idx[lo:hi]
         return NodeStats(
-            self.s1 + other.s1,
-            self.s2 + other.s2,
-            self.s3.add(other.s3),
-            self.s4.add(other.s4),
+            float(self.s1[nid]),
+            float(self.s2[nid]),
+            OffsetVec(self.dim, self.b3[nid], idx, self.v3[lo:hi]),
+            OffsetVec(self.dim, self.b4[nid], idx, self.v4[lo:hi]),
         )
+
+    def dot34(self, a, b):
+        """s3 of node a[k] dotted with s4 of node b[k], for every k, in
+        OffsetVec.dot's four terms."""
+        shape = (len(self), self.dim)
+        s3 = sp.csr_matrix((self.v3, self.idx, self.ptr), shape=shape)
+        s4 = sp.csr_matrix((self.v4, self.idx, self.ptr), shape=shape)
+        # the shared coordinates, for a chunk of pairs at a time: about
+        # STAT_CHUNK entries of the two sides bound the temporary memory
+        nnz = np.diff(self.ptr)
+        ends = np.cumsum(nnz[a] + nnz[b])
+        cuts = np.searchsorted(ends, np.arange(STAT_CHUNK, ends.max(initial=0), STAT_CHUNK))
+        bounds = np.unique(np.r_[0, cuts, a.size])
+        shared = np.empty(a.size)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            shared[lo:hi] = s3[a[lo:hi]].multiply(s4[b[lo:hi]]).sum(axis=1).A1
+        sum3, sum4 = s3.sum(axis=1).A1, s4.sum(axis=1).A1
+        b3, b4 = self.b3[a], self.b4[b]
+        return b3 * b4 * self.dim + b3 * sum4[b] + b4 * sum3[a] + shared
 
 
 class ClusterTree:
@@ -743,8 +782,8 @@ class ClusterTree:
 
     Nodes are indexed so children precede parents; each node's members form a
     contiguous range of `perm`. The pivot of a node is its member mean.
-    `data` is optional: a deserialized tree keeps its statistics but not the
-    rows they were built from.
+    `stats` is the tree's TreeStats. `data` is optional: a deserialized tree
+    keeps its statistics but not the rows they were built from.
     """
 
     def __init__(self, data, spec, left, right, size, start, end, perm, stats):
@@ -768,12 +807,19 @@ class ClusterTree:
         for nid in range(self.n_nodes - 2, -1, -1):
             depth[nid] = depth[self.parent[nid]] + 1
         self.depth = depth
-        self.levels = [
-            np.nonzero(depth == lv)[0] for lv in range(int(depth.max()) + 1)
-        ]
         leaf_ids = np.nonzero(left < 0)[0]
         self.leaf_of_row = np.empty(self.n_points, dtype=np.int64)
         self.leaf_of_row[perm[start[leaf_ids]]] = leaf_ids
+        # the ancestor indicator A (N x n_nodes, CSR): A[r, v] = 1 when node v
+        # is row r's leaf or one of its ancestors, so A.T @ x gives subtree
+        # sums of per-row values and A @ y sums node values over root paths;
+        # column v holds the rows of subtree v, perm[start[v]:end[v]]
+        indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
+        np.cumsum(size, out=indptr[1:])
+        self.ancestors = sp.csc_matrix(
+            (np.ones(indptr[-1]), perm[_ranges(start, size)], indptr),
+            shape=(self.n_points, self.n_nodes),
+        ).tocsr()
 
     def is_leaf(self, nid):
         return self.left[nid] < 0
@@ -796,18 +842,9 @@ class ClusterTree:
         return self.stats[nid]
 
     def bregman_information(self, nid):
+        """Mean divergence of a node's members to the node mean."""
         n = self.size[nid]
         return self.stats[nid].s1 / n - ov_phi(self.spec, self.pivot(nid))
-
-
-def node_stats(tree, nid):
-    """Stored statistics of a node; O(1)."""
-    return tree.node_stats(nid)
-
-
-def bregman_information(tree, nid, spec=None):
-    """Mean divergence of a node's members to the node mean, from stats."""
-    return tree.bregman_information(nid)
 
 
 def build_cluster_tree(data, spec, use_pruning=True):
@@ -883,57 +920,59 @@ def build_cluster_tree(data, spec, use_pruning=True):
 
 
 def _node_stats(ws, tree):
-    """NodeStats of every node, one depth level at a time from the deepest.
+    """TreeStats of every node, one depth level at a time from the deepest.
 
     Leaves take their row's values; a parent's sums are left + right, and
     its sparse parts take the union of the children's supports, adding the
-    two values on shared coordinates, exactly as NodeStats.add does. The s3
-    and s4 parts of a node share one support.
+    two values on shared coordinates, as OffsetVec.add does. Each level's
+    sparse entries form one chunk, in which the next level up finds its
+    children; the chunks are written into the node-ordered arrays at the end.
     """
-    n, dim = tree.n_nodes, ws.dim
+    n, depth = tree.n_nodes, tree.depth
     s1, s2, b3, b4 = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
-    parts = [None] * n  # (s3, s4) per node
-    for nodes in reversed(tree.levels):
+    nnz = np.zeros(n, dtype=np.int64)
+    at = np.zeros(n, dtype=np.int64)  # a node's first entry in its level's chunk
+    chunks = []  # (nodes, idx, v3, v4) per level, deepest first
+    for lv in range(int(depth.max()), -1, -1):
+        nodes = np.nonzero(depth == lv)[0]
         is_leaf = tree.left[nodes] < 0
         leaves, inner = nodes[is_leaf], nodes[~is_leaf]
         rows = tree.perm[tree.start[leaves]]
         s1[leaves], s2[leaves] = ws.phi_row[rows], ws.s2_row[rows]
         b3[leaves], b4[leaves] = ws.eps, ws.g_base_row[rows]
-        for nid, row in zip(leaves.tolist(), rows.tolist()):
-            s3 = ws.row_ov(row)
-            lo = ws.starts[row]
-            s4 = OffsetVec(dim, b4[nid], s3.idx, ws.g_val[lo : lo + s3.nnz])
-            parts[nid] = (s3, s4)
-        if inner.size == 0:
-            continue
-        lc, rc = tree.left[inner], tree.right[inner]
-        for arr in (s1, s2, b3, b4):
-            arr[inner] = arr[lc] + arr[rc]
-        kids = [parts[c] for c in np.concatenate([lc, rc]).tolist()]
-        lens = np.array([k[0].nnz for k in kids])
-        owner = np.repeat(np.tile(np.arange(inner.size), 2), lens)
-        cat_idx = np.concatenate([k[0].idx for k in kids])
-        # stable: for a shared coordinate the left child's entry comes first
-        order = np.lexsort((cat_idx, owner))
-        owner, cat_idx = owner[order], cat_idx[order]
-        cat3 = np.concatenate([k[0].val for k in kids])[order]
-        cat4 = np.concatenate([k[1].val for k in kids])[order]
-        first = np.ones(owner.size, dtype=bool)
-        first[1:] = (owner[1:] != owner[:-1]) | (cat_idx[1:] != cat_idx[:-1])
-        heads = np.nonzero(first)[0]
-        second = np.nonzero(~first)[0]  # the right child's entry of a pair
-        m_idx, m3, m4 = cat_idx[heads], cat3[heads], cat4[heads]
-        at = np.searchsorted(heads, second) - 1
-        m3[at] += cat3[second]
-        m4[at] += cat4[second]
-        bounds = np.searchsorted(owner[heads], np.arange(inner.size + 1)).tolist()
-        for k, nid in enumerate(inner.tolist()):
-            lo, hi = bounds[k], bounds[k + 1]
-            parts[nid] = (
-                OffsetVec(dim, b3[nid], m_idx[lo:hi], m3[lo:hi]),
-                OffsetVec(dim, b4[nid], m_idx[lo:hi], m4[lo:hi]),
-            )
-    return [
-        NodeStats(a, b, s3, s4)
-        for a, b, (s3, s4) in zip(s1.tolist(), s2.tolist(), parts)
-    ]
+        flat, nnz[leaves] = ws._gather(rows)
+        parts = [(ws.csr.indices[flat], ws.csr.data[flat], ws.g_val[flat])]
+        if inner.size:
+            lc, rc = tree.left[inner], tree.right[inner]
+            for arr in (s1, s2, b3, b4):
+                arr[inner] = arr[lc] + arr[rc]
+            kids = np.concatenate([lc, rc])
+            _, c_idx, c3, c4 = chunks[-1]  # the children sit one level down
+            owner = np.repeat(np.tile(np.arange(inner.size), 2), nnz[kids])
+            pos = _ranges(at[kids], nnz[kids])
+            # stable: for a shared coordinate the left child's entry comes first
+            order = np.lexsort((c_idx[pos], owner))
+            owner, pos = owner[order], pos[order]
+            cat_idx = c_idx[pos]
+            first = np.ones(owner.size, dtype=bool)
+            first[1:] = (owner[1:] != owner[:-1]) | (cat_idx[1:] != cat_idx[:-1])
+            heads = np.nonzero(first)[0]
+            second = np.nonzero(~first)[0]  # the right child's entry of a pair
+            m3, m4 = c3[pos[heads]], c4[pos[heads]]
+            head_of = np.searchsorted(heads, second) - 1
+            m3[head_of] += c3[pos[second]]
+            m4[head_of] += c4[pos[second]]
+            nnz[inner] = np.bincount(owner[heads], minlength=inner.size)
+            parts.append((cat_idx[heads], m3, m4))
+        nodes = np.concatenate([leaves, inner])
+        at[nodes] = np.cumsum(nnz[nodes]) - nnz[nodes]
+        chunks.append((nodes, *(np.concatenate(p) for p in zip(*parts))))
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(nnz, out=ptr[1:])
+    idx = np.empty(ptr[-1], dtype=np.int64)
+    v3, v4 = np.empty(ptr[-1]), np.empty(ptr[-1])
+    while chunks:
+        nodes, c_idx, c3, c4 = chunks.pop()
+        dst = _ranges(ptr[nodes], nnz[nodes])
+        idx[dst], v3[dst], v4[dst] = c_idx, c3, c4
+    return TreeStats(ws.dim, s1, s2, b3, b4, ptr, idx, v3, v4)

@@ -274,6 +274,12 @@ def cmd_approximate(args):
 def cmd_propagate(args):
     model, report, meta = load_model(args.model)
     ids = meta["ids"]
+    if not meta["optimizer"]["converged"]:
+        print(
+            f"warning: {args.model} was fitted by an optimizer that did not reach "
+            f"the target residual (residual {meta['optimizer']['residual']:.3e})",
+            file=sys.stderr,
+        )
     labels = load_labels(args.labels)
     missing = [rid for rid in ids if rid not in labels.assignments]
     if missing:
@@ -309,6 +315,8 @@ def cmd_propagate(args):
         "per_class_accuracy": per_class,
         "n_labeled": len(labeled),
         "n_unreached": int(unreached.sum()),
+        "converged": meta["optimizer"]["converged"],
+        "constraint_residual": meta["optimizer"]["residual"],
         "config": {
             "alpha": config.alpha,
             "iterations": config.iterations,
@@ -344,7 +352,7 @@ def _parse_methods(tokens):
 
 
 def _method_operator(family, kind, data, args, seed):
-    """Build the transition operator for one method; returns (operator, ids,
+    """Build the transition operator for one method; returns (operator,
     build_seconds)."""
     spec, _ = make_divergence_spec(
         kind, data, sigma=args.sigma, epsilon=args.epsilon, seed=seed

@@ -32,14 +32,12 @@ __all__ = [
     "bregman_divergence",
     "log_carrier",
     "phi_rows",
-    "grad_rows",
     "pairwise_divergences",
     "ov_phi",
     "ov_grad",
     "ov_grad_inv",
     "ov_xdotgrad",
     "ov_divergence",
-    "ov_log_carrier",
 ]
 
 KINDS = ("sq-euclidean", "mahalanobis", "gid", "kl", "itakura-saito", "logistic")
@@ -293,12 +291,6 @@ def phi_rows(spec, X):
     return _phi_terms(spec, X).sum(axis=1)
 
 
-def grad_rows(spec, X):
-    X = np.asarray(X, dtype=np.float64)
-    _check_rows(spec, X, strict=True)
-    return _grad_terms(spec, X)
-
-
 def carrier_rows(spec, X):
     X = np.asarray(X, dtype=np.float64)
     kind = spec.kind
@@ -406,22 +398,3 @@ def ov_divergence(spec, x, y):
     """d(x, y) for OffsetVec arguments."""
     g = ov_grad(spec, y)
     return ov_phi(spec, x) - ov_phi(spec, y) - x.dot(g) + ov_xdotgrad(spec, y)
-
-
-def ov_log_carrier(spec, v):
-    kind = spec.kind
-    if kind in ("gid", "kl"):
-        imp = v.dim - v.nnz
-        out = float(-np.sum(gammaln(v.base + v.val + 1.0)))
-        if imp > 0:
-            out += imp * float(-gammaln(v.base + 1.0))
-        return out
-    if kind == "sq-euclidean":
-        const = -0.5 * v.dim * np.log(2.0 * np.pi * spec.sigma**2)
-        return float(const) - ov_phi(spec, v)
-    if kind == "mahalanobis":
-        const = -0.5 * v.dim * np.log(2.0 * np.pi) - 0.5 * np.sum(
-            np.log(spec.covariance_diag / 2.0)
-        )
-        return float(const) - ov_phi(spec, v)
-    return 0.0

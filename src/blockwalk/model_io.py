@@ -5,7 +5,9 @@ transition model: the tree (flat per-node records: children, size, member
 range, statistics), the block partition, the block parameters, the cached
 per-block divergence sums, the bound report, the divergence spec and the row
 ids. Layout is versioned through the embedded JSON header; writers emit
-arrays in a fixed order so identical models produce identical bytes.
+arrays in a fixed order so identical models produce identical bytes. The
+statistics are the tree's TreeStats arrays as they are; s3 and s4 share one
+support, which the archive stores under both names.
 """
 from __future__ import annotations
 
@@ -13,35 +15,16 @@ import json
 
 import numpy as np
 
-from .anchor_tree import ClusterTree, NodeStats
+from .anchor_tree import ClusterTree, TreeStats
 from .divergence import DivergenceSpec
 from .partition import BlockPartition
 from .propagation import TransitionModel
 from .variational import BlockParams, BoundReport
-from .vectors import OffsetVec
 
 __all__ = ["save_model", "load_model", "reevaluate_bound"]
 
 FORMAT_NAME = "blockwalk-model"
 FORMAT_VERSION = 1
-
-
-def _pack_sparse(vecs):
-    ptr = np.zeros(len(vecs) + 1, dtype=np.int64)
-    for i, v in enumerate(vecs):
-        ptr[i + 1] = ptr[i] + v.idx.size
-    idx = np.concatenate([v.idx for v in vecs]) if vecs else np.empty(0, np.int64)
-    val = np.concatenate([v.val for v in vecs]) if vecs else np.empty(0, np.float64)
-    base = np.array([v.base for v in vecs])
-    return ptr, idx, val, base
-
-
-def _unpack_sparse(dim, ptr, idx, val, base):
-    out = []
-    for i in range(ptr.size - 1):
-        lo, hi = ptr[i], ptr[i + 1]
-        out.append(OffsetVec(dim, base[i], idx[lo:hi], val[lo:hi]))
-    return out
 
 
 def save_model(path, model, report, ids, extras=None):
@@ -73,8 +56,7 @@ def save_model(path, model, report, ids, extras=None):
         "ids": list(ids),
         "extras": extras or {},
     }
-    s3 = _pack_sparse([st.s3 for st in tree.stats])
-    s4 = _pack_sparse([st.s4 for st in tree.stats])
+    st = tree.stats
     arrays = {
         "meta": np.frombuffer(
             json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
@@ -85,16 +67,16 @@ def save_model(path, model, report, ids, extras=None):
         "tree_start": tree.start,
         "tree_end": tree.end,
         "tree_perm": tree.perm,
-        "stat_s1": np.array([st.s1 for st in tree.stats]),
-        "stat_s2": np.array([st.s2 for st in tree.stats]),
-        "stat_s3_ptr": s3[0],
-        "stat_s3_idx": s3[1],
-        "stat_s3_val": s3[2],
-        "stat_s3_base": s3[3],
-        "stat_s4_ptr": s4[0],
-        "stat_s4_idx": s4[1],
-        "stat_s4_val": s4[2],
-        "stat_s4_base": s4[3],
+        "stat_s1": st.s1,
+        "stat_s2": st.s2,
+        "stat_s3_ptr": st.ptr,
+        "stat_s3_idx": st.idx,
+        "stat_s3_val": st.v3,
+        "stat_s3_base": st.b3,
+        "stat_s4_ptr": st.ptr,
+        "stat_s4_idx": st.idx,
+        "stat_s4_val": st.v4,
+        "stat_s4_base": st.b4,
         "block_a": model.partition.a,
         "block_b": model.partition.b,
         "q": model.params.values,
@@ -126,15 +108,22 @@ def load_model(path):
             covariance_diag=z["covariance_diag"] if sp["has_covariance"] else None,
             epsilon=sp["epsilon"],
         )
-        s3 = _unpack_sparse(
-            sp["dim"], z["stat_s3_ptr"], z["stat_s3_idx"], z["stat_s3_val"], z["stat_s3_base"]
+        ptr, idx = z["stat_s3_ptr"], z["stat_s3_idx"]
+        if not (
+            np.array_equal(ptr, z["stat_s4_ptr"]) and np.array_equal(idx, z["stat_s4_idx"])
+        ):
+            raise ValueError(f"{path}: s3 and s4 statistics have different supports")
+        stats = TreeStats(
+            sp["dim"],
+            z["stat_s1"],
+            z["stat_s2"],
+            z["stat_s3_base"],
+            z["stat_s4_base"],
+            ptr,
+            idx,
+            z["stat_s3_val"],
+            z["stat_s4_val"],
         )
-        s4 = _unpack_sparse(
-            sp["dim"], z["stat_s4_ptr"], z["stat_s4_idx"], z["stat_s4_val"], z["stat_s4_base"]
-        )
-        s1 = z["stat_s1"]
-        s2 = z["stat_s2"]
-        stats = [NodeStats(float(s1[i]), float(s2[i]), s3[i], s4[i]) for i in range(s1.size)]
         tree = ClusterTree(
             None,
             spec,

@@ -1,10 +1,11 @@
 """Transition operators and label propagation.
 
 The blocked operator applies the compressed transition model as A (Q (A' v)),
-where A is the sparse row-by-node ancestor indicator: A' v holds the subtree
-sums of v, Q holds each block's parameter at (row side, column side), and A
-adds up, for every row, the contributions of the nodes on its root path. A
-product costs O(#blocks + sum of leaf depths). The dense
+where A is the tree's sparse row-by-node ancestor indicator
+(`ClusterTree.ancestors`, the same matrix the optimizer's passes use): A' v
+holds the subtree sums of v, Q holds each block's parameter at (row side,
+column side), and A adds up, for every row, the contributions of the nodes
+on its root path. A product costs O(#blocks + sum of leaf depths). The dense
 baseline materializes the exact row-softmax transition matrix (guarded to
 test scale) for verification and the exact method.
 
@@ -24,7 +25,6 @@ __all__ = [
     "TransitionModel",
     "DenseBaseline",
     "PropagationConfig",
-    "blocked_matvec",
     "dense_transition_matrix",
     "dense_q_matrix",
     "propagate_labels",
@@ -46,15 +46,6 @@ class TransitionModel:
         if self.params.values.size != self.partition.n_blocks:
             raise ValueError("params do not match partition")
         tree, part = self.tree, self.partition
-        # A[r, v] = 1 when node v is row r's leaf or one of its ancestors;
-        # column v of A holds the rows of subtree v, perm[start[v]:end[v]]
-        indptr = np.zeros(tree.n_nodes + 1, dtype=np.int64)
-        np.cumsum(tree.size, out=indptr[1:])
-        pos = np.arange(indptr[-1]) + np.repeat(tree.start - indptr[:-1], tree.size)
-        self._ancestors = sp.csc_matrix(
-            (np.ones(pos.size), tree.perm[pos], indptr),
-            shape=(tree.n_points, tree.n_nodes),
-        ).tocsr()
         self._blocks = sp.csr_matrix(
             (self.params.values, (part.a, part.b)), shape=(tree.n_nodes, tree.n_nodes)
         )
@@ -70,13 +61,8 @@ class TransitionModel:
             raise ValueError(
                 f"vector length {v.shape[0]} does not match N={self.n_points}"
             )
-        a = self._ancestors
+        a = self.tree.ancestors
         return a @ (self._blocks @ (a.T @ v))
-
-
-def blocked_matvec(model, v):
-    """Product of the compressed transition matrix with a vector."""
-    return model.matmat(np.asarray(v, dtype=np.float64))
 
 
 def dense_q_matrix(model, cap=4096):

@@ -13,7 +13,9 @@ The optimizer solves the strictly concave program through its dual: one
 multiplier per datapoint, stationarity giving log q_B = -1 - D_B/(|A||B|) +
 (mean multiplier over A). Newton steps on the dual use conjugate gradients
 with Hessian-vector products evaluated by subtree-sum and path-accumulate
-passes over the tree, so each iteration is O(#blocks + N).
+passes over the tree, so each iteration is O(#blocks + N). Both passes are
+products with the tree's ancestor indicator A (up: A' v, down: A x); no pass
+loops over tree levels.
 """
 from __future__ import annotations
 
@@ -29,7 +31,6 @@ from .divergence import carrier_rows, pairwise_divergences, phi_rows
 __all__ = [
     "BlockParams",
     "BoundReport",
-    "block_divergence_sum",
     "euclidean_block_divergence_sum",
     "block_divergence_sums",
     "optimize_q",
@@ -44,16 +45,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def block_divergence_sum(stats_a, stats_b, size_a, size_b, spec=None):
-    """Sum of divergences from all rows of A to all centers of B, from the
-    per-subtree statistics alone."""
-    return (
-        size_b * stats_a.s1
-        + size_a * (stats_b.s2 - stats_b.s1)
-        - stats_a.s3.dot(stats_b.s4)
-    )
-
-
 def euclidean_block_divergence_sum(stats_a, stats_b, size_a, size_b, spec):
     """Legacy cross-check path for the squared-Euclidean kind only, using
     coordinate sums and squared norms: (|A| T(B) + |B| T(A) - 2 S(A)'S(B)) /
@@ -66,15 +57,16 @@ def euclidean_block_divergence_sum(stats_a, stats_b, size_a, size_b, spec):
     return (size_a * tb + size_b * ta - 2.0 * stats_a.s3.dot(stats_b.s3)) / (2.0 * s2)
 
 
-def block_divergence_sums(tree, partition, spec=None):
-    """D vector over the partition's blocks, in block order."""
-    out = np.empty(partition.n_blocks)
-    stats = tree.stats
-    size = tree.size
-    for k in range(partition.n_blocks):
-        a, b = int(partition.a[k]), int(partition.b[k])
-        out[k] = block_divergence_sum(stats[a], stats[b], size[a], size[b])
-    return out
+def block_divergence_sums(tree, partition):
+    """D vector over the partition's blocks, in block order: the summed
+    divergence from every row of A to every center of B, from the two
+    nodes' statistics alone."""
+    st, a, b = tree.stats, partition.a, partition.b
+    return (
+        tree.size[b] * st.s1[a]
+        + tree.size[a] * (st.s2[b] - st.s1[b])
+        - st.dot34(a, b)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -82,34 +74,37 @@ def block_divergence_sums(tree, partition, spec=None):
 # ---------------------------------------------------------------------------
 
 
-def _total_carrier(data, spec):
+def _total_carrier(data, spec, total_phi):
+    """Sum of the log carrier over all rows."""
     kind = spec.kind
     n, d = data.n_rows, data.dim
     if kind in ("gid", "kl"):
         stored = float(gammaln(data.csr().data + data.epsilon + 1.0).sum())
         implicit = float((d - data.nnz_per_row()).sum() * gammaln(data.epsilon + 1.0))
         return -(stored + implicit)
+    # Gaussian kinds: phi + carrier is one constant per row
     if kind == "sq-euclidean":
-        # phi + carrier is constant per point; return carrier = N*const - sum phi
         const = -0.5 * d * np.log(2.0 * np.pi * spec.sigma**2)
-        return n * const, True
+        return n * const - total_phi
     if kind == "mahalanobis":
         const = -0.5 * d * np.log(2.0 * np.pi) - 0.5 * float(
             np.sum(np.log(spec.covariance_diag / 2.0))
         )
-        return n * const, True
+        return n * const - total_phi
     return 0.0
 
 
 def constant_term(tree):
     """Additive constant of the bound: -N log(N-1) + sum phi + sum carrier."""
     data, spec = tree.data, tree.spec
+    if data is None:
+        raise ValueError(
+            "the bound needs the data rows, which a loaded model does not keep; "
+            "audit a saved bound with model_io.reevaluate_bound(model, report)"
+        )
     n = data.n_rows
-    total_phi = tree.stats[tree.root].s1
-    carrier = _total_carrier(data, spec)
-    if isinstance(carrier, tuple):  # Gaussian kinds: phi + carrier collapses
-        total, _ = carrier
-        return -n * np.log(n - 1) + total
+    total_phi = float(tree.stats.s1[tree.root])
+    carrier = _total_carrier(data, spec, total_phi)
     return -n * np.log(n - 1) + total_phi + carrier
 
 
@@ -126,57 +121,6 @@ def exact_loglik(data, spec, cap=8192):
     lse = logsumexp(-D, axis=1)
     extra = phi_rows(spec, dense) + carrier_rows(spec, dense)
     return float(np.sum(lse + extra) - n * np.log(n - 1))
-
-
-# ---------------------------------------------------------------------------
-# Tree passes (vectorized by depth level)
-# ---------------------------------------------------------------------------
-
-
-class _TreeFlow:
-    """Level-vectorized subtree-sum (up) and root-path (down) passes.
-
-    Upward accumulation splits each level into left and right children so
-    parent indices within a group are unique and plain fancy adds apply."""
-
-    def __init__(self, tree):
-        self.tree = tree
-        self.n_nodes = tree.n_nodes
-        # levels[0] is the root; deeper levels follow
-        self.levels_down = [lv for lv in tree.levels[1:]]
-        self.parents_down = [tree.parent[lv] for lv in self.levels_down]
-        self.up_steps = []
-        for nodes, parents in zip(
-            reversed(self.levels_down), reversed(self.parents_down)
-        ):
-            is_left = tree.left[parents] == nodes
-            self.up_steps.append(
-                (nodes[is_left], parents[is_left], nodes[~is_left], parents[~is_left])
-            )
-
-    def up(self, leaf_vals):
-        """Per-node subtree sums of per-row values; supports (N,) or (N, C)."""
-        leaf_vals = np.asarray(leaf_vals)
-        shape = (self.n_nodes,) + leaf_vals.shape[1:]
-        acc = np.zeros(shape)
-        acc[self.tree.leaf_of_row] = leaf_vals
-        for ln, lp, rn, rp in self.up_steps:
-            acc[lp] += acc[ln]
-            acc[rp] += acc[rn]
-        return acc
-
-    def down_sum(self, node_vals):
-        """Per-row sums of node values over each row's root path."""
-        acc = node_vals.copy()
-        for nodes, parents in zip(self.levels_down, self.parents_down):
-            acc[nodes] += acc[parents]
-        return acc[self.tree.leaf_of_row]
-
-    def down_min(self, node_vals):
-        acc = node_vals.copy()
-        for nodes, parents in zip(self.levels_down, self.parents_down):
-            acc[nodes] = np.minimum(acc[nodes], acc[parents])
-        return acc[self.tree.leaf_of_row]
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +149,9 @@ class BoundReport:
 
 class _DualSolver:
     def __init__(self, tree, partition, dvec):
-        self.flow = _TreeFlow(tree)
-        self.tree = tree
+        self.anc = tree.ancestors
+        self.anc_t = self.anc.T
+        self.n_nodes = tree.n_nodes
         self.a = partition.a
         self.na = tree.size[self.a].astype(np.float64)
         self.nb = tree.size[partition.b].astype(np.float64)
@@ -216,30 +161,34 @@ class _DualSolver:
             raise ValueError("non-finite block divergence sum")
         self.n = tree.n_points
 
+    def up(self, v):
+        """Per-block mean of v over the block's row side."""
+        return (self.anc_t @ v)[self.a] / self.na
+
+    def log_q(self, lam):
+        return np.minimum(-1.0 - self.dbar + self.up(lam), 700.0)
+
     def q_of(self, lam):
-        lam_node = self.flow.up(lam)
-        expo = -1.0 - self.dbar + lam_node[self.a] / self.na
-        return np.exp(np.minimum(expo, 700.0))
+        return np.exp(self.log_q(lam))
 
     def scatter_down(self, weights):
-        acc = np.zeros(self.flow.n_nodes)
-        np.add.at(acc, self.a, weights)
-        return self.flow.down_sum(acc)
+        """Per-row sums of block weights over the blocks covering the row."""
+        return self.anc @ np.bincount(self.a, weights, minlength=self.n_nodes)
 
     def residual(self, q):
         return self.scatter_down(self.nb * q)
 
     def hessp(self, q, v):
-        v_node = self.flow.up(v)
-        return self.scatter_down(self.nb * q * v_node[self.a] / self.na)
+        return self.scatter_down(self.nb * q * self.up(v))
 
     def dual_value(self, lam, q):
         return float(self.ncells @ q - lam.sum())
 
     def init_lam(self):
-        acc = np.full(self.flow.n_nodes, np.inf)
+        acc = np.full(self.n_nodes, np.inf)
         np.minimum.at(acc, self.a, self.dbar)
-        return 1.0 + self.flow.down_min(acc)
+        # per-row minimum over the root path; every row has its leaf
+        return 1.0 + np.minimum.reduceat(acc[self.anc.indices], self.anc.indptr[:-1])
 
 
 def optimize_q(tree, partition, spec=None, data=None, tol=1e-10, max_sweeps=10_000):
@@ -307,7 +256,7 @@ def optimize_q(tree, partition, spec=None, data=None, tol=1e-10, max_sweeps=10_0
             f"optimizer stopped after {sweeps} sweeps with residual {res:.3e}",
             RuntimeWarning,
         )
-    logq = np.minimum(-1.0 - solver.dbar + solver.flow.up(lam)[solver.a] / solver.na, 700.0)
+    logq = solver.log_q(lam)
     return BlockParams(
         values=np.exp(logq),
         log_values=logq,

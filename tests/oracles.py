@@ -16,6 +16,7 @@ from scipy.linalg import cho_factor, cho_solve
 from blockwalk.anchor_tree import (
     ClusterTree,
     NodeStats,
+    TreeStats,
     _agglomerate_items,
     _grow,
     _Workspace,
@@ -91,10 +92,34 @@ def closed_form_propagation(p_matrix, y0, alpha):
     return (1.0 - alpha) * np.linalg.solve(np.eye(n) - alpha * p_matrix, y0)
 
 
+def add_stats(x, y):
+    """Statistics of the union of two disjoint subtrees, x the left one."""
+    return NodeStats(x.s1 + y.s1, x.s2 + y.s2, x.s3.add(y.s3), x.s4.add(y.s4))
+
+
+def tree_stats(dim, stats):
+    """TreeStats holding a list of per-node NodeStats."""
+    for st in stats:
+        assert np.array_equal(st.s3.idx, st.s4.idx)
+    ptr = np.zeros(len(stats) + 1, dtype=np.int64)
+    np.cumsum([st.s3.nnz for st in stats], out=ptr[1:])
+    return TreeStats(
+        dim,
+        np.array([st.s1 for st in stats]),
+        np.array([st.s2 for st in stats]),
+        np.array([st.s3.base for st in stats]),
+        np.array([st.s4.base for st in stats]),
+        ptr,
+        np.concatenate([st.s3.idx for st in stats]),
+        np.concatenate([st.s3.val for st in stats]),
+        np.concatenate([st.s4.val for st in stats]),
+    )
+
+
 def reference_cluster_tree(data, spec, use_pruning=True):
     """Grow-and-agglomerate recursively down to singleton leaves, with _grow
     and _agglomerate_items on every scope and node statistics summed one
-    NodeStats.add at a time. build_cluster_tree must match it exactly:
+    add_stats at a time. build_cluster_tree must match it exactly:
     structure arrays, statistics and raised errors."""
     ws = _Workspace(data, spec)
     n_rows = data.n_rows
@@ -148,6 +173,8 @@ def reference_cluster_tree(data, spec, use_pruning=True):
                 float(ws.phi_row[row]), float(ws.s2_row[row]), s3, ov_grad(spec, s3)
             )
         else:
-            stats[nid] = stats[left[nid]].add(stats[right[nid]])
+            stats[nid] = add_stats(stats[left[nid]], stats[right[nid]])
 
-    return ClusterTree(data, spec, left, right, size, start, end, perm, stats)
+    return ClusterTree(
+        data, spec, left, right, size, start, end, perm, tree_stats(data.dim, stats)
+    )

@@ -16,13 +16,11 @@ from blockwalk.partition import auto_refine, coarsest_partition, finest_partitio
 from blockwalk.propagation import (
     PropagationConfig,
     TransitionModel,
-    blocked_matvec,
     dense_q_matrix,
     dense_transition_matrix,
     propagate_labels,
 )
 from blockwalk.variational import (
-    block_divergence_sum,
     block_divergence_sums,
     constraint_residuals,
     euclidean_block_divergence_sum,
@@ -73,7 +71,7 @@ def test_criterion_01_decoupling_oracle(decoupling_runs):
         dense = data.to_dense()
         for kind in DECOUPLING_KINDS:
             spec, tree, part = per_kind[kind]
-            fast = block_divergence_sums(tree, part, spec)
+            fast = block_divergence_sums(tree, part)
             full = pairwise_divergences(spec, dense, dense)
             for k in range(part.n_blocks):
                 ra = tree.subtree_rows(int(part.a[k]))
@@ -94,11 +92,10 @@ def test_criterion_02_euclidean_reduction(decoupling_runs):
     worst = 0.0
     for data, per_kind in runs:
         spec, tree, part = per_kind["sq-euclidean"]
+        general_all = block_divergence_sums(tree, part)
         for k in range(part.n_blocks):
             a, b = int(part.a[k]), int(part.b[k])
-            general = block_divergence_sum(
-                tree.stats[a], tree.stats[b], tree.size[a], tree.size[b], spec
-            )
+            general = general_all[k]
             legacy = euclidean_block_divergence_sum(
                 tree.stats[a], tree.stats[b], tree.size[a], tree.size[b], spec
             )
@@ -205,7 +202,7 @@ def test_criterion_06_blocked_matvec():
         q = dense_q_matrix(model)
         for _ in range(10):
             v = rng.normal(size=512)
-            worst = max(worst, float(np.max(np.abs(blocked_matvec(model, v) - q @ v))))
+            worst = max(worst, float(np.max(np.abs(model.matmat(v) - q @ v))))
         assert worst <= 1e-10
     _report(6, f"blocked product vs dense expansion at N=512: "
                f"max abs err {worst:.2e} <= 1e-10 over 10 vectors x 2 partitions")

@@ -5,11 +5,9 @@ from blockwalk.anchor_tree import (
     Anchor,
     _Workspace,
     agglomerate_anchors,
-    bregman_information,
     build_cluster_tree,
     grow_anchors,
     merge_cost,
-    node_stats,
     steal_threshold,
 )
 from blockwalk.cli import make_divergence_spec
@@ -169,6 +167,7 @@ class TestGrowAnchors:
         spec = DivergenceSpec("sq-euclidean", 2)
         anchors = grow_anchors(data, spec, 3)
         assert sum(a.size for a in anchors) == 6
+        assert all(a.size >= 1 for a in anchors)
 
 
 class TestAgglomeration:
@@ -255,7 +254,7 @@ class TestClusterTree:
         spec = DivergenceSpec("gid", 2)
         tree = build_cluster_tree(data, spec)
         assert tree.n_nodes == 1
-        st = node_stats(tree, 0)
+        st = tree.node_stats(0)
         assert st.s1 == pytest.approx(phi(spec, [1.0, 2.0]))
 
     def test_four_points_structure(self, rng):
@@ -293,7 +292,7 @@ class TestClusterTree:
         spec = DivergenceSpec("gid", 6, epsilon=0.5)
         tree = build_cluster_tree(data, spec)
         np.testing.assert_allclose(
-            node_stats(tree, tree.root).s3.to_dense(),
+            tree.node_stats(tree.root).s3.to_dense(),
             data.to_dense().sum(axis=0),
             rtol=1e-12,
         )
@@ -349,7 +348,7 @@ class TestNodeStats:
         data = smooth(dense_to_data(np.array([[1.0, 2.0]])), 0.0)
         spec = DivergenceSpec("gid", 2)
         tree = build_cluster_tree(data, spec)
-        st = node_stats(tree, 0)
+        st = tree.node_stats(0)
         assert st.s1 == pytest.approx(-1.613706, abs=1e-6)
         assert st.s2 == pytest.approx(1.386294, abs=1e-6)
         np.testing.assert_allclose(st.s3.to_dense(), [1.0, 2.0])
@@ -359,7 +358,7 @@ class TestNodeStats:
         data = smooth(dense_to_data(np.array([[1.0, 2.0], [2.0, 1.0]])), 0.0)
         spec = DivergenceSpec("gid", 2)
         tree = build_cluster_tree(data, spec)
-        st = node_stats(tree, tree.root)
+        st = tree.node_stats(tree.root)
         assert st.s1 == pytest.approx(-3.227411, abs=1e-6)
         assert st.s2 == pytest.approx(2.772589, abs=1e-6)
         np.testing.assert_allclose(st.s3.to_dense(), [3.0, 3.0])
@@ -372,9 +371,9 @@ class TestNodeStats:
         for nid in range(tree.n_nodes):
             if tree.is_leaf(nid):
                 continue
-            a = node_stats(tree, tree.left[nid])
-            b = node_stats(tree, tree.right[nid])
-            c = node_stats(tree, nid)
+            a = tree.node_stats(tree.left[nid])
+            b = tree.node_stats(tree.right[nid])
+            c = tree.node_stats(nid)
             assert c.s1 == pytest.approx(a.s1 + b.s1, rel=1e-12)
             assert c.s2 == pytest.approx(a.s2 + b.s2, rel=1e-12)
             np.testing.assert_allclose(
@@ -393,7 +392,7 @@ class TestNodeStats:
         pick = rng.choice(tree.n_nodes, size=10, replace=False)
         for nid in pick:
             rows = tree.subtree_rows(nid)
-            st = node_stats(tree, nid)
+            st = tree.node_stats(nid)
             s1 = sum(phi(spec, dense[r]) for r in rows)
             s2 = sum(float(dense[r] @ grad_phi(spec, dense[r])) for r in rows)
             s3 = dense[rows].sum(axis=0)
@@ -409,7 +408,7 @@ class TestBregmanInformation:
         data = smooth(dense_to_data(np.array([[1.0], [3.0]])), 0.0)
         spec = DivergenceSpec("sq-euclidean", 1, sigma=1.0)
         tree = build_cluster_tree(data, spec)
-        assert bregman_information(tree, tree.root) == pytest.approx(0.5)
+        assert tree.bregman_information(tree.root) == pytest.approx(0.5)
 
     def test_singleton_zero(self, rng):
         data = smoothed_counts(rng, 5, 3)
@@ -417,13 +416,13 @@ class TestBregmanInformation:
         tree = build_cluster_tree(data, spec)
         for nid in range(tree.n_nodes):
             if tree.is_leaf(nid):
-                assert abs(bregman_information(tree, nid)) <= 1e-12
+                assert abs(tree.bregman_information(nid)) <= 1e-12
 
     def test_duplicated_point_zero(self):
         data = smooth(dense_to_data(np.array([[2.0, 3.0], [2.0, 3.0]])), 0.0)
         spec = DivergenceSpec("gid", 2)
         tree = build_cluster_tree(data, spec)
-        assert abs(bregman_information(tree, tree.root)) <= 1e-12
+        assert abs(tree.bregman_information(tree.root)) <= 1e-12
 
     def test_matches_mean_divergence(self, rng):
         data = smoothed_counts(rng, 22, 4)
@@ -434,7 +433,7 @@ class TestBregmanInformation:
             rows = tree.subtree_rows(nid)
             mu = dense[rows].mean(axis=0)
             want = np.mean([bregman_divergence(spec, dense[r], mu) for r in rows])
-            assert bregman_information(tree, nid) == pytest.approx(
+            assert tree.bregman_information(nid) == pytest.approx(
                 want, rel=1e-9, abs=1e-12
             )
 
@@ -530,3 +529,39 @@ class TestSmallScopeBaseCase:
         block = ws.div_block(rows)
         for j, r in enumerate(rows):
             assert np.array_equal(block[:, j], ws.div_to_pivot(rows, ws.row_kernel(r)))
+
+
+class TestDuplicateRows:
+    """Identical rows drive every radius to 0; an anchor must never be
+    emptied by giving away its only member as the next pivot."""
+
+    @pytest.mark.parametrize("copies", [5, 6, 9, 20])
+    def test_identical_rows(self, copies):
+        row = (np.array([0, 2]), np.array([2.0, 3.0]))
+        data = smooth(DataMatrix.from_rows([row] * copies, 3), 0.5)
+        spec = DivergenceSpec("gid", 3, epsilon=0.5)
+        tree = build_cluster_tree(data, spec)
+        assert tree.n_nodes == 2 * copies - 1
+        assert_same_tree(tree, reference_cluster_tree(data, spec))
+
+    def test_two_groups_of_copies(self):
+        rows = [(np.array([0]), np.array([1.0]))] * 20
+        rows += [(np.array([1]), np.array([4.0]))] * 20
+        data = smooth(DataMatrix.from_rows(rows, 2), 0.5)
+        spec = DivergenceSpec("gid", 2, epsilon=0.5)
+        tree = build_cluster_tree(data, spec)
+        assert tree.n_nodes == 79
+        assert_same_tree(tree, reference_cluster_tree(data, spec))
+
+    @pytest.mark.parametrize("kind", ["gid", "sq-euclidean", "itakura-saito"])
+    def test_low_dimensional_counts(self, kind):
+        # few coordinates and small counts: many rows repeat by chance
+        rng = np.random.default_rng(7)
+        for trial in range(25):
+            n, d = int(rng.integers(2, 150)), int(rng.integers(1, 4))
+            data = smooth(random_count_matrix(rng, n, d, max_count=3), 0.5)
+            spec = make_spec(kind, d, epsilon=0.5)
+            use_pruning = trial % 4 != 3
+            tree = build_cluster_tree(data, spec, use_pruning)
+            assert tree.n_nodes == 2 * n - 1
+            assert_same_tree(tree, reference_cluster_tree(data, spec, use_pruning))

@@ -1,11 +1,13 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from blockwalk.cli import main, stratified_subset
+from blockwalk.cli import build_model, main, make_divergence_spec, stratified_subset
 from blockwalk.dataset import load_bow, load_labels
+from blockwalk.model_io import save_model
 
 
 def run(*argv):
@@ -128,9 +130,29 @@ class TestPropagate:
         assert metrics["config"]["alpha"] == 0.01
         assert metrics["config"]["iterations"] == 300
         assert 0.0 <= metrics["accuracy"] <= 1.0
+        assert metrics["converged"] is True
+        assert metrics["constraint_residual"] <= 1e-9
         lines = (out / "predictions.csv").read_text().splitlines()
         assert lines[0] == "id,predicted_class,score"
         assert len(lines) == 91
+
+    def test_unconverged_model_flagged(self, synth_dir, tmp_path, capsys):
+        data = load_bow(synth_dir / "data.bow")
+        spec, _ = make_divergence_spec("gid", data)
+        model, report, _, _ = build_model(data, spec, "coarsest")
+        model.params = replace(model.params, converged=False, residual=0.25)
+        path = tmp_path / "m.npz"
+        save_model(path, model, report, data.ids)
+        out = tmp_path / "prop"
+        rc = run(
+            "propagate", "--model", path, "--labels", synth_dir / "labels.csv",
+            "--labeled-fraction", 0.1, "--seed", 1, "--out", out,
+        )
+        assert rc == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["converged"] is False
+        assert metrics["constraint_residual"] == 0.25
+        assert "did not reach the target residual" in capsys.readouterr().err
 
     def test_reproducible_across_runs(self, synth_dir, tmp_path):
         model = tmp_path / "m.npz"

@@ -7,7 +7,7 @@ from blockwalk.anchor_tree import build_cluster_tree
 from blockwalk.divergence import DivergenceSpec
 from blockwalk.model_io import load_model, reevaluate_bound, save_model
 from blockwalk.partition import coarsest_partition
-from blockwalk.propagation import TransitionModel, blocked_matvec
+from blockwalk.propagation import TransitionModel
 from blockwalk.variational import lower_bound, optimize_q
 
 from conftest import smoothed_counts
@@ -35,7 +35,7 @@ class TestRoundTrip:
         assert meta["ids"] == ids
         v = rng.normal(size=30)
         np.testing.assert_array_equal(
-            blocked_matvec(model, v), blocked_matvec(loaded, v)
+            model.matmat(v), loaded.matmat(v)
         )
 
     def test_stats_survive(self, fitted, tmp_path):
@@ -71,3 +71,23 @@ class TestRoundTrip:
         np.savez(path, meta=np.frombuffer(b'{"format": "other"}', dtype=np.uint8))
         with pytest.raises(ValueError, match="not a"):
             load_model(path)
+
+    def test_rejects_split_supports(self, fitted, tmp_path):
+        # s3 and s4 share one support; an archive where they differ is refused
+        model, report, ids = fitted
+        path = tmp_path / "m.npz"
+        save_model(path, model, report, ids)
+        with np.load(path) as z:
+            arrays = dict(z)
+        arrays["stat_s4_idx"] = arrays["stat_s4_idx"][::-1].copy()
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="different supports"):
+            load_model(path)
+
+    def test_lower_bound_on_loaded_model_names_reevaluate(self, fitted, tmp_path):
+        model, report, ids = fitted
+        path = tmp_path / "m.npz"
+        save_model(path, model, report, ids)
+        loaded, _, _ = load_model(path)
+        with pytest.raises(ValueError, match="reevaluate_bound"):
+            lower_bound(loaded.params, loaded.partition, loaded.tree, loaded.spec)

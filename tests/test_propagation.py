@@ -8,7 +8,6 @@ from blockwalk.partition import auto_refine, coarsest_partition, finest_partitio
 from blockwalk.propagation import (
     PropagationConfig,
     TransitionModel,
-    blocked_matvec,
     classify_one_vs_all,
     dense_q_matrix,
     dense_transition_matrix,
@@ -39,7 +38,7 @@ def build_model(rng, n=24, d=5, kind="gid", partition="coarsest"):
 class TestBlockedMatvec:
     def test_ones_maps_to_ones(self, rng):
         model, _, _ = build_model(rng)
-        out = blocked_matvec(model, np.ones(model.n_points))
+        out = model.matmat(np.ones(model.n_points))
         np.testing.assert_allclose(out, 1.0, atol=1e-9)
 
     def test_matches_dense_expansion(self, rng):
@@ -49,7 +48,7 @@ class TestBlockedMatvec:
             for _ in range(5):
                 v = rng.normal(size=model.n_points)
                 np.testing.assert_allclose(
-                    blocked_matvec(model, v), q @ v, atol=1e-10
+                    model.matmat(v), q @ v, atol=1e-10
                 )
 
     def test_repeated_row_sides_match_dense_expansion(self, rng):
@@ -72,14 +71,14 @@ class TestBlockedMatvec:
         model, _, _ = build_model(rng)
         u = rng.normal(size=model.n_points)
         w = rng.normal(size=model.n_points)
-        lhs = blocked_matvec(model, 2 * u + 3 * w)
-        rhs = 2 * blocked_matvec(model, u) + 3 * blocked_matvec(model, w)
+        lhs = model.matmat(2 * u + 3 * w)
+        rhs = 2 * model.matmat(u) + 3 * model.matmat(w)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_length_mismatch(self, rng):
         model, _, _ = build_model(rng)
         with pytest.raises(ValueError, match="length"):
-            blocked_matvec(model, np.ones(model.n_points + 1))
+            model.matmat(np.ones(model.n_points + 1))
 
     def test_implied_q_row_stochastic_zero_diagonal(self, rng):
         for partition in ("coarsest", "refined"):

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from blockwalk.anchor_tree import build_cluster_tree, node_stats
+from blockwalk.anchor_tree import build_cluster_tree
 from blockwalk.dataset import smooth
 from blockwalk.divergence import DivergenceSpec, phi, log_carrier
 from blockwalk.partition import (
+    BlockPartition,
     auto_refine,
     coarsest_partition,
     finest_partition,
 )
 from blockwalk.variational import (
-    block_divergence_sum,
     block_divergence_sums,
     constraint_residuals,
     euclidean_block_divergence_sum,
@@ -37,9 +37,7 @@ class TestBlockDivergenceSum:
         tree = build_cluster_tree(data, spec)
         leaf_of = tree.leaf_of_row
         a, b = int(leaf_of[0]), int(leaf_of[1])
-        got = block_divergence_sum(
-            node_stats(tree, a), node_stats(tree, b), 1, 1, spec
-        )
+        got = block_divergence_sums(tree, BlockPartition([a], [b]))[0]
         assert got == pytest.approx(0.693147, abs=1e-6)
 
     def test_two_on_one_euclidean(self):
@@ -50,9 +48,7 @@ class TestBlockDivergenceSum:
                 pair_node = nid
         assert pair_node is not None
         leaf3 = int(tree.leaf_of_row[2])
-        got = block_divergence_sum(
-            node_stats(tree, pair_node), node_stats(tree, leaf3), 2, 1, spec
-        )
+        got = block_divergence_sums(tree, BlockPartition([pair_node], [leaf3]))[0]
         assert got == pytest.approx(6.5)  # 9/2 + 4/2
 
     def test_identical_points_zero(self):
@@ -60,7 +56,7 @@ class TestBlockDivergenceSum:
         spec = DivergenceSpec("gid", 2)
         tree = build_cluster_tree(data, spec)
         a, b = int(tree.leaf_of_row[0]), int(tree.leaf_of_row[1])
-        got = block_divergence_sum(node_stats(tree, a), node_stats(tree, b), 1, 1, spec)
+        got = block_divergence_sums(tree, BlockPartition([a], [b]))[0]
         assert got == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["sq-euclidean", "gid", "itakura-saito"])
@@ -69,23 +65,40 @@ class TestBlockDivergenceSum:
         spec = make_spec(kind, 7, epsilon=0.5)
         tree = build_cluster_tree(data, spec)
         for part in (coarsest_partition(tree), finest_partition(tree)):
-            fast = block_divergence_sums(tree, part, spec)
+            fast = block_divergence_sums(tree, part)
             brute = brute_block_sums(tree, part, spec, data)
             np.testing.assert_allclose(fast, brute, rtol=1e-8, atol=1e-9)
+
+    def test_matches_per_block_offset_dots(self, rng):
+        # sparse rows over a wide vocabulary: node supports overlap in part
+        data = smoothed_counts(rng, 60, 300, epsilon=0.5, density=0.03)
+        spec = DivergenceSpec("gid", 300, epsilon=0.5)
+        tree = build_cluster_tree(data, spec)
+        part = auto_refine(coarsest_partition(tree), tree, 40)
+        want = []
+        for a, b in zip(part.a, part.b):
+            sa, sb = tree.node_stats(a), tree.node_stats(b)
+            want.append(
+                tree.size[b] * sa.s1
+                + tree.size[a] * (sb.s2 - sb.s1)
+                - sa.s3.dot(sb.s4)
+            )
+        np.testing.assert_allclose(
+            block_divergence_sums(tree, part), want, rtol=1e-12, atol=1e-9
+        )
 
     def test_euclidean_legacy_form_agrees(self, rng):
         data = smoothed_counts(rng, 40, 6, epsilon=0.5)
         spec = DivergenceSpec("sq-euclidean", 6, sigma=1.7, epsilon=0.5)
         tree = build_cluster_tree(data, spec)
         part = coarsest_partition(tree)
+        fast_all = block_divergence_sums(tree, part)
         for k in range(part.n_blocks):
             a, b = int(part.a[k]), int(part.b[k])
-            fast = block_divergence_sum(
-                node_stats(tree, a), node_stats(tree, b), tree.size[a], tree.size[b]
-            )
+            fast = fast_all[k]
             legacy = euclidean_block_divergence_sum(
-                node_stats(tree, a),
-                node_stats(tree, b),
+                tree.node_stats(a),
+                tree.node_stats(b),
                 tree.size[a],
                 tree.size[b],
                 spec,
