@@ -44,7 +44,6 @@ from .partition import (
     coarsest_partition,
     finest_partition,
     refine_partition,
-    validate_partition,
 )
 from .propagation import (
     DenseBaseline,
@@ -107,7 +106,6 @@ __all__ = [
     "save_model",
     "smooth",
     "steal_threshold",
-    "validate_partition",
     "write_bow",
     "write_labels",
 ]

@@ -5,7 +5,10 @@ with members sorted by decreasing divergence to it), agglomerate the anchors
 into a binary skeleton by cheapest merge cost, then recurse inside every
 multi-point anchor until all leaves are singletons. Stealing during the
 growing phase prunes with a threshold below which a member provably cannot be
-closer to the new pivot, generalizing the Euclidean halfway rule.
+closer to the new pivot, generalizing the Euclidean halfway rule. One batched
+function evaluates that threshold at every vocabulary width, on dense pivot
+rows restricted to the union of the pivots' stored columns: a column where
+every pivot sits at the smoothing offset adds nothing to the bound.
 
 Every node has four additive statistics (sum of generator values, sum of
 x'grad(x), coordinate sums, gradient sums) that later decouple per-block
@@ -22,25 +25,19 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
 from .divergence import (
-    DivergenceSpec,
     DomainError,
+    _as_vector,
+    _check_domain,
     _grad_inv_terms,
     _grad_terms,
     _phi_terms,
     _scalar_base,
     _xgrad_terms,
-    bregman_divergence,
-    grad_phi,
-    grad_phi_inv,
-    ov_divergence,
-    ov_grad,
-    ov_grad_inv,
     ov_phi,
 )
 from .vectors import OffsetVec
@@ -83,10 +80,10 @@ class _Workspace:
         xg_parts = _xgrad_terms(spec, smoothed, idx)
         self.phi_row = self._row_reduce(phi_parts) + (
             self.dim - self.nnz_row
-        ) * self._base_term(_phi_terms, "generator")
+        ) * self._implicit(_phi_terms, "generator")
         self.s2_row = self._row_reduce(xg_parts) + (
             self.dim - self.nnz_row
-        ) * self._base_term(_xgrad_terms, "x'grad(x)")
+        ) * self._implicit(_xgrad_terms, "x'grad(x)")
         self.starts = self.csr.indptr[:-1].astype(np.int64)
         self._row_kernels(smoothed, idx, phi_parts)
 
@@ -95,24 +92,11 @@ class _Workspace:
         np.add.at(out, np.repeat(np.arange(self.data.n_rows), self.nnz_row), parts)
         return out
 
-    def _base_term(self, fn, what):
+    def _implicit(self, fn, what):
+        """fn at an implicit coordinate (value eps); 0 when every row is full."""
         if np.all(self.nnz_row == self.dim):
             return 0.0
-        if self.spec.kind == "mahalanobis":
-            if self.eps != 0.0:
-                raise DomainError(
-                    "mahalanobis does not support a smoothing offset; use epsilon=0"
-                )
-            return 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = float(fn(self.spec, np.array([self.eps]))[0])
-        if not np.isfinite(out):
-            bad = int(np.argmax(self.nnz_row < self.dim))
-            raise DomainError(
-                f"{self.spec.kind} {what} undefined for row {bad} with implicit "
-                f"coordinate value {self.eps}; increase the smoothing offset"
-            )
-        return out
+        return _scalar_base(self.spec, fn, self.eps, what)
 
     def _validate_domain(self):
         kind = self.spec.kind
@@ -159,17 +143,13 @@ class _Workspace:
         spec, lens = self.spec, self.nnz_row
         short = lens < self.dim
         imp = (self.dim - lens)[short]
-
-        def base(fn, what):
-            return _scalar_base(spec, fn, self.eps, what) if short.any() else 0.0
-
-        self.g_base_row = np.where(short, base(_grad_terms, "gradient"), 0.0)
+        self.g_base_row = np.where(short, self._implicit(_grad_terms, "gradient"), 0.0)
         self.g_val = _grad_terms(spec, t, idx) - np.repeat(self.g_base_row, lens)
         self.g_val_sum = _segment_sums(self.g_val, self.starts, lens)
         phi = _segment_sums(phi_parts, self.starts, lens)
-        phi[short] += imp * base(_phi_terms, "generator")
+        phi[short] += imp * self._implicit(_phi_terms, "generator")
         xdg = _segment_sums(_xgrad_terms(spec, t, idx), self.starts, lens)
-        xdg[short] += imp * base(_xgrad_terms, "x'grad(x)")
+        xdg[short] += imp * self._implicit(_xgrad_terms, "x'grad(x)")
         self.const_row = -phi + xdg
 
     def row_ov(self, i):
@@ -204,6 +184,24 @@ class _Workspace:
         ).reshape(sizes.size, self.dim)
         return self.eps + acc / np.maximum(sizes, 1)[:, None]
 
+    def _columns(self, flat):
+        """The sorted distinct columns of the entries `flat`, and the
+        position of each entry's column among them."""
+        idx = self.csr.indices[flat]
+        seen = np.zeros(self.dim, dtype=bool)
+        seen[idx] = True
+        cols = np.flatnonzero(seen)
+        return cols, np.searchsorted(cols, idx)
+
+    def pivot_rows(self, rows):
+        """The sorted union `cols` of the stored columns of `rows`, and the
+        rows as dense rows over it: eps + value, as OffsetVec.to_dense."""
+        flat, lens = self._gather(rows)
+        cols, at = self._columns(flat)
+        out = np.full((rows.size, cols.size), self.eps)
+        out[np.repeat(np.arange(rows.size), lens), at] += self.csr.data[flat]
+        return cols, out
+
     def row_kernel(self, j):
         """The pieces of d(x_i, x_j) shared across rows i, for pivot row j."""
         lo, hi = self.starts[j], self.starts[j] + self.nnz_row[j]
@@ -233,13 +231,12 @@ class _Workspace:
     def div_block(self, rows):
         """d(x_i, x_j) for all i, j in `rows`, row j as the pivot; entry
         [i, j] equals div_to_pivot(rows, row_kernel(rows[j]))[i]: each dot
-        product still sums row i's terms in storage order from zero."""
+        product still sums row i's terms in storage order from zero. The
+        pivot gradients sit on the block's own columns."""
         s = rows.size
         flat, lens = self._gather(rows)
         seg = np.repeat(np.arange(s), lens)
-        cols = self.csr.indices[flat]
-        if self.dim > DENSE_DIM_CAP:  # index the block's own columns
-            _, cols = np.unique(cols, return_inverse=True)
+        _, cols = self._columns(flat)
         g = np.zeros((s, cols.max() + 1 if cols.size else 0))
         g[seg, cols] = self.g_val[flat]
         prod = self.csr.data[flat] * g[:, cols]  # [j, k]: pivot j, entry k
@@ -304,66 +301,29 @@ def steal_threshold(spec, p_curr, p_new):
     Returns (threshold, minimizer): any point with divergence to p_curr at or
     below the threshold is provably at least as close to p_curr as to p_new.
     """
-    p_curr = np.asarray(p_curr, dtype=np.float64)
-    p_new = np.asarray(p_new, dtype=np.float64)
-    mid = 0.5 * (grad_phi(spec, p_curr) + grad_phi(spec, p_new))
-    ystar = grad_phi_inv(spec, mid)
-    thr = 0.5 * (
-        bregman_divergence(spec, ystar, p_curr) + bregman_divergence(spec, ystar, p_new)
-    )
-    return float(thr), ystar
+    p_curr, p_new = (_as_vector(spec, p) for p in (p_curr, p_new))
+    for p in (p_curr, p_new):
+        _check_domain(spec, p, strict=True)
+    thr, y = _thresholds(spec, p_curr[None, :], p_new)
+    return float(thr[0]), y[0]
 
 
-def _union_values(pa, pb):
-    if pa.idx.size == pb.idx.size and np.array_equal(pa.idx, pb.idx):
-        return pa.idx, pa.base + pa.val, pb.base + pb.val
-    u = np.union1d(pa.idx, pb.idx)
-    va = np.full(u.size, pa.base)
-    va[np.searchsorted(u, pa.idx)] = pa.base + pa.val
-    vb = np.full(u.size, pb.base)
-    vb[np.searchsorted(u, pb.idx)] = pb.base + pb.val
-    return u, va, vb
+def _thresholds(spec, pivots, new_pivot, cols=None):
+    """No-steal thresholds of every row of `pivots` against `new_pivot`,
+    with their minimizers.
 
-
-@lru_cache(maxsize=4096)
-def _scalar_threshold(kind, sigma, base_a, base_b):
-    spec = DivergenceSpec(kind, 1, sigma=sigma if kind == "sq-euclidean" else 1.0)
-    pa = OffsetVec(1, 0.0, np.array([0]), np.array([base_a]))
-    pb = OffsetVec(1, 0.0, np.array([0]), np.array([base_b]))
-    mid = OffsetVec.combine(ov_grad(spec, pa), 0.5, ov_grad(spec, pb), 0.5)
-    ystar = ov_grad_inv(spec, mid)
-    return 0.5 * (ov_divergence(spec, ystar, pa) + ov_divergence(spec, ystar, pb))
-
-
-def _steal_threshold_ov(spec, pa, pb):
-    # fused evaluation on the support union; off-union coordinates sit at the
-    # two baselines and contribute one cached scalar term each
-    u, va, vb = _union_values(pa, pb)
-    ga = _grad_terms(spec, va, u)
-    gb = _grad_terms(spec, vb, u)
-    y = _grad_inv_terms(spec, 0.5 * (ga + gb), u)
-    phi_y = _phi_terms(spec, y, u)
-    da = phi_y - _phi_terms(spec, va, u) - (y - va) * ga
-    db = phi_y - _phi_terms(spec, vb, u) - (y - vb) * gb
-    thr = 0.5 * float(np.sum(da + db))
-    imp = pa.dim - u.size
-    if imp > 0:
-        thr += imp * _scalar_threshold(spec.kind, spec.sigma, pa.base, pb.base)
-    return thr
-
-
-def _thresholds_dense(spec, donors, new_pivot):
-    """No-steal thresholds of every donor pivot against one new pivot, on
-    dense pivot rows (small-dimension fast path)."""
-    g_new = _grad_terms(spec, new_pivot[None, :])
-    g_don = _grad_terms(spec, donors)
-    y = _grad_inv_terms(spec, 0.5 * (g_don + g_new))
-    phi_y = _phi_terms(spec, y).sum(axis=1)
-    phi_don = _phi_terms(spec, donors).sum(axis=1)
-    phi_new = _phi_terms(spec, new_pivot[None, :]).sum()
-    da = phi_y - phi_don - np.einsum("ij,ij->i", y - donors, g_don)
-    db = phi_y - phi_new - (y - new_pivot[None, :]) @ g_new[0]
-    return 0.5 * (da + db)
+    Row k's bound is (d(y, p_k) + d(y, p_new)) / 2 at y = grad^-1((grad p_k
+    + grad p_new) / 2). The pivots are dense rows over the columns `cols`
+    (every column when None); a column left out must hold the same value in
+    every pivot, where y equals it and both divergences vanish.
+    """
+    g = _grad_terms(spec, pivots, cols)
+    g_new = _grad_terms(spec, new_pivot, cols)
+    y = _grad_inv_terms(spec, 0.5 * (g + g_new), cols)
+    phi_y = _phi_terms(spec, y, cols)
+    da = phi_y - _phi_terms(spec, pivots, cols) - (y - pivots) * g
+    db = phi_y - _phi_terms(spec, new_pivot, cols) - (y - new_pivot) * g_new
+    return 0.5 * (da + db).sum(axis=1), y
 
 
 def _sorted_by_dist(rows, dists):
@@ -371,7 +331,12 @@ def _sorted_by_dist(rows, dists):
     return rows[order], dists[order]
 
 
-DENSE_DIM_CAP = 4096  # below this, pivot math runs on dense rows
+# Agglomeration merges dense pivot rows up to this width and OffsetVec
+# pivots above it. Best-of-3 tree builds with dense merges on each scope's
+# stored columns at every width: N=1000 d=10000 1.31 -> 2.03 s, d=20000
+# 2.08 -> 4.09 s, N=3000 d=20000 19.1 -> 49.2 s; OffsetVec merges at d=50,
+# N=4000: 0.60-0.65 -> 1.17-1.24 s.
+DENSE_DIM_CAP = 4096
 SMALL_SCOPE = 16  # scopes up to this size grow from one _DivBlock
 STAT_CHUNK = 1 << 16  # sparse statistic entries per chunk of block pairs
 
@@ -380,13 +345,17 @@ def _grow(ws, scope, m, use_pruning):
     n = scope.size
     if m < 1 or m > n:
         raise ValueError(f"anchor count m={m} must be in 1..{n}")
-    dense_ok = ws.dim <= DENSE_DIM_CAP
     first = int(scope.min())
-    pivot = ws.row_ov(first)
     d0 = ws.div_to_pivot(scope, ws.row_kernel(first))
     members, dists = _sorted_by_dist(scope.copy(), d0)
+    pivot = ws.row_ov(first)
     anchors = [Anchor(pivot, first, members, dists)]
-    pivot_rows = [pivot.to_dense()] if dense_ok else None
+    # the pivots as dense rows over the sorted union of their stored columns
+    cols = pivot.idx
+    pivots = np.empty((m, cols.size))
+    pivots[0] = pivot.base + pivot.val
+    in_cols = np.zeros(ws.dim, dtype=bool)
+    in_cols[cols] = True
     while len(anchors) < m:
         # the farthest member over all anchors with two or more members
         # becomes the next pivot (a singleton donor would empty); ties
@@ -397,18 +366,22 @@ def _grow(ws, scope, m, use_pruning):
         )
         new_row = int(anchors[donor_i].members[0])
         new_pivot = ws.row_ov(new_row)
-        new_dense = new_pivot.to_dense() if dense_ok else None
-        if use_pruning and dense_ok:
-            thresholds = _thresholds_dense(ws.spec, np.stack(pivot_rows), new_dense)
+        if use_pruning:
+            top = len(anchors)  # the new pivot's row
+            if not in_cols[new_pivot.idx].all():  # re-index the pivot rows
+                in_cols[new_pivot.idx] = True
+                grown = np.flatnonzero(in_cols)
+                wide = np.empty((m, grown.size))
+                wide[:top] = ws.eps
+                wide[:top, np.searchsorted(grown, cols)] = pivots[:top]
+                pivots, cols = wide, grown
+            pivots[top] = ws.eps
+            pivots[top, np.searchsorted(cols, new_pivot.idx)] += new_pivot.val
+            thresholds, _ = _thresholds(ws.spec, pivots[:top], pivots[top], cols)
         cuts = []
         for k, a in enumerate(anchors):
             if use_pruning:
-                thr = (
-                    thresholds[k]
-                    if dense_ok
-                    else _steal_threshold_ov(ws.spec, a.pivot, new_pivot)
-                )
-                cut = int(np.searchsorted(-a.dists, -thr, side="left"))
+                cut = int(np.searchsorted(-a.dists, -thresholds[k], side="left"))
             else:
                 cut = a.members.size
             cuts.append(max(cut, 1) if k == donor_i else cut)
@@ -438,8 +411,6 @@ def _grow(ws, scope, m, use_pruning):
         dd = np.concatenate(stolen_d)
         rows, dd = _sorted_by_dist(rows, dd)
         anchors.append(Anchor(new_pivot, new_row, rows, dd))
-        if dense_ok:
-            pivot_rows.append(new_dense)
     return anchors
 
 
@@ -510,26 +481,17 @@ class _DivBlock:
         return [self.rows[a[1]] for a in anchors]
 
     def _cuts(self, anchors, new, donor_i):
-        """No-steal cut of each anchor against pivot `new`, evaluated on
-        first use with _grow's arithmetic."""
+        """No-steal cut of each anchor against pivot `new`, with _grow's
+        thresholds on the same columns, evaluated on first use."""
         ws = self.ws
-        rows = [self.rows[a[0]] for a in anchors]
-        new_row = self.rows[new]
+        rows = self.rows[[a[0] for a in anchors] + [new]]
         thresholds = []
 
         def cut_of(k):
-            if ws.dim > DENSE_DIM_CAP:
-                thr = _steal_threshold_ov(
-                    ws.spec, ws.row_ov(rows[k]), ws.row_ov(new_row)
-                )
-            else:
-                if not thresholds:
-                    thresholds.append(_thresholds_dense(
-                        ws.spec,
-                        np.stack([ws.row_ov(r).to_dense() for r in rows]),
-                        ws.row_ov(new_row).to_dense(),
-                    ))
-                thr = thresholds[0][k]
+            if not thresholds:
+                cols, piv = ws.pivot_rows(rows)
+                thresholds.append(_thresholds(ws.spec, piv[:-1], piv[-1], cols)[0])
+            thr = thresholds[0][k]
             cut = int(np.searchsorted(-np.array(anchors[k][2]), -thr, side="left"))
             return max(cut, 1) if k == donor_i else cut
 
@@ -550,23 +512,26 @@ def grow_anchors(data, spec, m, scope=None, use_pruning=True):
 # ---------------------------------------------------------------------------
 
 
-def _merge_cost_ov(spec, na, pa, nb, pb):
-    # equals na*d(pa, c) + nb*d(pb, c) with c the weighted mean: the gradient
-    # terms cancel at the mean, leaving a difference of generator sums
-    nt = na + nb
-    c = OffsetVec.combine(pa, na / nt, pb, nb / nt)
-    return (
-        na * ov_phi(spec, pa) + nb * ov_phi(spec, pb) - nt * ov_phi(spec, c),
-        c,
-    )
+def _merge_costs(spec, sizes, phis, rows, i, j):
+    """Costs of merging items i[k] and j[k], given per-item sizes, generator
+    sums and dense pivot rows. Each equals na*d(pa, c) + nb*d(pb, c) with c
+    the weighted mean: the gradient terms cancel at the mean, leaving a
+    difference of generator sums."""
+    si, sj = sizes[i], sizes[j]
+    nt = si + sj
+    c = (si[:, None] * rows[i] + sj[:, None] * rows[j]) / nt[:, None]
+    return si * phis[i] + sj * phis[j] - nt * _phi_terms(spec, c).sum(axis=1)
 
 
 def merge_cost(spec, size_a, pivot_a, size_b, pivot_b):
     """Cost of replacing two clusters by their size-weighted union."""
-    pa = pivot_a if isinstance(pivot_a, OffsetVec) else OffsetVec.from_dense(pivot_a)
-    pb = pivot_b if isinstance(pivot_b, OffsetVec) else OffsetVec.from_dense(pivot_b)
-    cost, _ = _merge_cost_ov(spec, size_a, pa, size_b, pb)
-    return float(cost)
+    rows = np.stack([
+        p.to_dense() if isinstance(p, OffsetVec) else np.asarray(p, dtype=np.float64)
+        for p in (pivot_a, pivot_b)
+    ])
+    sizes = np.array([size_a, size_b], dtype=np.float64)
+    phis = _phi_terms(spec, rows).sum(axis=1)
+    return float(_merge_costs(spec, sizes, phis, rows, [0], [1])[0])
 
 
 @dataclass
@@ -656,18 +621,9 @@ def _greedy_merge(spec, sizes, rows):
     if k == 1:
         return AggloTree(sizes, [], left, right, 0, merges)
 
-    def phi_of(mat):
-        return _phi_terms(spec, mat).sum(axis=1)
-
     phis = np.empty(total)
-    phis[:k] = phi_of(rows[:k])
+    phis[:k] = _phi_terms(spec, rows[:k]).sum(axis=1)
     size_f = np.array(sizes + [0] * (k - 1), dtype=np.float64)
-
-    def costs(i, j):
-        si, so = size_f[i], size_f[j]
-        nt = si + so
-        c = (si[:, None] * rows[i] + so[:, None] * rows[j]) / nt[:, None]
-        return si * phis[i] + so * phis[j] - nt * phi_of(c)
 
     # every initial pair at once, in chunks of about 2**20 coordinates
     pairs = np.array(list(itertools.combinations(range(k), 2)))
@@ -675,7 +631,8 @@ def _greedy_merge(spec, sizes, rows):
     heap = []
     for lo in range(0, len(pairs), step):
         i, j = pairs[lo : lo + step, 0], pairs[lo : lo + step, 1]
-        for entry in zip(costs(i, j).tolist(), i.tolist(), j.tolist()):
+        costs = _merge_costs(spec, size_f, phis, rows, i, j)
+        for entry in zip(costs.tolist(), i.tolist(), j.tolist()):
             heapq.heappush(heap, entry)
     alive = set(range(k))
     while len(alive) > 1:
@@ -695,7 +652,8 @@ def _greedy_merge(spec, sizes, rows):
         alive.discard(j)
         others = sorted(alive)
         if others:
-            cc = costs(np.full(len(others), t), np.array(others))
+            ts = np.full(len(others), t)
+            cc = _merge_costs(spec, size_f, phis, rows, ts, np.array(others))
             for u, c in zip(others, cc.tolist()):
                 heapq.heappush(heap, (c, min(t, u), max(t, u)))
         alive.add(t)

@@ -35,7 +35,6 @@ __all__ = [
     "pairwise_divergences",
     "ov_phi",
     "ov_grad",
-    "ov_grad_inv",
     "ov_xdotgrad",
     "ov_divergence",
 ]
@@ -332,7 +331,6 @@ def _scalar_base_value(kind, sigma, base, fn_name):
     fn = {
         "_phi_terms": _phi_terms,
         "_grad_terms": _grad_terms,
-        "_grad_inv_terms": _grad_inv_terms,
         "_xgrad_terms": _xgrad_terms,
     }[fn_name]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -380,18 +378,6 @@ def ov_grad(spec, v):
     t = v.base + v.val
     base_g = _scalar_base(spec, _grad_terms, v.base, "gradient") if imp > 0 else 0.0
     return OffsetVec(v.dim, base_g, v.idx, _grad_terms(spec, t, v.idx) - base_g)
-
-
-def ov_grad_inv(spec, v):
-    imp = v.dim - v.nnz
-    t = v.base + v.val
-    _check_grad_range(spec, t)
-    if imp > 0:
-        _check_grad_range(spec, np.array([v.base]), name="base")
-        base_o = _scalar_base(spec, _grad_inv_terms, v.base, "gradient inverse")
-    else:
-        base_o = 0.0
-    return OffsetVec(v.dim, base_o, v.idx, _grad_inv_terms(spec, t, v.idx) - base_o)
 
 
 def ov_divergence(spec, x, y):

@@ -9,6 +9,7 @@ any block keeps validity.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,11 +17,9 @@ import numpy as np
 __all__ = [
     "Block",
     "BlockPartition",
-    "PartitionCheck",
     "coarsest_partition",
     "finest_partition",
     "refine_partition",
-    "validate_partition",
     "auto_refine",
 ]
 
@@ -53,14 +52,6 @@ class BlockPartition:
         if hits.size == 0:
             raise ValueError(f"block ({block.a}, {block.b}) not in partition")
         return int(hits[0])
-
-    def row_block_lists(self, tree):
-        """Per-row lists of covering block indices (test-scale helper)."""
-        out = [[] for _ in range(tree.n_points)]
-        for k in range(self.n_blocks):
-            for r in tree.subtree_rows(int(self.a[k])):
-                out[r].append(k)
-        return out
 
     def __repr__(self):
         return f"BlockPartition({self.label}, {self.n_blocks} blocks)"
@@ -118,66 +109,39 @@ def refine_partition(p, block, tree, side=None):
     return BlockPartition(new_a, new_b, label="refined")
 
 
-@dataclass
-class PartitionCheck:
-    ok: bool
-    problem: str | None = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def validate_partition(p, tree, cap=4096):
-    """Exhaustive O(N^2) coverage check; names the first violation."""
-    n = tree.n_points
-    if n > cap:
-        raise ValueError(f"validation refused for N={n} > cap={cap}")
-    for k in range(p.n_blocks):
-        a, b = int(p.a[k]), int(p.b[k])
-        if not (0 <= a < tree.n_nodes and 0 <= b < tree.n_nodes):
-            return PartitionCheck(False, f"block {k}: node id out of range")
-        # contiguous ranges: subtrees overlap iff one range contains the other
-        if not (tree.end[a] <= tree.start[b] or tree.end[b] <= tree.start[a]):
-            return PartitionCheck(
-                False, f"block {k}: sides ({a}, {b}) are overlapping subtrees"
-            )
-    cover = np.zeros((n, n), dtype=np.int32)
-    for k in range(p.n_blocks):
-        ra = tree.subtree_rows(int(p.a[k]))
-        rb = tree.subtree_rows(int(p.b[k]))
-        cover[np.ix_(ra, rb)] += 1
-    off = ~np.eye(n, dtype=bool)
-    if np.any(cover[off] != 1):
-        flat = np.where(off & (cover != 1))
-        i, j = int(flat[0][0]), int(flat[1][0])
-        word = "uncovered" if cover[i, j] == 0 else f"covered {cover[i, j]} times"
-        return PartitionCheck(False, f"ordered pair ({i}, {j}) {word}")
-    if np.any(np.diag(cover) != 0):
-        i = int(np.argmax(np.diag(cover) != 0))
-        return PartitionCheck(False, f"diagonal pair ({i}, {i}) covered")
-    return PartitionCheck(True)
-
-
 def auto_refine(p, tree, rounds):
     """Refinement policy: split the block with the largest |A|*|B| (ties to
-    the lowest node ids), on its larger side (ties to the A side)."""
+    the lowest node ids), on its larger side (ties to the A side).
+
+    The blocks wait in one max-heap; a split block is replaced in place by
+    its two halves, A-side or B-side children in order, as
+    refine_partition does."""
+    size, left, right = tree.size, tree.left, tree.right
+    a, b = p.a.tolist(), p.b.tolist()
+    halves = {}  # split block -> its two halves, as indices into a and b
+    heap = [(-int(size[x] * size[y]), x, y, k) for k, (x, y) in enumerate(zip(a, b))]
+    heapq.heapify(heap)
     for _ in range(rounds):
-        prod = tree.size[p.a] * tree.size[p.b]
-        order = np.lexsort((p.b, p.a, -prod))
-        chosen = None
-        for k in order:
-            a, b = int(p.a[k]), int(p.b[k])
-            if not (tree.is_leaf(a) and tree.is_leaf(b)):
-                chosen = k
-                break
-        if chosen is None:
-            break  # already the finest
-        a, b = int(p.a[chosen]), int(p.b[chosen])
-        if tree.is_leaf(a):
-            side = "b"
-        elif tree.is_leaf(b):
-            side = "a"
+        if not heap or heap[0][0] == -1:
+            break  # only leaf pairs left: the finest
+        _, x, y, k = heapq.heappop(heap)
+        # the larger side that is not a leaf, A on a tie
+        if left[y] < 0 or (left[x] >= 0 and size[x] >= size[y]):
+            parts = [(int(left[x]), y), (int(right[x]), y)]
         else:
-            side = "a" if tree.size[a] >= tree.size[b] else "b"
-        p = refine_partition(p, Block(a, b), tree, side=side)
-    return p
+            parts = [(x, int(left[y])), (x, int(right[y]))]
+        halves[k] = (len(a), len(a) + 1)
+        for u, v in parts:
+            heapq.heappush(heap, (-int(size[u] * size[v]), u, v, len(a)))
+            a.append(u)
+            b.append(v)
+    if not halves:
+        return p
+    order, stack = [], list(range(p.n_blocks))[::-1]
+    while stack:
+        k = stack.pop()
+        if k in halves:
+            stack.extend(halves[k][::-1])
+        else:
+            order.append(k)
+    return BlockPartition(np.array(a)[order], np.array(b)[order], label="refined")

@@ -26,7 +26,6 @@ __all__ = [
     "DenseBaseline",
     "PropagationConfig",
     "dense_transition_matrix",
-    "dense_q_matrix",
     "propagate_labels",
     "classify_one_vs_all",
     "evaluate_accuracy",
@@ -63,20 +62,6 @@ class TransitionModel:
             )
         a = self.tree.ancestors
         return a @ (self._blocks @ (a.T @ v))
-
-
-def dense_q_matrix(model, cap=4096):
-    """Materialize the compressed transition matrix (test-scale oracle)."""
-    n = model.n_points
-    if n > cap:
-        raise ValueError(f"dense expansion refused for N={n} > cap={cap}")
-    tree, part = model.tree, model.partition
-    q = np.zeros((n, n))
-    for k in range(part.n_blocks):
-        ra = tree.subtree_rows(int(part.a[k]))
-        rb = tree.subtree_rows(int(part.b[k]))
-        q[np.ix_(ra, rb)] = model.params.values[k]
-    return q
 
 
 @dataclass

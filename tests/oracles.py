@@ -6,9 +6,12 @@ plain projected-gradient ascent on the concave objective over the explicit
 constraint matrix. They exist to certify the decoupled statistics and the
 dual-Newton optimizer against a second route. The reference tree builder
 recurses with the general anchor growing on every scope, where the library
-switches to a small-scope base case.
+switches to a small-scope base case. The test-scale helpers (the dense
+expansion of a compressed model, per-row block lists and the exhaustive
+partition check) and the round-by-round refinement loop live here too.
 """
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -22,6 +25,7 @@ from blockwalk.anchor_tree import (
     _Workspace,
 )
 from blockwalk.divergence import ov_grad, pairwise_divergences
+from blockwalk.partition import Block, refine_partition
 
 
 def brute_block_sums(tree, partition, spec, data):
@@ -178,3 +182,91 @@ def reference_cluster_tree(data, spec, use_pruning=True):
     return ClusterTree(
         data, spec, left, right, size, start, end, perm, tree_stats(data.dim, stats)
     )
+
+
+def dense_q_matrix(model, cap=4096):
+    """Materialize the compressed transition matrix (test-scale oracle)."""
+    n = model.n_points
+    if n > cap:
+        raise ValueError(f"dense expansion refused for N={n} > cap={cap}")
+    tree, part = model.tree, model.partition
+    q = np.zeros((n, n))
+    for k in range(part.n_blocks):
+        ra = tree.subtree_rows(int(part.a[k]))
+        rb = tree.subtree_rows(int(part.b[k]))
+        q[np.ix_(ra, rb)] = model.params.values[k]
+    return q
+
+
+def row_block_lists(p, tree):
+    """Per-row lists of covering block indices (test-scale helper)."""
+    out = [[] for _ in range(tree.n_points)]
+    for k in range(p.n_blocks):
+        for r in tree.subtree_rows(int(p.a[k])):
+            out[r].append(k)
+    return out
+
+
+@dataclass
+class PartitionCheck:
+    ok: bool
+    problem: str | None = None
+
+    def __bool__(self):
+        return self.ok
+
+
+def validate_partition(p, tree, cap=4096):
+    """Exhaustive O(N^2) coverage check; names the first violation."""
+    n = tree.n_points
+    if n > cap:
+        raise ValueError(f"validation refused for N={n} > cap={cap}")
+    for k in range(p.n_blocks):
+        a, b = int(p.a[k]), int(p.b[k])
+        if not (0 <= a < tree.n_nodes and 0 <= b < tree.n_nodes):
+            return PartitionCheck(False, f"block {k}: node id out of range")
+        # contiguous ranges: subtrees overlap iff one range contains the other
+        if not (tree.end[a] <= tree.start[b] or tree.end[b] <= tree.start[a]):
+            return PartitionCheck(
+                False, f"block {k}: sides ({a}, {b}) are overlapping subtrees"
+            )
+    cover = np.zeros((n, n), dtype=np.int32)
+    for k in range(p.n_blocks):
+        ra = tree.subtree_rows(int(p.a[k]))
+        rb = tree.subtree_rows(int(p.b[k]))
+        cover[np.ix_(ra, rb)] += 1
+    off = ~np.eye(n, dtype=bool)
+    if np.any(cover[off] != 1):
+        flat = np.where(off & (cover != 1))
+        i, j = int(flat[0][0]), int(flat[1][0])
+        word = "uncovered" if cover[i, j] == 0 else f"covered {cover[i, j]} times"
+        return PartitionCheck(False, f"ordered pair ({i}, {j}) {word}")
+    if np.any(np.diag(cover) != 0):
+        i = int(np.argmax(np.diag(cover) != 0))
+        return PartitionCheck(False, f"diagonal pair ({i}, {i}) covered")
+    return PartitionCheck(True)
+
+
+def reference_auto_refine(p, tree, rounds):
+    """auto_refine one round at a time: sort every block by (-|A||B|, a, b),
+    split the first that is not a leaf pair with refine_partition."""
+    for _ in range(rounds):
+        prod = tree.size[p.a] * tree.size[p.b]
+        order = np.lexsort((p.b, p.a, -prod))
+        chosen = None
+        for k in order:
+            a, b = int(p.a[k]), int(p.b[k])
+            if not (tree.is_leaf(a) and tree.is_leaf(b)):
+                chosen = k
+                break
+        if chosen is None:
+            break  # already the finest
+        a, b = int(p.a[chosen]), int(p.b[chosen])
+        if tree.is_leaf(a):
+            side = "b"
+        elif tree.is_leaf(b):
+            side = "a"
+        else:
+            side = "a" if tree.size[a] >= tree.size[b] else "b"
+        p = refine_partition(p, Block(a, b), tree, side=side)
+    return p

@@ -16,7 +16,6 @@ from blockwalk.partition import auto_refine, coarsest_partition, finest_partitio
 from blockwalk.propagation import (
     PropagationConfig,
     TransitionModel,
-    dense_q_matrix,
     dense_transition_matrix,
     propagate_labels,
 )
@@ -30,7 +29,7 @@ from blockwalk.variational import (
 )
 
 from conftest import make_spec, random_count_matrix, sample_in_domain
-from oracles import closed_form_propagation, projected_ascent_q
+from oracles import closed_form_propagation, dense_q_matrix, projected_ascent_q
 
 
 def _report(num, detail):

@@ -3,6 +3,7 @@ import pytest
 
 from blockwalk.anchor_tree import (
     Anchor,
+    _thresholds,
     _Workspace,
     agglomerate_anchors,
     build_cluster_tree,
@@ -319,8 +320,8 @@ class TestClusterTree:
             assert np.array_equal(a.right, b.right)
 
     def test_sparse_and_dense_paths_build_same_tree(self, rng, monkeypatch):
-        # the wide-vocabulary route (offset+sparse pivot math) must agree
-        # with the small-dimension dense route
+        # the wide-vocabulary agglomeration (OffsetVec merges) must agree
+        # with the small-dimension dense one
         import blockwalk.anchor_tree as at
 
         data = smoothed_counts(rng, 50, 6, epsilon=0.5)
@@ -341,6 +342,11 @@ class TestClusterTree:
         spec = DivergenceSpec("gid", 4)
         with pytest.raises(DomainError):
             build_cluster_tree(data, spec)
+
+    def test_domain_error_for_offset_mahalanobis(self, rng):
+        data = smoothed_counts(rng, 6, 4, epsilon=0.5, density=0.4)
+        with pytest.raises(DomainError):
+            build_cluster_tree(data, make_spec("mahalanobis", 4, epsilon=0.5))
 
 
 class TestNodeStats:
@@ -518,17 +524,39 @@ class TestSmallScopeBaseCase:
             assert const == -ov_phi(ws.spec, pivot) + ov_xdotgrad(ws.spec, pivot)
             assert np.array_equal(kernel_dense, gdense)
 
-    @pytest.mark.parametrize("dense_dim_cap", [4096, 0])
-    def test_div_block_matches_div_to_pivot(self, dense_dim_cap, rng, monkeypatch):
-        import blockwalk.anchor_tree as at
-
-        monkeypatch.setattr(at, "DENSE_DIM_CAP", dense_dim_cap)
-        data = smoothed_counts(rng, 30, 9, epsilon=0.5)
-        ws = _Workspace(data, DivergenceSpec("gid", 9, epsilon=0.5))
+    @pytest.mark.parametrize("d", [9, 5000])
+    def test_div_block_matches_div_to_pivot(self, d, rng):
+        data = smoothed_counts(rng, 30, d, epsilon=0.5, density=min(0.5, 60 / d))
+        ws = _Workspace(data, DivergenceSpec("gid", d, epsilon=0.5))
         rows = np.sort(rng.choice(30, size=11, replace=False))
         block = ws.div_block(rows)
         for j, r in enumerate(rows):
             assert np.array_equal(block[:, j], ws.div_to_pivot(rows, ws.row_kernel(r)))
+
+    @pytest.mark.parametrize("d", [9, 5000])
+    def test_cuts_use_grow_thresholds(self, d, rng, monkeypatch):
+        # the base case's no-steal cuts see the same pivot rows, columns and
+        # threshold bits as _grow's for the same pivots
+        import blockwalk.anchor_tree as at
+
+        thresholds, calls = at._thresholds, []
+
+        def record(spec, pivots, new_pivot, cols=None):
+            out = thresholds(spec, pivots, new_pivot, cols)
+            key = (pivots.tobytes(), new_pivot.tobytes(), cols.tobytes())
+            calls.append((key, out[0].tobytes()))
+            return out
+
+        monkeypatch.setattr(at, "_thresholds", record)
+        data = smoothed_counts(rng, 16, d, epsilon=0.5)
+        ws = _Workspace(data, DivergenceSpec("gid", d, epsilon=0.5))
+        scope = np.arange(16)
+        at._grow(ws, scope, 4, True)
+        from_grow = dict(calls)
+        calls.clear()
+        at._DivBlock(ws, scope).grow(scope, 4, True)
+        assert calls
+        assert all(from_grow.get(key) == thr for key, thr in calls)
 
 
 class TestDuplicateRows:
@@ -565,3 +593,42 @@ class TestDuplicateRows:
             tree = build_cluster_tree(data, spec, use_pruning)
             assert tree.n_nodes == 2 * n - 1
             assert_same_tree(tree, reference_cluster_tree(data, spec, use_pruning))
+
+
+class TestWideVocabulary:
+    """One no-steal threshold at every width: pivots restricted to the union
+    of their stored columns, against the full-width public bound, and the
+    trees built with it at d=5000."""
+
+    @staticmethod
+    def corpus(kind, n, d, seed):
+        rng = np.random.default_rng(seed)
+        eps = 0.0 if kind == "mahalanobis" else 0.5
+        data = smooth(random_count_matrix(rng, n, d, density=min(0.5, 50 / d)), eps)
+        return data, make_spec(kind, d, rng, epsilon=eps)
+
+    @pytest.mark.parametrize("d", [9, 5000])
+    @pytest.mark.parametrize("kind", ["gid", "sq-euclidean", "mahalanobis"])
+    def test_stored_columns_match_full_width(self, kind, d):
+        data, spec = self.corpus(kind, 12, d, seed=d)
+        rows = np.array([0, 3, 7, 11])
+        cols, piv = _Workspace(data, spec).pivot_rows(rows)
+        got, _ = _thresholds(spec, piv[:-1], piv[-1], cols)
+        dense = data.to_dense()
+        want = [steal_threshold(spec, dense[r], dense[rows[-1]])[0] for r in rows[:-1]]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_sparse_mahalanobis_builds(self):
+        # every pruned mahalanobis build with sparse rows above the dense
+        # agglomeration width used to fail in the threshold
+        data, spec = self.corpus("mahalanobis", 40, 5000, seed=5)
+        tree = build_cluster_tree(data, spec)
+        assert tree.n_nodes == 79
+        assert_same_tree(tree, reference_cluster_tree(data, spec))
+
+    @pytest.mark.parametrize("kind", ["gid", "sq-euclidean", "mahalanobis"])
+    def test_pruning_invariance_matches_reference(self, kind):
+        data, spec = self.corpus(kind, 60, 5000, seed=60)
+        on = build_cluster_tree(data, spec, use_pruning=True)
+        assert_same_tree(build_cluster_tree(data, spec, use_pruning=False), on)
+        assert_same_tree(on, reference_cluster_tree(data, spec))

@@ -10,10 +10,10 @@ from blockwalk.partition import (
     coarsest_partition,
     finest_partition,
     refine_partition,
-    validate_partition,
 )
 
 from conftest import random_count_matrix
+from oracles import reference_auto_refine, row_block_lists, validate_partition
 from test_anchor_tree import dense_to_data
 
 
@@ -127,6 +127,16 @@ class TestRefine:
         assert q.n_blocks == p.n_blocks + 5
         assert validate_partition(q, tree)
 
+    def test_auto_refine_matches_round_by_round_loop(self, rng):
+        tree = gid_tree(rng, 40)
+        p = coarsest_partition(tree)
+        for rounds in (0, 1, 7, 300, 5000):
+            got = auto_refine(p, tree, rounds)
+            want = reference_auto_refine(p, tree, rounds)
+            assert np.array_equal(got.a, want.a), rounds
+            assert np.array_equal(got.b, want.b), rounds
+        assert got.n_blocks == 40 * 39  # stopped at the finest
+
 
 class TestValidate:
     def test_missing_block_reported(self, rng):
@@ -173,7 +183,7 @@ class TestValidate:
     def test_row_block_lists_tile_columns(self, rng):
         tree = gid_tree(rng, 10)
         p = coarsest_partition(tree)
-        lists = p.row_block_lists(tree)
+        lists = row_block_lists(p, tree)
         for i, blocks in enumerate(lists):
             cols = []
             for k in blocks:

@@ -9,7 +9,6 @@ from blockwalk.propagation import (
     PropagationConfig,
     TransitionModel,
     classify_one_vs_all,
-    dense_q_matrix,
     dense_transition_matrix,
     evaluate_accuracy,
     propagate_labels,
@@ -17,7 +16,7 @@ from blockwalk.propagation import (
 from blockwalk.variational import optimize_q
 
 from conftest import smoothed_counts
-from oracles import closed_form_propagation
+from oracles import closed_form_propagation, dense_q_matrix
 from test_anchor_tree import dense_to_data
 
 

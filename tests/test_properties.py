@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from blockwalk.anchor_tree import build_cluster_tree
 from blockwalk.dataset import DataMatrix, smooth
 from blockwalk.model_io import load_model, save_model
-from blockwalk.partition import auto_refine, coarsest_partition, validate_partition
+from blockwalk.partition import auto_refine, coarsest_partition
 from blockwalk.propagation import TransitionModel
 from blockwalk.variational import (
     block_divergence_sums,
@@ -19,7 +19,7 @@ from blockwalk.variational import (
 )
 
 from conftest import make_spec
-from oracles import brute_block_sums
+from oracles import brute_block_sums, reference_auto_refine, validate_partition
 
 # derandomized and without an example database: every run checks the same
 # examples and writes nothing
@@ -61,6 +61,15 @@ def test_partitions_tile(corpus):
     assert tree.n_nodes == 2 * data.n_rows - 1
     assert validate_partition(coarsest_partition(tree), tree)
     assert validate_partition(part, tree)
+
+
+@PROPERTY
+@given(corpora())
+def test_auto_refine_matches_reference(corpus):
+    _, _, tree, part = fit(corpus)
+    want = reference_auto_refine(coarsest_partition(tree), tree, corpus[2])
+    assert np.array_equal(part.a, want.a)
+    assert np.array_equal(part.b, want.b)
 
 
 @PROPERTY
