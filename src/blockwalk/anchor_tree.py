@@ -5,10 +5,12 @@ with members sorted by decreasing divergence to it), agglomerate the anchors
 into a binary skeleton by cheapest merge cost, then recurse inside every
 multi-point anchor until all leaves are singletons. Stealing during the
 growing phase prunes with a threshold below which a member provably cannot be
-closer to the new pivot, generalizing the Euclidean halfway rule. One batched
-function evaluates that threshold at every vocabulary width, on dense pivot
-rows restricted to the union of the pivots' stored columns: a column where
-every pivot sits at the smoothing offset adds nothing to the bound.
+closer to the new pivot, generalizing the Euclidean halfway rule. Members
+within a rounding slack of the threshold stay candidates, so that a row
+exactly on two pivots' bisector moves as it would without pruning. One
+batched function evaluates that threshold at every vocabulary width, on dense
+pivot rows restricted to the union of the pivots' stored columns: a column
+where every pivot sits at the smoothing offset adds nothing to the bound.
 
 Every node has four additive statistics (sum of generator values, sum of
 x'grad(x), coordinate sums, gradient sums) that later decouple per-block
@@ -37,7 +39,6 @@ from .divergence import (
     _grad_terms,
     _phi_terms,
     _scalar_base,
-    _xgrad_terms,
     ov_phi,
 )
 from .vectors import OffsetVec
@@ -76,21 +77,17 @@ class _Workspace:
         vals = self.csr.data
         smoothed = vals + self.eps
         idx = self.csr.indices
-        phi_parts = _phi_terms(spec, smoothed, idx)
-        xg_parts = _xgrad_terms(spec, smoothed, idx)
-        self.phi_row = self._row_reduce(phi_parts) + (
-            self.dim - self.nnz_row
-        ) * self._implicit(_phi_terms, "generator")
-        self.s2_row = self._row_reduce(xg_parts) + (
-            self.dim - self.nnz_row
-        ) * self._implicit(_xgrad_terms, "x'grad(x)")
         self.starts = self.csr.indptr[:-1].astype(np.int64)
-        self._row_kernels(smoothed, idx, phi_parts)
-
-    def _row_reduce(self, parts):
-        out = np.zeros(self.data.n_rows)
-        np.add.at(out, np.repeat(np.arange(self.data.n_rows), self.nnz_row), parts)
-        return out
+        # one generator sum (ov_phi's arithmetic) and one x'grad(x) per row
+        # serve both the point side (s1, s2) and the pivot side of every
+        # divergence
+        lens = self.nnz_row
+        short = lens < self.dim
+        self.phi_row = _segment_sums(_phi_terms(spec, smoothed, idx), self.starts, lens)
+        self.phi_row[short] += (self.dim - lens[short]) * self._implicit(
+            _phi_terms, "generator"
+        )
+        self._row_kernels(smoothed, idx)
 
     def _implicit(self, fn, what):
         """fn at an implicit coordinate (value eps); 0 when every row is full."""
@@ -135,22 +132,20 @@ class _Workspace:
                     f"kl requires simplex rows; row {i} sums to {totals[i]:.6g}", i
                 )
 
-    def _row_kernels(self, t, idx, phi_parts):
+    def _row_kernels(self, t, idx):
         """Every pivot is a data row: tabulate, per row j, the pieces of
-        d(., x_j) that depend on the pivot alone, with the arithmetic of
-        ov_grad, ov_phi and ov_xdotgrad on `row_ov(j)`, so that distances
-        match a per-pivot evaluation bit for bit."""
+        d(., x_j) that depend on the pivot alone: the gradient, with the
+        arithmetic of ov_grad on `row_ov(j)`, and x_j'grad(x_j) as
+        div_to_pivot evaluates it at i == j."""
         spec, lens = self.spec, self.nnz_row
         short = lens < self.dim
-        imp = (self.dim - lens)[short]
         self.g_base_row = np.where(short, self._implicit(_grad_terms, "gradient"), 0.0)
         self.g_val = _grad_terms(spec, t, idx) - np.repeat(self.g_base_row, lens)
         self.g_val_sum = _segment_sums(self.g_val, self.starts, lens)
-        phi = _segment_sums(phi_parts, self.starts, lens)
-        phi[short] += imp * self._implicit(_phi_terms, "generator")
-        xdg = _segment_sums(_xgrad_terms(spec, t, idx), self.starts, lens)
-        xdg[short] += imp * self._implicit(_xgrad_terms, "x'grad(x)")
-        self.const_row = -phi + xdg
+        every = np.arange(lens.size)
+        prods = self.csr.data * self.g_val
+        own = np.bincount(np.repeat(every, lens), weights=prods, minlength=every.size)
+        self.s2_row = self._xgrad(every, every, own)
 
     def row_ov(self, i):
         return self.data.row(int(i))
@@ -203,30 +198,38 @@ class _Workspace:
         return cols, out
 
     def row_kernel(self, j):
-        """The pieces of d(x_i, x_j) shared across rows i, for pivot row j."""
+        """Pivot row j and its gradient values on a dense row of width dim."""
         lo, hi = self.starts[j], self.starts[j] + self.nnz_row[j]
         gdense = np.zeros(self.dim)
         gdense[self.csr.indices[lo:hi]] = self.g_val[lo:hi]
-        return self.g_base_row[j], self.g_val_sum[j], gdense, self.const_row[j]
+        return j, gdense
 
-    def _finish(self, rows, g_base, g_val_sum, const, dots):
-        # shared tail of div_to_pivot and div_block; the operation order is
-        # part of the contract (trees are compared bit for bit)
-        xg = (
+    def _xgrad(self, rows, pivots, dots):
+        """x_i'grad(x_j) for rows i and pivot rows j, given the dot products
+        of row i's stored values with pivot j's gradient values."""
+        g_base = self.g_base_row[pivots]
+        return (
             self.eps * g_base * self.dim
-            + self.eps * g_val_sum
+            + self.eps * self.g_val_sum[pivots]
             + g_base * self.row_sum[rows]
             + dots
         )
-        return self.phi_row[rows] + const - xg
+
+    def _finish(self, rows, pivots, dots):
+        # shared tail of div_to_pivot and div_block; the operation order is
+        # part of the contract (trees are compared bit for bit). As
+        # (phi(x_i) - phi(x_j)) - (x_i'grad(x_j) - x_j'grad(x_j)) both
+        # differences vanish exactly at i == j, so d(x_j, x_j) is 0.
+        xg = self._xgrad(rows, pivots, dots)
+        return (self.phi_row[rows] - self.phi_row[pivots]) - (xg - self.s2_row[pivots])
 
     def div_to_pivot(self, rows, kernel):
-        g_base, g_val_sum, gdense, const = kernel
+        j, gdense = kernel
         flat, lens = self._gather(rows)
         seg = np.repeat(np.arange(rows.size), lens)
         prod = self.csr.data[flat] * gdense[self.csr.indices[flat]]
         dots = np.bincount(seg, weights=prod, minlength=rows.size)
-        return self._finish(rows, g_base, g_val_sum, const, dots)
+        return self._finish(rows, j, dots)
 
     def div_block(self, rows):
         """d(x_i, x_j) for all i, j in `rows`, row j as the pivot; entry
@@ -242,14 +245,7 @@ class _Workspace:
         prod = self.csr.data[flat] * g[:, cols]  # [j, k]: pivot j, entry k
         bins = seg + s * np.arange(s)[:, None]
         dots = np.bincount(bins.ravel(), weights=prod.ravel(), minlength=s * s)
-        r = rows[:, None]
-        return self._finish(
-            r,
-            self.g_base_row[rows],
-            self.g_val_sum[rows],
-            self.const_row[rows],
-            dots.reshape(s, s).T,
-        )
+        return self._finish(rows[:, None], rows, dots.reshape(s, s).T)
 
 
 def _ranges(starts, lens):
@@ -326,6 +322,18 @@ def _thresholds(spec, pivots, new_pivot, cols=None):
     return 0.5 * (da + db).sum(axis=1), y
 
 
+def _no_steal_limits(ws, rows, pivots, cols):
+    """Divergence to each current pivot (all rows of `pivots` but the last)
+    below which a member cannot move to the new one (the last row): the
+    no-steal threshold less a rounding slack. `rows` are the pivots' data
+    rows. A member on two pivots' bisector sits at the threshold in exact
+    arithmetic and rounding alone decides whether it moves, so it is
+    evaluated as an unpruned build evaluates it."""
+    thr, _ = _thresholds(ws.spec, pivots[:-1], pivots[-1], cols)
+    mag = np.abs(ws.phi_row[rows]) + np.abs(ws.s2_row[rows])
+    return thr - TIE_SLACK * (mag[:-1] + mag[-1])
+
+
 def _sorted_by_dist(rows, dists):
     order = np.lexsort((rows, -dists))
     return rows[order], dists[order]
@@ -338,6 +346,7 @@ def _sorted_by_dist(rows, dists):
 # N=4000: 0.60-0.65 -> 1.17-1.24 s.
 DENSE_DIM_CAP = 4096
 SMALL_SCOPE = 16  # scopes up to this size grow from one _DivBlock
+TIE_SLACK = 1e-12  # relative to the pivots' generator and x'grad(x) sums
 STAT_CHUNK = 1 << 16  # sparse statistic entries per chunk of block pairs
 
 
@@ -354,6 +363,8 @@ def _grow(ws, scope, m, use_pruning):
     cols = pivot.idx
     pivots = np.empty((m, cols.size))
     pivots[0] = pivot.base + pivot.val
+    pivot_rows = np.empty(m, dtype=np.int64)
+    pivot_rows[0] = first
     in_cols = np.zeros(ws.dim, dtype=bool)
     in_cols[cols] = True
     while len(anchors) < m:
@@ -377,11 +388,14 @@ def _grow(ws, scope, m, use_pruning):
                 pivots, cols = wide, grown
             pivots[top] = ws.eps
             pivots[top, np.searchsorted(cols, new_pivot.idx)] += new_pivot.val
-            thresholds, _ = _thresholds(ws.spec, pivots[:top], pivots[top], cols)
+            pivot_rows[top] = new_row
+            limits = _no_steal_limits(
+                ws, pivot_rows[: top + 1], pivots[: top + 1], cols
+            )
         cuts = []
         for k, a in enumerate(anchors):
             if use_pruning:
-                cut = int(np.searchsorted(-a.dists, -thresholds[k], side="left"))
+                cut = int(np.searchsorted(-a.dists, -limits[k], side="right"))
             else:
                 cut = a.members.size
             cuts.append(max(cut, 1) if k == donor_i else cut)
@@ -482,17 +496,17 @@ class _DivBlock:
 
     def _cuts(self, anchors, new, donor_i):
         """No-steal cut of each anchor against pivot `new`, with _grow's
-        thresholds on the same columns, evaluated on first use."""
+        limits on the same columns, evaluated on first use."""
         ws = self.ws
         rows = self.rows[[a[0] for a in anchors] + [new]]
-        thresholds = []
+        limits = []
 
         def cut_of(k):
-            if not thresholds:
+            if not limits:
                 cols, piv = ws.pivot_rows(rows)
-                thresholds.append(_thresholds(ws.spec, piv[:-1], piv[-1], cols)[0])
-            thr = thresholds[0][k]
-            cut = int(np.searchsorted(-np.array(anchors[k][2]), -thr, side="left"))
+                limits.append(_no_steal_limits(ws, rows, piv, cols))
+            dis = np.array(anchors[k][2])
+            cut = int(np.searchsorted(-dis, -limits[0][k], side="right"))
             return max(cut, 1) if k == donor_i else cut
 
         return cut_of

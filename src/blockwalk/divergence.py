@@ -19,8 +19,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import expit, gammaln, xlogy
 
-from .vectors import OffsetVec
-
 __all__ = [
     "KINDS",
     "COUNT_KINDS",
@@ -34,9 +32,6 @@ __all__ = [
     "phi_rows",
     "pairwise_divergences",
     "ov_phi",
-    "ov_grad",
-    "ov_xdotgrad",
-    "ov_divergence",
 ]
 
 KINDS = ("sq-euclidean", "mahalanobis", "gid", "kl", "itakura-saito", "logistic")
@@ -362,25 +357,3 @@ def ov_phi(spec, v):
     if imp > 0:
         out += imp * _scalar_base(spec, _phi_terms, v.base, "generator")
     return out
-
-
-def ov_xdotgrad(spec, v):
-    imp = v.dim - v.nnz
-    t = v.base + v.val
-    out = float(np.sum(_xgrad_terms(spec, t, v.idx)))
-    if imp > 0:
-        out += imp * _scalar_base(spec, _xgrad_terms, v.base, "x'grad(x)")
-    return out
-
-
-def ov_grad(spec, v):
-    imp = v.dim - v.nnz
-    t = v.base + v.val
-    base_g = _scalar_base(spec, _grad_terms, v.base, "gradient") if imp > 0 else 0.0
-    return OffsetVec(v.dim, base_g, v.idx, _grad_terms(spec, t, v.idx) - base_g)
-
-
-def ov_divergence(spec, x, y):
-    """d(x, y) for OffsetVec arguments."""
-    g = ov_grad(spec, y)
-    return ov_phi(spec, x) - ov_phi(spec, y) - x.dot(g) + ov_xdotgrad(spec, y)

@@ -9,21 +9,33 @@ equal to 1. D_B is the summed divergence from rows of A to centers in B and
 decouples into the four per-subtree statistics, so each block costs O(1)
 (O(sparse support) with the offset decomposition) instead of |A|*|B|.
 
-The optimizer solves the strictly concave program through its dual: one
-multiplier per datapoint, stationarity giving log q_B = -1 - D_B/(|A||B|) +
-(mean multiplier over A). Newton steps on the dual use conjugate gradients
-with Hessian-vector products evaluated by subtree-sum and path-accumulate
-passes over the tree, so each iteration is O(#blocks + N). Both passes are
-products with the tree's ancestor indicator A (up: A' v, down: A x); no pass
-loops over tree levels.
+The program is solved exactly, with no iteration. With m_B = |B| q_B and
+s_B = log|B| - D_B/(|A||B|), the objective is sum_B |A| m_B (s_B - log m_B)
+and row i's constraint says that m summed over the blocks whose row side is
+on i's root path is 1. Let L_k be the logsumexp of s_B over the blocks with
+row side k (-inf for none). At its optimum a subtree k given the path budget
+r is worth |k| r (v_k - log r), where one up pass (children before parents)
+gives a leaf v = L and an inner node k with children l, r
+
+    w_k = (|l| v_l + |r| v_r) / |k|,    v_k = logaddexp(L_k, w_k),
+
+and one down pass hands each child of k the path budget
+log r_child = log r_k + w_k - v_k from log r_root = 0. Then
+
+    log q_B = log r_A - v_A + s_B - log|B|,    ell = c + N v_root,
+
+so the fit costs O(#blocks + #nodes). This is the closed-form coordinate
+structure of the Euclidean variational dual tree (Amizadeh, Thiesson &
+Hauskrecht, UAI 2012; Thiesson & Kim, AISTATS 2012) under any Bregman
+divergence.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 from scipy.special import gammaln, logsumexp
 
 from .divergence import carrier_rows, pairwise_divergences, phi_rows
@@ -136,7 +148,7 @@ class BlockParams:
     log_values: np.ndarray
     converged: bool = True
     residual: float = 0.0
-    sweeps: int = 0
+    sweeps: int = 0  # tree passes run: 2 (up, down), 1 when max_sweeps < 2
 
 
 @dataclass
@@ -147,123 +159,66 @@ class BoundReport:
     entropy_term: float
 
 
-class _DualSolver:
-    def __init__(self, tree, partition, dvec):
-        self.anc = tree.ancestors
-        self.anc_t = self.anc.T
-        self.n_nodes = tree.n_nodes
-        self.a = partition.a
-        self.na = tree.size[self.a].astype(np.float64)
-        self.nb = tree.size[partition.b].astype(np.float64)
-        self.ncells = self.na * self.nb
-        self.dbar = dvec / self.ncells
-        if not np.all(np.isfinite(self.dbar)):
-            raise ValueError("non-finite block divergence sum")
-        self.n = tree.n_points
-
-    def up(self, v):
-        """Per-block mean of v over the block's row side."""
-        return (self.anc_t @ v)[self.a] / self.na
-
-    def log_q(self, lam):
-        return np.minimum(-1.0 - self.dbar + self.up(lam), 700.0)
-
-    def q_of(self, lam):
-        return np.exp(self.log_q(lam))
-
-    def scatter_down(self, weights):
-        """Per-row sums of block weights over the blocks covering the row."""
-        return self.anc @ np.bincount(self.a, weights, minlength=self.n_nodes)
-
-    def residual(self, q):
-        return self.scatter_down(self.nb * q)
-
-    def hessp(self, q, v):
-        return self.scatter_down(self.nb * q * self.up(v))
-
-    def dual_value(self, lam, q):
-        return float(self.ncells @ q - lam.sum())
-
-    def init_lam(self):
-        acc = np.full(self.n_nodes, np.inf)
-        np.minimum.at(acc, self.a, self.dbar)
-        # per-row minimum over the root path; every row has its leaf
-        return 1.0 + np.minimum.reduceat(acc[self.anc.indices], self.anc.indptr[:-1])
-
-
 def optimize_q(tree, partition, spec=None, data=None, tol=1e-10, max_sweeps=10_000):
     """Maximize the bound under the per-datapoint sum-to-one constraints.
 
-    The objective is strictly concave on the feasible polytope, so the
-    optimum is unique; convergence is declared when every datapoint's
-    constraint residual is within `tol`. Non-convergence is flagged on the
-    result, never silently accepted.
+    The program is solved exactly by one up and one down pass over the tree
+    (see the module docstring). `max_sweeps` bounds the tree passes: below 2
+    the down pass is skipped and every node keeps the whole path budget, so
+    the rows overshoot. Convergence is measured, not assumed: it is declared
+    when every datapoint's constraint residual is within `tol`, and
+    non-convergence is flagged on the result and warned about.
     """
-    dvec = block_divergence_sums(tree, partition)
-    solver = _DualSolver(tree, partition, dvec)
-    lam = solver.init_lam()
-    q = solver.q_of(lam)
-    sweeps = 0
-    converged = False
-    res = np.inf
-    for sweeps in range(1, max_sweeps + 1):
-        r = solver.residual(q)
-        g = r - 1.0
-        res = float(np.max(np.abs(g)))
-        if res <= tol:
-            converged = True
-            break
-        diag = solver.scatter_down(solver.nb * q / solver.na)
-        diag = np.maximum(diag, 1e-300)
-        op = LinearOperator(
-            (solver.n, solver.n), matvec=lambda v: solver.hessp(q, v)
-        )
-        pre = LinearOperator((solver.n, solver.n), matvec=lambda v: v / diag)
-        cg_rtol = min(0.1, np.sqrt(res))
-        step, info = cg(op, -g, rtol=cg_rtol, atol=0.0, M=pre, maxiter=400)
-        if info != 0 or not np.all(np.isfinite(step)):
-            step = -g / diag
-        # full step when it contracts the residual (local Newton phase; the
-        # dual value itself flattens into rounding noise near the optimum),
-        # else Armijo backtracking on the dual (global phase)
-        trial = lam + step
-        q_t = solver.q_of(trial)
-        if np.max(np.abs(solver.residual(q_t) - 1.0)) < res:
-            lam = trial
-            q = q_t
+    a, n_nodes = partition.a, tree.n_nodes
+    nb = tree.size[partition.b].astype(np.float64)
+    dbar = block_divergence_sums(tree, partition) / (tree.size[a] * nb)
+    if not np.all(np.isfinite(dbar)):
+        raise ValueError("non-finite block divergence sum")
+    s = np.log(nb) - dbar
+    # L_k: logsumexp of s over the blocks with row side k, -inf for none
+    peak = np.full(n_nodes, -np.inf)
+    np.maximum.at(peak, a, s)
+    with np.errstate(divide="ignore"):
+        big_l = peak + np.log(np.bincount(a, np.exp(s - peak[a]), n_nodes))
+    left, right = tree.left.tolist(), tree.right.tolist()
+    size, big_l = tree.size.tolist(), big_l.tolist()
+    v, w = [-math.inf] * n_nodes, [-math.inf] * n_nodes
+    for k in range(n_nodes):  # up: children precede parents
+        lc, rc = left[k], right[k]
+        if lc < 0:
+            v[k] = big_l[k]
             continue
-        f0 = solver.dual_value(lam, q)
-        slope = float(g @ step)
-        t = 1.0
-        while True:
-            trial = lam + t * step
-            q_t = solver.q_of(trial)
-            if solver.dual_value(trial, q_t) <= f0 + 1e-4 * t * slope:
-                lam = trial
-                q = q_t
-                break
-            t *= 0.5
-            if t < 1e-18:
-                break
-        if t < 1e-18:
-            break  # no progress possible at working precision
-    if not converged:
-        r = solver.residual(q)
-        res = float(np.max(np.abs(r - 1.0)))
-        converged = res <= tol
-    if not converged:
+        w[k] = (size[lc] * v[lc] + size[rc] * v[rc]) / size[k]
+        v[k] = _logaddexp(big_l[k], w[k])
+    log_r = [0.0] * n_nodes
+    sweeps = 1
+    if max_sweeps >= 2:
+        sweeps = 2
+        for k in range(n_nodes - 1, -1, -1):  # down: parents precede children
+            if left[k] >= 0:
+                # a subtree left with no feasible split (v = -inf) gets nothing
+                child = log_r[k] + w[k] - v[k] if v[k] > -math.inf else -math.inf
+                log_r[left[k]] = log_r[right[k]] = child
+    logq = np.array(log_r)[a] - np.array(v)[a] - dbar  # s_B - log|B| = -dbar_B
+    params = BlockParams(values=np.exp(logq), log_values=logq, sweeps=sweeps)
+    res = constraint_residuals(tree, partition, params)
+    params.residual = float(np.max(np.abs(res)))
+    params.converged = params.residual <= tol
+    if not params.converged:
         warnings.warn(
-            f"optimizer stopped after {sweeps} sweeps with residual {res:.3e}",
+            f"optimizer stopped after {sweeps} sweeps with residual "
+            f"{params.residual:.3e}",
             RuntimeWarning,
         )
-    logq = solver.log_q(lam)
-    return BlockParams(
-        values=np.exp(logq),
-        log_values=logq,
-        converged=bool(converged),
-        residual=res,
-        sweeps=sweeps,
-    )
+    return params
+
+
+def _logaddexp(x, y):
+    """log(exp(x) + exp(y)) on Python floats; -inf when both are -inf."""
+    hi = max(x, y)
+    if hi == -math.inf:
+        return hi
+    return hi + math.log1p(math.exp(-abs(x - y)))
 
 
 def lower_bound(params, partition, tree, spec=None, data=None):
@@ -279,5 +234,5 @@ def lower_bound(params, partition, tree, spec=None, data=None):
 
 def constraint_residuals(tree, partition, params):
     """Per-datapoint deviation of sum |B| q_B from 1."""
-    solver = _DualSolver(tree, partition, np.zeros(partition.n_blocks))
-    return solver.residual(params.values) - 1.0
+    m = tree.size[partition.b] * params.values
+    return tree.ancestors @ np.bincount(partition.a, m, tree.n_nodes) - 1.0

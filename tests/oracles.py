@@ -4,7 +4,9 @@ These deliberately avoid the library's fast paths: block divergence sums come
 from dense brute-force double sums, and the block parameters come from a
 plain projected-gradient ascent on the concave objective over the explicit
 constraint matrix. They exist to certify the decoupled statistics and the
-dual-Newton optimizer against a second route. The reference tree builder
+exact two-pass optimizer against a second route. The OffsetVec divergence
+helpers (ov_grad, ov_xdotgrad, ov_divergence) check the tree workspace's
+per-row kernels and the dataset's smoothing. The reference tree builder
 recurses with the general anchor growing on every scope, where the library
 switches to a small-scope base case. The test-scale helpers (the dense
 expansion of a compressed model, per-row block lists and the exhaustive
@@ -24,8 +26,37 @@ from blockwalk.anchor_tree import (
     _grow,
     _Workspace,
 )
-from blockwalk.divergence import ov_grad, pairwise_divergences
+from blockwalk.divergence import (
+    _grad_terms,
+    _scalar_base,
+    _xgrad_terms,
+    ov_phi,
+    pairwise_divergences,
+)
 from blockwalk.partition import Block, refine_partition
+from blockwalk.vectors import OffsetVec
+
+
+def ov_xdotgrad(spec, v):
+    imp = v.dim - v.nnz
+    t = v.base + v.val
+    out = float(np.sum(_xgrad_terms(spec, t, v.idx)))
+    if imp > 0:
+        out += imp * _scalar_base(spec, _xgrad_terms, v.base, "x'grad(x)")
+    return out
+
+
+def ov_grad(spec, v):
+    imp = v.dim - v.nnz
+    t = v.base + v.val
+    base_g = _scalar_base(spec, _grad_terms, v.base, "gradient") if imp > 0 else 0.0
+    return OffsetVec(v.dim, base_g, v.idx, _grad_terms(spec, t, v.idx) - base_g)
+
+
+def ov_divergence(spec, x, y):
+    """d(x, y) for OffsetVec arguments."""
+    g = ov_grad(spec, y)
+    return ov_phi(spec, x) - ov_phi(spec, y) - x.dot(g) + ov_xdotgrad(spec, y)
 
 
 def brute_block_sums(tree, partition, spec, data):

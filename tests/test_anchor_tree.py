@@ -24,9 +24,7 @@ from blockwalk.divergence import (
     DomainError,
     bregman_divergence,
     grad_phi,
-    ov_grad,
     ov_phi,
-    ov_xdotgrad,
     pairwise_divergences,
     phi,
 )
@@ -39,7 +37,7 @@ from conftest import (
     sample_in_domain,
     smoothed_counts,
 )
-from oracles import reference_cluster_tree
+from oracles import ov_grad, ov_xdotgrad, reference_cluster_tree
 
 
 def dense_to_data(X):
@@ -319,6 +317,19 @@ class TestClusterTree:
             assert np.array_equal(a.left, b.left)
             assert np.array_equal(a.right, b.right)
 
+    def test_pruning_invariance_at_exact_ties(self):
+        # integer counts in d=3 put rows exactly on the bisector of two
+        # pivots, where d_curr equals the no-steal threshold and rounding
+        # alone decides whether the row moves
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            data = smooth(random_count_matrix(rng, 299, 3), 0.0)
+            spec = make_spec("mahalanobis", 3, rng)
+            assert_same_tree(
+                build_cluster_tree(data, spec, use_pruning=True),
+                build_cluster_tree(data, spec, use_pruning=False),
+            )
+
     def test_sparse_and_dense_paths_build_same_tree(self, rng, monkeypatch):
         # the wide-vocabulary agglomeration (OffsetVec merges) must agree
         # with the small-dimension dense one
@@ -519,10 +530,23 @@ class TestSmallScopeBaseCase:
             g = ov_grad(ws.spec, pivot)
             gdense = np.zeros(d)
             gdense[g.idx] = g.val
-            g_base, g_val_sum, kernel_dense, const = ws.row_kernel(j)
-            assert (g_base, g_val_sum) == (g.base, g.val_sum)
-            assert const == -ov_phi(ws.spec, pivot) + ov_xdotgrad(ws.spec, pivot)
+            row, kernel_dense = ws.row_kernel(j)
+            assert row == j
+            assert (ws.g_base_row[j], ws.g_val_sum[j]) == (g.base, g.val_sum)
+            assert ws.phi_row[j] == ov_phi(ws.spec, pivot)
+            assert ws.s2_row[j] == pytest.approx(ov_xdotgrad(ws.spec, pivot), rel=1e-12)
             assert np.array_equal(kernel_dense, gdense)
+
+    def test_self_divergence_is_exactly_zero(self):
+        # the point side and the pivot side of d(x_j, x_j) share one
+        # generator sum and one x'grad(x) per row
+        n, dim = 1000, 50
+        alphas = block_topic_alphas(3, dim, 0.8)
+        data, _ = generate_synthetic(SyntheticSpec(alphas, np.full(3, 20.0), n, [7, n]))
+        ws = _Workspace(smooth(data, 0.5), DivergenceSpec("gid", dim, epsilon=0.5))
+        own = [ws.div_to_pivot(np.array([j]), ws.row_kernel(j))[0] for j in range(n)]
+        assert np.count_nonzero(own) == 0
+        assert np.count_nonzero(np.diag(ws.div_block(np.arange(16)))) == 0
 
     @pytest.mark.parametrize("d", [9, 5000])
     def test_div_block_matches_div_to_pivot(self, d, rng):

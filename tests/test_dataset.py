@@ -12,9 +12,10 @@ from blockwalk.dataset import (
     write_bow,
     write_labels,
 )
-from blockwalk.divergence import DivergenceSpec, DomainError, ov_divergence
+from blockwalk.divergence import DivergenceSpec, DomainError
 
 from conftest import random_count_matrix
+from oracles import ov_divergence
 
 
 class TestLoadUciBow:

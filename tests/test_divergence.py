@@ -8,16 +8,14 @@ from blockwalk.divergence import (
     grad_phi,
     grad_phi_inv,
     log_carrier,
-    ov_divergence,
-    ov_grad,
     ov_phi,
-    ov_xdotgrad,
     pairwise_divergences,
     phi,
 )
 from blockwalk.vectors import OffsetVec
 
 from conftest import ALL_KINDS, make_spec, sample_in_domain
+from oracles import ov_divergence, ov_grad, ov_xdotgrad
 
 
 GID2 = DivergenceSpec("gid", 2)

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from blockwalk.anchor_tree import build_cluster_tree
-from blockwalk.dataset import smooth
+from blockwalk.dataset import (
+    SyntheticSpec,
+    block_topic_alphas,
+    generate_synthetic,
+    smooth,
+)
 from blockwalk.divergence import DivergenceSpec, phi, log_carrier
 from blockwalk.partition import (
     BlockPartition,
@@ -164,15 +169,61 @@ class TestOptimizeQ:
             j = int(tree.perm[tree.start[int(part.b[k])]])
             assert params.values[k] == pytest.approx(P[i, j], abs=1e-8)
 
-    def test_nonconvergence_is_flagged(self, rng):
+    @pytest.mark.parametrize("max_sweeps", [0, 1])
+    def test_nonconvergence_is_flagged(self, rng, max_sweeps):
+        # below two passes the down pass is skipped: a partial, flagged result
         data = smoothed_counts(rng, 16, 4)
         spec = DivergenceSpec("gid", 4, epsilon=0.5)
         tree = build_cluster_tree(data, spec)
         part = coarsest_partition(tree)
         with pytest.warns(RuntimeWarning, match="optimizer stopped"):
-            params = optimize_q(tree, part, spec, data, max_sweeps=0)
+            params = optimize_q(tree, part, spec, data, max_sweeps=max_sweeps)
         assert not params.converged
-        assert params.residual > 0
+        res = np.max(np.abs(constraint_residuals(tree, part, params)))
+        assert params.residual == res > 0
+
+    def test_wide_vocabulary_converges(self):
+        # a wide topic corpus on which the earlier Newton-CG dual solver
+        # stalled at a residual near 3e-5 within 60 sweeps
+        n, dim = 1000, 3000
+        alphas = block_topic_alphas(3, dim, 0.3)
+        data, _ = generate_synthetic(SyntheticSpec(alphas, np.full(3, 80.0), n, [7, n]))
+        spec = DivergenceSpec("gid", dim, epsilon=0.5)
+        smoothed = smooth(data, 0.5)
+        tree = build_cluster_tree(smoothed, spec)
+        part = coarsest_partition(tree)
+        params = optimize_q(tree, part, spec, smoothed, max_sweeps=60)
+        assert params.converged and params.residual <= 1e-10
+        assert np.max(np.abs(constraint_residuals(tree, part, params))) <= 1e-10
+
+    def test_matches_oracle_with_blockless_inner_nodes(self, rng):
+        # refinement leaves inner nodes other than the root with no block of
+        # their own (L = -inf): the up pass must carry them through
+        data = smoothed_counts(rng, 60, 5)
+        spec = DivergenceSpec("gid", 5, epsilon=0.5)
+        tree = build_cluster_tree(data, spec)
+        part = auto_refine(coarsest_partition(tree), tree, 25)
+        blockless = np.setdiff1d(np.arange(tree.n_nodes), part.a)
+        assert blockless.size > 1  # the root and at least one inner node
+        params = optimize_q(tree, part, spec, data)
+        assert params.converged
+        report = lower_bound(params, part, tree, spec, data)
+        _, f_star = projected_ascent_q(tree, part, spec, data)
+        ell_star = report.constant + f_star
+        assert abs(report.ell - ell_star) <= 1e-6 * abs(ell_star)
+
+    def test_uncovered_rows_are_flagged(self, rng):
+        # a hand-made partition without one leaf's only block has no
+        # feasible point; the result is finite and flagged
+        data = smoothed_counts(rng, 2, 4)
+        spec = DivergenceSpec("gid", 4, epsilon=0.5)
+        tree = build_cluster_tree(data, spec)
+        full = coarsest_partition(tree)
+        part = BlockPartition(full.a[1:], full.b[1:])
+        with pytest.warns(RuntimeWarning, match="optimizer stopped"):
+            params = optimize_q(tree, part, spec, data)
+        assert not params.converged and params.residual == 1.0
+        assert np.all(np.isfinite(params.log_values) | (params.values == 0))
 
     def test_row_constraints_on_refined(self, rng):
         data = smoothed_counts(rng, 30, 5)
