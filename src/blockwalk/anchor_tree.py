@@ -11,6 +11,11 @@ exactly on two pivots' bisector moves as it would without pruning. One
 batched function evaluates that threshold at every vocabulary width, on dense
 pivot rows restricted to the union of the pivots' stored columns: a column
 where every pivot sits at the smoothing offset adds nothing to the bound.
+One grower serves every scope, with each row's anchor and its divergence to
+that anchor's pivot in two arrays. A scope of at most SMALL_SCOPE rows
+computes its pairwise divergences once, in one block that the scopes below
+it read; with every divergence known there, the grower makes no no-steal
+cut, which is exact and would save nothing.
 
 Every node has four additive statistics (sum of generator values, sum of
 x'grad(x), coordinate sums, gradient sums) that later decouple per-block
@@ -334,182 +339,82 @@ def _no_steal_limits(ws, rows, pivots, cols):
     return thr - TIE_SLACK * (mag[:-1] + mag[-1])
 
 
-def _sorted_by_dist(rows, dists):
-    order = np.lexsort((rows, -dists))
-    return rows[order], dists[order]
-
-
 # Agglomeration merges dense pivot rows up to this width and OffsetVec
 # pivots above it. Best-of-3 tree builds with dense merges on each scope's
 # stored columns at every width: N=1000 d=10000 1.31 -> 2.03 s, d=20000
 # 2.08 -> 4.09 s, N=3000 d=20000 19.1 -> 49.2 s; OffsetVec merges at d=50,
 # N=4000: 0.60-0.65 -> 1.17-1.24 s.
 DENSE_DIM_CAP = 4096
-SMALL_SCOPE = 16  # scopes up to this size grow from one _DivBlock
+SMALL_SCOPE = 16  # scopes up to this size grow from one _Block
 TIE_SLACK = 1e-12  # relative to the pivots' generator and x'grad(x) sums
 STAT_CHUNK = 1 << 16  # sparse statistic entries per chunk of block pairs
 
 
-def _grow(ws, scope, m, use_pruning):
+def _grow(ws, scope, m, use_pruning, block=None):
+    """Grow m anchors over `scope`: the pivot rows, each anchor's members
+    sorted by nonincreasing divergence to its pivot (ties to the lowest
+    row) and those divergences.
+
+    The first pivot is the lowest row. The next pivot is the farthest row
+    (the lowest on a tie) of an anchor with two or more members, so no
+    anchor gives away its only member. A row moves to the new pivot when it
+    is strictly closer to it; the new pivot always moves. Pruning evaluates
+    only the rows at or above their anchor's no-steal limit. A `_Block`
+    holding the scope supplies every divergence, so there is nothing to
+    prune."""
     n = scope.size
     if m < 1 or m > n:
         raise ValueError(f"anchor count m={m} must be in 1..{n}")
-    first = int(scope.min())
-    d0 = ws.div_to_pivot(scope, ws.row_kernel(first))
-    members, dists = _sorted_by_dist(scope.copy(), d0)
-    pivot = ws.row_ov(first)
-    anchors = [Anchor(pivot, first, members, dists)]
-    # the pivots as dense rows over the sorted union of their stored columns
-    cols = pivot.idx
-    pivots = np.empty((m, cols.size))
-    pivots[0] = pivot.base + pivot.val
-    pivot_rows = np.empty(m, dtype=np.int64)
-    pivot_rows[0] = first
-    in_cols = np.zeros(ws.dim, dtype=bool)
-    in_cols[cols] = True
-    while len(anchors) < m:
-        # the farthest member over all anchors with two or more members
-        # becomes the next pivot (a singleton donor would empty); ties
-        # resolved to the lowest row index (member lists sort that way)
-        donor_i = min(
-            (k for k, a in enumerate(anchors) if a.members.size >= 2),
-            key=lambda k: (-anchors[k].radius, anchors[k].members[0]),
-        )
-        new_row = int(anchors[donor_i].members[0])
-        new_pivot = ws.row_ov(new_row)
+    rows = np.sort(scope)
+    if block is None:
+        def div(sel, p):
+            return ws.div_to_pivot(rows[sel], ws.row_kernel(rows[p]))
+    else:
+        at = np.searchsorted(block.rows, rows)
+
+        def div(sel, p):
+            return block.d[at[sel], at[p]]
+
+        use_pruning = False
+    everyone = np.arange(n)
+    pivots = [0]  # positions in rows
+    owner = np.zeros(n, dtype=np.int64)  # the anchor of each row
+    d = div(everyone, 0)  # each row's divergence to its anchor's pivot
+    while len(pivots) < m:
+        donors = np.flatnonzero(np.bincount(owner)[owner] >= 2)
+        new = donors[np.argmax(d[donors])]
+        cand = everyone
         if use_pruning:
-            top = len(anchors)  # the new pivot's row
-            if not in_cols[new_pivot.idx].all():  # re-index the pivot rows
-                in_cols[new_pivot.idx] = True
-                grown = np.flatnonzero(in_cols)
-                wide = np.empty((m, grown.size))
-                wide[:top] = ws.eps
-                wide[:top, np.searchsorted(grown, cols)] = pivots[:top]
-                pivots, cols = wide, grown
-            pivots[top] = ws.eps
-            pivots[top, np.searchsorted(cols, new_pivot.idx)] += new_pivot.val
-            pivot_rows[top] = new_row
-            limits = _no_steal_limits(
-                ws, pivot_rows[: top + 1], pivots[: top + 1], cols
-            )
-        cuts = []
-        for k, a in enumerate(anchors):
-            if use_pruning:
-                cut = int(np.searchsorted(-a.dists, -limits[k], side="right"))
-            else:
-                cut = a.members.size
-            cuts.append(max(cut, 1) if k == donor_i else cut)
-        # one evaluation for the candidates of every anchor
-        dn_all = ws.div_to_pivot(
-            np.concatenate([a.members[:c] for a, c in zip(anchors, cuts)]),
-            ws.row_kernel(new_row),
-        )
-        stolen_rows, stolen_d = [], []
-        pos = 0
-        for k, (a, cut) in enumerate(zip(anchors, cuts)):
-            if cut == 0:
-                continue
-            dn = dn_all[pos : pos + cut]
-            pos += cut
-            take = dn < a.dists[:cut]
-            if k == donor_i:
-                take[0] = True  # the chosen pivot always moves
-            if take.any():
-                stolen_rows.append(a.members[:cut][take])
-                stolen_d.append(dn[take])
-                keep = np.ones(a.members.size, dtype=bool)
-                keep[:cut] = ~take
-                a.members = a.members[keep]
-                a.dists = a.dists[keep]
-        rows = np.concatenate(stolen_rows)
-        dd = np.concatenate(stolen_d)
-        rows, dd = _sorted_by_dist(rows, dd)
-        anchors.append(Anchor(new_pivot, new_row, rows, dd))
-    return anchors
+            piv = rows[pivots + [new]]
+            cols, dense = ws.pivot_rows(piv)
+            limits = _no_steal_limits(ws, piv, dense, cols)
+            keep = ~(d < limits[owner])  # a NaN limit prunes nothing
+            keep[new] = True
+            cand = np.flatnonzero(keep)
+        dn = div(cand, new)
+        move = dn < d[cand]
+        move[cand == new] = True
+        owner[cand[move]] = len(pivots)
+        d[cand[move]] = dn[move]
+        pivots.append(new)
+    # mean_rows sums each anchor's members in this order
+    order = np.lexsort((rows, -d, owner))
+    bounds = np.cumsum(np.bincount(owner, minlength=m))[:-1]
+    return (
+        rows[pivots],
+        np.split(rows[order], bounds),
+        np.split(d[order], bounds),
+    )
 
 
-class _DivBlock:
-    """Base case for small scopes: every divergence between two rows of the
-    scope, evaluated at once (equal to div_to_pivot's bit for bit) and
-    looked up by the recursion below it. Anchors grow on Python lists with
-    _grow's rules; a NaN divergence or an emptied anchor hands the scope
-    back to _grow."""
+class _Block:
+    """Every divergence between two rows of a small scope, evaluated at once
+    (equal to div_to_pivot's bit for bit) and looked up by _grow in the
+    scopes below it: d[i, j] is d(rows[i], rows[j])."""
 
     def __init__(self, ws, scope):
-        self.ws = ws
         self.rows = np.sort(scope)
-        d = ws.div_block(self.rows)
-        self.d = None if np.isnan(d).any() else d.tolist()
-
-    def local(self, scope):
-        return np.searchsorted(self.rows, scope).tolist()
-
-    def pair_order(self, scope):
-        """Leaf order of a two-point scope, as _grow with m=2 decides it.
-        The lower row a is the first pivot. The point farther from it, a on
-        a tie, becomes the second pivot and moves; if that is a, b stays
-        with a's pivot and the order is (b, a). If it is b, a stays unless
-        strictly closer to b: order (a, b). None where a would move."""
-        a, b = sorted(self.local(scope))
-        d = self.d
-        if d[b][a] <= d[a][a]:
-            return self.rows[b], self.rows[a]
-        if d[a][b] >= d[a][a]:
-            return self.rows[a], self.rows[b]
-        return None
-
-    def grow(self, scope, m, use_pruning):
-        """Member arrays of the m anchors _grow would return, or None."""
-        d = self.d
-        first = min(self.local(scope))
-        mem = sorted(self.local(scope), key=lambda i: (-d[i][first], i))
-        anchors = [(first, mem, [d[i][first] for i in mem])]
-        while len(anchors) < m:
-            if not all(a[1] for a in anchors):
-                return None
-            donor_i = min(  # _grow's donor rule
-                (k for k, a in enumerate(anchors) if len(a[1]) >= 2),
-                key=lambda k: (-anchors[k][2][0], anchors[k][1][0]),
-            )
-            new = anchors[donor_i][1][0]
-            cut_of = self._cuts(anchors, new, donor_i) if use_pruning else None
-            stolen = []
-            for k, (piv, mem, dis) in enumerate(anchors):
-                take = [d[i][new] < x for i, x in zip(mem, dis)]
-                if k == donor_i:
-                    take[0] = True  # the chosen pivot always moves
-                if cut_of is not None and any(take[int(k == donor_i) :]):
-                    cut = cut_of(k)  # pruning drops candidates past the cut
-                    take[cut:] = [False] * (len(take) - cut)
-                if any(take):
-                    stolen += [(i, d[i][new]) for i, t in zip(mem, take) if t]
-                    anchors[k] = (
-                        piv,
-                        [i for i, t in zip(mem, take) if not t],
-                        [x for x, t in zip(dis, take) if not t],
-                    )
-            stolen.sort(key=lambda e: (-e[1], e[0]))
-            anchors.append((new, [e[0] for e in stolen], [e[1] for e in stolen]))
-        if not all(a[1] for a in anchors):
-            return None
-        return [self.rows[a[1]] for a in anchors]
-
-    def _cuts(self, anchors, new, donor_i):
-        """No-steal cut of each anchor against pivot `new`, with _grow's
-        limits on the same columns, evaluated on first use."""
-        ws = self.ws
-        rows = self.rows[[a[0] for a in anchors] + [new]]
-        limits = []
-
-        def cut_of(k):
-            if not limits:
-                cols, piv = ws.pivot_rows(rows)
-                limits.append(_no_steal_limits(ws, rows, piv, cols))
-            dis = np.array(anchors[k][2])
-            cut = int(np.searchsorted(-dis, -limits[0][k], side="right"))
-            return max(cut, 1) if k == donor_i else cut
-
-        return cut_of
+        self.d = ws.div_block(self.rows)
 
 
 def grow_anchors(data, spec, m, scope=None, use_pruning=True):
@@ -518,7 +423,11 @@ def grow_anchors(data, spec, m, scope=None, use_pruning=True):
     ws = _Workspace(data, spec)
     if scope is None:
         scope = np.arange(data.n_rows, dtype=np.int64)
-    return _grow(ws, scope, m, use_pruning)
+    pivots, members, dists = _grow(ws, scope, m, use_pruning)
+    return [
+        Anchor(ws.row_ov(p), int(p), mem, dis)
+        for p, mem, dis in zip(pivots, members, dists)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -841,20 +750,8 @@ def build_cluster_tree(data, spec, use_pruning=True):
             return add_node(-1, -1, 1, offset, offset + 1)
         m = min(math.isqrt(n - 1) + 1, n)  # ceil(sqrt(n)), capped at n
         if block is None and n <= SMALL_SCOPE:
-            block = _DivBlock(ws, scope)
-            if block.d is None:  # a NaN divergence: general path below
-                block = None
-        groups = None
-        if block is not None:
-            pair = block.pair_order(scope) if n == 2 else None
-            if pair is not None:
-                perm[offset : offset + 2] = pair
-                lc = add_node(-1, -1, 1, offset, offset + 1)
-                rc = add_node(-1, -1, 1, offset + 1, offset + 2)
-                return add_node(lc, rc, 2, offset, offset + 2)
-            groups = block.grow(scope, m, use_pruning)
-        if groups is None:
-            groups = [a.members for a in _grow(ws, scope, m, use_pruning)]
+            block = _Block(ws, scope)
+        _, groups, _ = _grow(ws, scope, m, use_pruning, block)
         if m == 2:
             # two items have one merge: group 0 left, group 1 right
             lc = build_scope(groups[0], offset, block)

@@ -184,14 +184,7 @@ def run_propagation(operator, ids, labels, labeled_ids, config):
 
 def cmd_synth(args):
     k = args.classes
-    lambdas = args.mean_length if args.mean_length else [80.0]
-    if len(lambdas) == 1:
-        lambdas = lambdas * k
-    if len(lambdas) != k:
-        raise ValueError("--mean-length must have 1 or --classes entries")
-    alphas = block_topic_alphas(k, args.dim, args.overlap)
-    spec = SyntheticSpec(alphas, np.array(lambdas), args.rows, args.seed)
-    data, labels = generate_synthetic(spec)
+    data, labels = _synthesize(args, args.rows, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_bow(data, out / "data.bow")
@@ -395,6 +388,8 @@ def _synthesize(args, rows, seed):
     lambdas = args.mean_length if args.mean_length else [80.0]
     if len(lambdas) == 1:
         lambdas = lambdas * args.classes
+    if len(lambdas) != args.classes:
+        raise ValueError("--mean-length must have 1 or --classes entries")
     alphas = block_topic_alphas(args.classes, args.dim, args.overlap)
     spec = SyntheticSpec(alphas, np.array(lambdas), rows, seed)
     return generate_synthetic(spec)

@@ -175,15 +175,6 @@ def _grad_inv_terms(spec, u, idx=None):
     return expit(u)  # logistic
 
 
-def _xgrad_terms(spec, t, idx=None):
-    """Per-coordinate t * grad(t); gid's t*log(t) extends to 0 by limit."""
-    if spec.kind in ("gid", "kl"):
-        return xlogy(t, t)
-    if spec.kind == "itakura-saito":
-        return np.full_like(t, -1.0)
-    return t * _grad_terms(spec, t, idx)
-
-
 def _check_grad_range(spec, u, name="u"):
     if spec.kind == "itakura-saito":
         bad = u >= 0
@@ -326,7 +317,6 @@ def _scalar_base_value(kind, sigma, base, fn_name):
     fn = {
         "_phi_terms": _phi_terms,
         "_grad_terms": _grad_terms,
-        "_xgrad_terms": _xgrad_terms,
     }[fn_name]
     with np.errstate(divide="ignore", invalid="ignore"):
         return float(fn(spec, np.array([base]))[0])

@@ -43,7 +43,6 @@ from .divergence import carrier_rows, pairwise_divergences, phi_rows
 __all__ = [
     "BlockParams",
     "BoundReport",
-    "euclidean_block_divergence_sum",
     "block_divergence_sums",
     "optimize_q",
     "lower_bound",
@@ -55,18 +54,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Decoupled block divergence sums
 # ---------------------------------------------------------------------------
-
-
-def euclidean_block_divergence_sum(stats_a, stats_b, size_a, size_b, spec):
-    """Legacy cross-check path for the squared-Euclidean kind only, using
-    coordinate sums and squared norms: (|A| T(B) + |B| T(A) - 2 S(A)'S(B)) /
-    (2 sigma^2), with T recovered from the x'grad(x) statistic."""
-    if spec.kind != "sq-euclidean":
-        raise ValueError("legacy form is defined for sq-euclidean only")
-    s2 = spec.sigma**2
-    ta = s2 * stats_a.s2  # sum of |x|^2 over A
-    tb = s2 * stats_b.s2
-    return (size_a * tb + size_b * ta - 2.0 * stats_a.s3.dot(stats_b.s3)) / (2.0 * s2)
 
 
 def block_divergence_sums(tree, partition):

@@ -6,30 +6,34 @@ plain projected-gradient ascent on the concave objective over the explicit
 constraint matrix. They exist to certify the decoupled statistics and the
 exact two-pass optimizer against a second route. The OffsetVec divergence
 helpers (ov_grad, ov_xdotgrad, ov_divergence) check the tree workspace's
-per-row kernels and the dataset's smoothing. The reference tree builder
-recurses with the general anchor growing on every scope, where the library
-switches to a small-scope base case. The test-scale helpers (the dense
-expansion of a compressed model, per-row block lists and the exhaustive
-partition check) and the round-by-round refinement loop live here too.
+per-row kernels and the dataset's smoothing, and the sq-euclidean block
+sum from coordinate sums and squared norms checks the general one. The
+reference tree builder grows every scope with reference_grow, which keeps
+per-anchor sorted member lists where the library keeps two arrays over the
+scope and reads a small scope's divergences from one block. The test-scale
+helpers (the dense expansion of a compressed model, per-row block lists and
+the exhaustive partition check) and the round-by-round refinement loop live
+here too.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.special import xlogy
 
 from blockwalk.anchor_tree import (
+    Anchor,
     ClusterTree,
     NodeStats,
     TreeStats,
     _agglomerate_items,
-    _grow,
+    _no_steal_limits,
     _Workspace,
 )
 from blockwalk.divergence import (
     _grad_terms,
     _scalar_base,
-    _xgrad_terms,
     ov_phi,
     pairwise_divergences,
 )
@@ -37,12 +41,22 @@ from blockwalk.partition import Block, refine_partition
 from blockwalk.vectors import OffsetVec
 
 
+def _xgrad_terms(spec, t, idx=None):
+    """Per-coordinate t * grad(t); gid's t*log(t) extends to 0 by limit."""
+    if spec.kind in ("gid", "kl"):
+        return xlogy(t, t)
+    if spec.kind == "itakura-saito":
+        return np.full_like(t, -1.0)
+    return t * _grad_terms(spec, t, idx)
+
+
 def ov_xdotgrad(spec, v):
     imp = v.dim - v.nnz
     t = v.base + v.val
     out = float(np.sum(_xgrad_terms(spec, t, v.idx)))
-    if imp > 0:
-        out += imp * _scalar_base(spec, _xgrad_terms, v.base, "x'grad(x)")
+    if imp > 0:  # every implicit coordinate holds the baseline
+        off = np.setdiff1d(np.arange(v.dim), v.idx)[:1]
+        out += imp * float(_xgrad_terms(spec, np.array([v.base]), off)[0])
     return out
 
 
@@ -57,6 +71,18 @@ def ov_divergence(spec, x, y):
     """d(x, y) for OffsetVec arguments."""
     g = ov_grad(spec, y)
     return ov_phi(spec, x) - ov_phi(spec, y) - x.dot(g) + ov_xdotgrad(spec, y)
+
+
+def euclidean_block_divergence_sum(stats_a, stats_b, size_a, size_b, spec):
+    """Legacy cross-check path for the squared-Euclidean kind only, using
+    coordinate sums and squared norms: (|A| T(B) + |B| T(A) - 2 S(A)'S(B)) /
+    (2 sigma^2), with T recovered from the x'grad(x) statistic."""
+    if spec.kind != "sq-euclidean":
+        raise ValueError("legacy form is defined for sq-euclidean only")
+    s2 = spec.sigma**2
+    ta = s2 * stats_a.s2  # sum of |x|^2 over A
+    tb = s2 * stats_b.s2
+    return (size_a * tb + size_b * ta - 2.0 * stats_a.s3.dot(stats_b.s3)) / (2.0 * s2)
 
 
 def brute_block_sums(tree, partition, spec, data):
@@ -151,10 +177,97 @@ def tree_stats(dim, stats):
     )
 
 
+def _sorted_by_dist(rows, dists):
+    order = np.lexsort((rows, -dists))
+    return rows[order], dists[order]
+
+
+def reference_grow(ws, scope, m, use_pruning):
+    """Anchor growing on per-anchor member lists, a second route to _grow's
+    anchors. Each list stays sorted by nonincreasing divergence (ties to
+    the lowest row), pruning cuts it at its no-steal limit, and the pivots'
+    dense rows are re-indexed as their column union grows."""
+    n = scope.size
+    if m < 1 or m > n:
+        raise ValueError(f"anchor count m={m} must be in 1..{n}")
+    first = int(scope.min())
+    d0 = ws.div_to_pivot(scope, ws.row_kernel(first))
+    members, dists = _sorted_by_dist(scope.copy(), d0)
+    pivot = ws.row_ov(first)
+    anchors = [Anchor(pivot, first, members, dists)]
+    # the pivots as dense rows over the sorted union of their stored columns
+    cols = pivot.idx
+    pivots = np.empty((m, cols.size))
+    pivots[0] = pivot.base + pivot.val
+    pivot_rows = np.empty(m, dtype=np.int64)
+    pivot_rows[0] = first
+    in_cols = np.zeros(ws.dim, dtype=bool)
+    in_cols[cols] = True
+    while len(anchors) < m:
+        # the farthest member over all anchors with two or more members
+        # becomes the next pivot (a singleton donor would empty); ties
+        # resolved to the lowest row index (member lists sort that way)
+        donor_i = min(
+            (k for k, a in enumerate(anchors) if a.members.size >= 2),
+            key=lambda k: (-anchors[k].radius, anchors[k].members[0]),
+        )
+        new_row = int(anchors[donor_i].members[0])
+        new_pivot = ws.row_ov(new_row)
+        if use_pruning:
+            top = len(anchors)  # the new pivot's row
+            if not in_cols[new_pivot.idx].all():  # re-index the pivot rows
+                in_cols[new_pivot.idx] = True
+                grown = np.flatnonzero(in_cols)
+                wide = np.empty((m, grown.size))
+                wide[:top] = ws.eps
+                wide[:top, np.searchsorted(grown, cols)] = pivots[:top]
+                pivots, cols = wide, grown
+            pivots[top] = ws.eps
+            pivots[top, np.searchsorted(cols, new_pivot.idx)] += new_pivot.val
+            pivot_rows[top] = new_row
+            limits = _no_steal_limits(
+                ws, pivot_rows[: top + 1], pivots[: top + 1], cols
+            )
+        cuts = []
+        for k, a in enumerate(anchors):
+            if use_pruning:
+                cut = int(np.searchsorted(-a.dists, -limits[k], side="right"))
+            else:
+                cut = a.members.size
+            cuts.append(max(cut, 1) if k == donor_i else cut)
+        # one evaluation for the candidates of every anchor
+        dn_all = ws.div_to_pivot(
+            np.concatenate([a.members[:c] for a, c in zip(anchors, cuts)]),
+            ws.row_kernel(new_row),
+        )
+        stolen_rows, stolen_d = [], []
+        pos = 0
+        for k, (a, cut) in enumerate(zip(anchors, cuts)):
+            if cut == 0:
+                continue
+            dn = dn_all[pos : pos + cut]
+            pos += cut
+            take = dn < a.dists[:cut]
+            if k == donor_i:
+                take[0] = True  # the chosen pivot always moves
+            if take.any():
+                stolen_rows.append(a.members[:cut][take])
+                stolen_d.append(dn[take])
+                keep = np.ones(a.members.size, dtype=bool)
+                keep[:cut] = ~take
+                a.members = a.members[keep]
+                a.dists = a.dists[keep]
+        rows = np.concatenate(stolen_rows)
+        dd = np.concatenate(stolen_d)
+        rows, dd = _sorted_by_dist(rows, dd)
+        anchors.append(Anchor(new_pivot, new_row, rows, dd))
+    return anchors
+
+
 def reference_cluster_tree(data, spec, use_pruning=True):
-    """Grow-and-agglomerate recursively down to singleton leaves, with _grow
-    and _agglomerate_items on every scope and node statistics summed one
-    add_stats at a time. build_cluster_tree must match it exactly:
+    """Grow-and-agglomerate recursively down to singleton leaves, with
+    reference_grow and _agglomerate_items on every scope and node
+    statistics summed one add_stats at a time. build_cluster_tree must match it exactly:
     structure arrays, statistics and raised errors."""
     ws = _Workspace(data, spec)
     n_rows = data.n_rows
@@ -175,7 +288,7 @@ def reference_cluster_tree(data, spec, use_pruning=True):
             perm[offset] = scope[0]
             return add_node(-1, -1, 1, offset, offset + 1)
         m = min(math.isqrt(n - 1) + 1, n)  # ceil(sqrt(n)), capped at n
-        anchors = _grow(ws, scope, m, use_pruning)
+        anchors = reference_grow(ws, scope, m, use_pruning)
         sizes = [a.size for a in anchors]
         means = [ws.mean_of_rows(a.members) for a in anchors]
         local = _agglomerate_items(spec, sizes, means)

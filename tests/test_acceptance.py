@@ -22,14 +22,18 @@ from blockwalk.propagation import (
 from blockwalk.variational import (
     block_divergence_sums,
     constraint_residuals,
-    euclidean_block_divergence_sum,
     exact_loglik,
     lower_bound,
     optimize_q,
 )
 
 from conftest import make_spec, random_count_matrix, sample_in_domain
-from oracles import closed_form_propagation, dense_q_matrix, projected_ascent_q
+from oracles import (
+    closed_form_propagation,
+    dense_q_matrix,
+    euclidean_block_divergence_sum,
+    projected_ascent_q,
+)
 
 
 def _report(num, detail):

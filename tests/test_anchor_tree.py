@@ -3,6 +3,8 @@ import pytest
 
 from blockwalk.anchor_tree import (
     Anchor,
+    _Block,
+    _grow,
     _thresholds,
     _Workspace,
     agglomerate_anchors,
@@ -37,7 +39,7 @@ from conftest import (
     sample_in_domain,
     smoothed_counts,
 )
-from oracles import ov_grad, ov_xdotgrad, reference_cluster_tree
+from oracles import ov_grad, ov_xdotgrad, reference_cluster_tree, reference_grow
 
 
 def dense_to_data(X):
@@ -557,30 +559,54 @@ class TestSmallScopeBaseCase:
         for j, r in enumerate(rows):
             assert np.array_equal(block[:, j], ws.div_to_pivot(rows, ws.row_kernel(r)))
 
-    @pytest.mark.parametrize("d", [9, 5000])
-    def test_cuts_use_grow_thresholds(self, d, rng, monkeypatch):
-        # the base case's no-steal cuts see the same pivot rows, columns and
-        # threshold bits as _grow's for the same pivots
-        import blockwalk.anchor_tree as at
+    @staticmethod
+    def assert_grow_matches_reference(ws, scope, m):
+        for use_pruning in (True, False):
+            want = reference_grow(ws, scope, m, use_pruning)
+            for block in (None, _Block(ws, scope)):
+                pivots, members, dists = _grow(ws, scope, m, use_pruning, block)
+                assert pivots.tolist() == [a.pivot_row for a in want]
+                for a, mem, dis in zip(want, members, dists):
+                    assert np.array_equal(mem, a.members)
+                    assert dis.tobytes() == a.dists.tobytes()
 
-        thresholds, calls = at._thresholds, []
+    @pytest.mark.parametrize("d", [3, 9, 5000])
+    @pytest.mark.parametrize(
+        "kind", ["gid", "sq-euclidean", "itakura-saito", "mahalanobis"]
+    )
+    def test_grow_matches_reference(self, kind, d):
+        # with and without the block, pruned or not: the pivots, members and
+        # divergences of the per-anchor reference grower, bit for bit
+        rng = np.random.default_rng(d)
+        eps = 0.0 if kind == "mahalanobis" else 0.5
+        base = random_count_matrix(rng, 80, d, density=min(0.5, 50 / d))
+        rows = [base.row(i) for i in range(80)]
+        for i, j in rng.integers(0, 80, (15, 2)):
+            rows[j] = rows[i]  # copied rows tie at divergence 0
+        data = smooth(DataMatrix.from_rows(rows, d), eps)
+        ws = _Workspace(data, make_spec(kind, d, rng, epsilon=eps))
+        for _ in range(8):
+            n = int(rng.integers(2, 65))
+            scope = rng.choice(80, size=n, replace=False)
+            self.assert_grow_matches_reference(ws, scope, int(rng.integers(1, n + 1)))
 
-        def record(spec, pivots, new_pivot, cols=None):
-            out = thresholds(spec, pivots, new_pivot, cols)
-            key = (pivots.tobytes(), new_pivot.tobytes(), cols.tobytes())
-            calls.append((key, out[0].tobytes()))
-            return out
-
-        monkeypatch.setattr(at, "_thresholds", record)
-        data = smoothed_counts(rng, 16, d, epsilon=0.5)
-        ws = _Workspace(data, DivergenceSpec("gid", d, epsilon=0.5))
-        scope = np.arange(16)
-        at._grow(ws, scope, 4, True)
-        from_grow = dict(calls)
-        calls.clear()
-        at._DivBlock(ws, scope).grow(scope, 4, True)
-        assert calls
-        assert all(from_grow.get(key) == thr for key, thr in calls)
+    def test_grow_matches_reference_with_nan_divergences(self):
+        # a 1e200 coordinate overflows that row's generator sum: the
+        # divergences to it as a pivot are NaN, those from it inf
+        rng = np.random.default_rng(3)
+        rows = [random_count_matrix(rng, 1, 6).row(0) for _ in range(40)]
+        for r in (0, 17):
+            idx, val = rows[r]
+            rows[r] = (idx, np.r_[1e200, val[1:]])
+        data = smooth(DataMatrix.from_rows(rows, 6), 0.0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            ws = _Workspace(data, make_spec("sq-euclidean", 6))
+            d = _Block(ws, np.arange(40)).d
+            assert np.isnan(d).any() and np.isinf(d).any()
+            for m in (2, 7, 40):
+                self.assert_grow_matches_reference(ws, np.arange(40), m)
+                scope = rng.choice(np.arange(1, 40), size=16, replace=False)
+                self.assert_grow_matches_reference(ws, scope, m % 16 + 1)
 
 
 class TestDuplicateRows:

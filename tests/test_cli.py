@@ -239,6 +239,14 @@ class TestExperiment:
         assert lines[0] == "method,n_rows,build_seconds,propagate_seconds,total_seconds"
         assert len(lines) == 5  # 2 methods x 2 sizes
 
+    def test_mean_length_count_checked(self, tmp_path, capsys):
+        rc = run(
+            "experiment", "--methods", "bvdt:gid", "--fractions", 0.1,
+            "--mean-length", "10,20", "--classes", 3, "--out", tmp_path / "e",
+        )
+        assert rc == 1
+        assert "--mean-length must have 1 or --classes entries" in capsys.readouterr().err
+
     def test_exact_over_cap_rejected(self, synth_dir, tmp_path, capsys):
         rc = run(
             "experiment", "--input", synth_dir / "data.bow", "--labels",

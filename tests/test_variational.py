@@ -18,14 +18,17 @@ from blockwalk.partition import (
 from blockwalk.variational import (
     block_divergence_sums,
     constraint_residuals,
-    euclidean_block_divergence_sum,
     exact_loglik,
     lower_bound,
     optimize_q,
 )
 
 from conftest import make_spec, smoothed_counts
-from oracles import brute_block_sums, projected_ascent_q
+from oracles import (
+    brute_block_sums,
+    euclidean_block_divergence_sum,
+    projected_ascent_q,
+)
 from test_anchor_tree import dense_to_data
 
 
