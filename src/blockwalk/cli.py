@@ -36,13 +36,14 @@ from .propagation import (
     classify_one_vs_all,
     dense_transition_matrix,
     evaluate_accuracy,
-    propagate_labels,
+    spread_labels,
 )
 from .variational import exact_loglik, lower_bound, optimize_q
 
 DEFAULT_EPSILON = 0.5  # additive count smoothing for positive-domain kinds
 DEFAULT_ALPHA = 0.01
 DEFAULT_ITERS = 300
+ITERS_HELP = "update cap; spreading stops earlier at its bitwise fixed point (default 300)"
 DEFAULT_MAX_EXACT_N = 8192
 SIGMA_STREAM = 0xD157  # fixed sub-stream for the bandwidth policy
 
@@ -171,10 +172,10 @@ def one_hot_seed(ids, labels, labeled_ids):
 
 def run_propagation(operator, ids, labels, labeled_ids, config):
     y0 = one_hot_seed(ids, labels, labeled_ids)
-    scores = propagate_labels(operator, y0, config)
+    scores, iterations_run = spread_labels(operator, y0, config)
     classes, unreached = classify_one_vs_all(scores)
     accuracy = evaluate_accuracy(classes, labels, ids, labeled_ids)
-    return scores, classes, unreached, accuracy
+    return scores, classes, unreached, accuracy, iterations_run
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +282,7 @@ def cmd_propagate(args):
     labeled = stratified_subset(ids, labels, args.labeled_fraction, rng)
     config = PropagationConfig(alpha=args.alpha, iterations=args.iters)
     t0 = time.perf_counter()
-    scores, classes, unreached, accuracy = run_propagation(
+    scores, classes, unreached, accuracy, iterations_run = run_propagation(
         model, ids, labels, labeled, config
     )
     prop_seconds = time.perf_counter() - t0
@@ -292,22 +293,18 @@ def cmd_propagate(args):
         for k, rid in enumerate(ids):
             name = labels.names[classes[k]]
             fh.write(f"{rid},{name},{scores[k, classes[k]]:.12g}\n")
-    per_class = {}
-    for cls in range(labels.n_classes):
-        rows = [
-            k
-            for k, rid in enumerate(ids)
-            if rid not in labeled and labels.assignments[rid] == cls
-        ]
-        if rows:
-            per_class[labels.names[cls]] = sum(
-                1 for k in rows if classes[k] == cls
-            ) / len(rows)
+    truth = np.array([labels.assignments[rid] for rid in ids])
+    scored = np.array([rid not in labeled for rid in ids])
+    per_class = {
+        labels.names[c]: float(np.mean(classes[scored & (truth == c)] == c))
+        for c in np.unique(truth[scored])
+    }
     metrics = {
         "accuracy": accuracy,
         "per_class_accuracy": per_class,
         "n_labeled": len(labeled),
         "n_unreached": int(unreached.sum()),
+        "iterations_run": iterations_run,
         "converged": meta["optimizer"]["converged"],
         "constraint_residual": meta["optimizer"]["residual"],
         "config": {
@@ -354,12 +351,8 @@ def _method_operator(family, kind, data, args, seed):
         model, _, _, timings = build_model(
             data, spec, args.partition, max_finest_n=args.max_exact_n
         )
-        build_s = (
-            timings["tree_seconds"]
-            + timings["partition_seconds"]
-            + timings["optimize_seconds"]
-        )
-        return model, build_s
+        phases = ("tree_seconds", "partition_seconds", "optimize_seconds")
+        return model, sum(timings[k] for k in phases)
     if data.n_rows > args.max_exact_n:
         raise ValueError(
             f"exact method refused for N={data.n_rows} > --max-exact-n={args.max_exact_n}"
@@ -412,7 +405,7 @@ def cmd_experiment(args):
             for family, kind in methods:
                 op, build_s = _method_operator(family, kind, data, args, args.seed)
                 t0 = time.perf_counter()
-                _, _, _, acc = run_propagation(op, data.ids, labels, labeled, config)
+                *_, acc, its = run_propagation(op, data.ids, labels, labeled, config)
                 prop_s = time.perf_counter() - t0
                 total = build_s + prop_s
                 times[(family, kind)].append(total)
@@ -421,7 +414,7 @@ def cmd_experiment(args):
                 )
                 print(
                     f"{family}:{kind} N={n} build={build_s:.2f}s "
-                    f"propagate={prop_s:.2f}s accuracy={acc:.4f}"
+                    f"propagate={prop_s:.2f}s iterations={its} accuracy={acc:.4f}"
                 )
         (out / "scaling.csv").write_text("\n".join(lines) + "\n")
         logn = np.log(np.asarray(rows_list, dtype=float))
@@ -444,16 +437,17 @@ def cmd_experiment(args):
     ]
     for fraction in fractions:
         for family, kind in methods:
-            accs, secs = [], []
+            accs, secs, its = [], [], []
             for trial in range(args.trials):
                 rng = np.random.default_rng([args.seed, trial])
                 labeled = stratified_subset(data.ids, labels, fraction, rng)
                 t0 = time.perf_counter()
-                _, _, _, acc = run_propagation(
+                *_, acc, it = run_propagation(
                     operators[(family, kind)], data.ids, labels, labeled, config
                 )
                 secs.append(time.perf_counter() - t0)
                 accs.append(acc)
+                its.append(it)
             mean = float(np.mean(accs))
             sd = float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
             ci = 1.96 * sd / np.sqrt(len(accs))
@@ -464,7 +458,7 @@ def cmd_experiment(args):
             )
             print(
                 f"{family}:{kind} fraction={fraction:g} "
-                f"accuracy={mean:.4f} +- {ci:.4f}"
+                f"accuracy={mean:.4f} +- {ci:.4f} iterations={min(its)}-{max(its)}"
             )
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     print(f"sweep table written to {out / 'sweep.csv'}")
@@ -516,7 +510,7 @@ def build_parser():
     p.add_argument("--labels", default=None)
     p.add_argument("--labeled-fraction", dest="labeled_fraction", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--iters", type=int, default=None)
+    p.add_argument("--iters", type=int, default=None, help=ITERS_HELP)
     p.add_argument("--out", default=None)
 
     p = subs.add_parser("experiment", help="accuracy and timing sweeps")
@@ -528,7 +522,7 @@ def build_parser():
     p.add_argument("--fractions", type=_float_list, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--iters", type=int, default=None)
+    p.add_argument("--iters", type=int, default=None, help=ITERS_HELP)
     p.add_argument("--labeled-fraction", dest="labeled_fraction", type=float, default=None)
     p.add_argument("--partition", default=None)
     p.add_argument("--sigma", type=float, default=None)
@@ -609,13 +603,9 @@ def main(argv=None):
     if args.command == "experiment" and not args.scaling_rows and args.fractions is None:
         parser.error("experiment: provide --fractions or --scaling-rows")
     try:
-        if args.command == "synth":
-            return cmd_synth(args)
-        if args.command == "approximate":
-            return cmd_approximate(args)
-        if args.command == "propagate":
-            return cmd_propagate(args)
-        return cmd_experiment(args)
+        command = {"synth": cmd_synth, "approximate": cmd_approximate,
+                   "propagate": cmd_propagate, "experiment": cmd_experiment}
+        return command[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

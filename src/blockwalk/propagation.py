@@ -11,6 +11,9 @@ test scale) for verification and the exact method.
 
 Label spreading iterates y <- alpha * M y + (1 - alpha) * y0 one-vs-all; the
 per-class columns are independent, so they propagate as one batched matrix.
+The update is a fixed function of y, so once an iterate repeats the previous
+one bit for bit every later one does too: the loop stops there, with the
+scores a fixed-count loop would return, or at the iteration cap.
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ __all__ = [
     "PropagationConfig",
     "dense_transition_matrix",
     "propagate_labels",
+    "spread_labels",
     "classify_one_vs_all",
     "evaluate_accuracy",
 ]
@@ -71,6 +75,13 @@ class DenseBaseline:
     w: np.ndarray | None
     p: np.ndarray
 
+    @property
+    def n_points(self):
+        return self.p.shape[0]
+
+    def matmat(self, v):
+        return self.p @ v
+
 
 def dense_transition_matrix(data, spec, cap=8192, keep_w=True, block_rows=512):
     """Exact row-softmax transition matrix with log-sum-exp stabilization."""
@@ -97,6 +108,8 @@ def dense_transition_matrix(data, spec, cap=8192, keep_w=True, block_rows=512):
 
 @dataclass
 class PropagationConfig:
+    """iterations caps the updates, which stop at the bitwise fixed point."""
+
     alpha: float = 0.01
     iterations: int = 300
 
@@ -107,34 +120,34 @@ class PropagationConfig:
             raise ValueError("iterations must be positive")
 
 
-def _apply_operator(op, y):
-    if isinstance(op, TransitionModel):
-        return op.matmat(y)
-    if isinstance(op, DenseBaseline):
-        return op.p @ y
-    return np.asarray(op) @ y
-
-
-def propagate_labels(op, y0, config=None):
-    """Iterate y <- alpha * M y + (1 - alpha) * y0 for the configured number
-    of rounds; columns are one-vs-all class indicators."""
+def spread_labels(op, y0, config=None):
+    """Iterate y <- alpha * M y + (1 - alpha) * y0 until an update returns
+    the previous iterate's bits, or config.iterations updates; columns are
+    one-vs-all class indicators. Returns (scores, updates applied). op is a
+    TransitionModel, a DenseBaseline or a bare N x N array."""
     config = config or PropagationConfig()
+    if not hasattr(op, "matmat"):
+        op = DenseBaseline(None, np.asarray(op))
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.ndim != 2 or y0.shape[1] < 1:
         raise ValueError("y0 must be an N x C matrix with C >= 1")
-    if isinstance(op, TransitionModel):
-        n = op.n_points
-    elif isinstance(op, DenseBaseline):
-        n = op.p.shape[0]
-    else:
-        n = np.asarray(op).shape[0]
-    if y0.shape[0] != n:
-        raise ValueError(f"y0 has {y0.shape[0]} rows, operator expects {n}")
+    if y0.shape[0] != op.n_points:
+        raise ValueError(f"y0 has {y0.shape[0]} rows, operator expects {op.n_points}")
     alpha = config.alpha
     y = y0.copy()
-    for _ in range(config.iterations):
-        y = alpha * _apply_operator(op, y) + (1.0 - alpha) * y0
-    return y
+    for done in range(1, config.iterations + 1):
+        new = alpha * op.matmat(y) + (1.0 - alpha) * y0
+        # compare bits, not values: == holds for 0.0 vs -0.0 and fails on NaN
+        if np.array_equal(new.view(np.uint64), y.view(np.uint64)):
+            return new, done
+        y = new
+    return y, config.iterations
+
+
+def propagate_labels(op, y0, config=None):
+    """Label-spreading scores, run to the bitwise fixed point or the
+    iteration cap: `spread_labels` without its update count."""
+    return spread_labels(op, y0, config)[0]
 
 
 def classify_one_vs_all(scores):

@@ -13,7 +13,8 @@ per-anchor sorted member lists where the library keeps two arrays over the
 scope and reads a small scope's divergences from one block. The test-scale
 helpers (the dense expansion of a compressed model, per-row block lists and
 the exhaustive partition check) and the round-by-round refinement loop live
-here too.
+here too, and so does the fixed-count label-spreading loop that the
+early-exit loop must reproduce bit for bit.
 """
 import math
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ from blockwalk.divergence import (
     pairwise_divergences,
 )
 from blockwalk.partition import Block, refine_partition
+from blockwalk.propagation import DenseBaseline, TransitionModel
 from blockwalk.vectors import OffsetVec
 
 
@@ -145,6 +147,25 @@ def projected_ascent_q(tree, partition, spec, data, max_iters=500, grad_tol=1e-1
         if not improved:
             break
     return q, fq
+
+
+def _apply_operator(op, y):
+    if isinstance(op, TransitionModel):
+        return op.matmat(y)
+    if isinstance(op, DenseBaseline):
+        return op.p @ y
+    return np.asarray(op) @ y
+
+
+def reference_propagate(op, y0, config):
+    """Label spreading for exactly config.iterations rounds, with no early
+    exit: y <- alpha * M y + (1 - alpha) * y0."""
+    y0 = np.asarray(y0, dtype=np.float64)
+    alpha = config.alpha
+    y = y0.copy()
+    for _ in range(config.iterations):
+        y = alpha * _apply_operator(op, y) + (1.0 - alpha) * y0
+    return y
 
 
 def closed_form_propagation(p_matrix, y0, alpha):

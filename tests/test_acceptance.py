@@ -270,7 +270,7 @@ def test_criterion_09_count_divergence_beats_euclidean():
         for trial in range(5):
             rng = np.random.default_rng([seed, trial])
             labeled = stratified_subset(data.ids, labels, 0.05, rng)
-            _, _, _, acc = run_propagation(
+            _, _, _, acc, _ = run_propagation(
                 model, data.ids, labels, labeled, PropagationConfig()
             )
             accs[kind].append(acc)

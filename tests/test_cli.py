@@ -129,6 +129,7 @@ class TestPropagate:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["config"]["alpha"] == 0.01
         assert metrics["config"]["iterations"] == 300
+        assert 1 <= metrics["iterations_run"] < 300
         assert 0.0 <= metrics["accuracy"] <= 1.0
         assert metrics["converged"] is True
         assert metrics["constraint_residual"] <= 1e-9
@@ -218,7 +219,7 @@ class TestExperiment:
         for trial in range(5):
             rng = np.random.default_rng([3, trial])
             labeled = stratified_subset(data.ids, labels, 0.1, rng)
-            _, _, _, acc = run_propagation(
+            _, _, _, acc, _ = run_propagation(
                 model, data.ids, labels, labeled, PropagationConfig()
             )
             accs.append(acc)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockwalk.anchor_tree import build_cluster_tree
 from blockwalk.dataset import LabelSet, smooth
@@ -12,11 +14,12 @@ from blockwalk.propagation import (
     dense_transition_matrix,
     evaluate_accuracy,
     propagate_labels,
+    spread_labels,
 )
 from blockwalk.variational import optimize_q
 
 from conftest import smoothed_counts
-from oracles import closed_form_propagation, dense_q_matrix
+from oracles import closed_form_propagation, dense_q_matrix, reference_propagate
 from test_anchor_tree import dense_to_data
 
 
@@ -32,6 +35,18 @@ def build_model(rng, n=24, d=5, kind="gid", partition="coarsest"):
         part = auto_refine(coarsest_partition(tree), tree, 5)
     params = optimize_q(tree, part, spec, data)
     return TransitionModel(tree, part, params, spec), data, spec
+
+
+def one_hot(rng, n, c, labeled):
+    y0 = np.zeros((n, c))
+    rows = rng.choice(n, size=labeled, replace=False)
+    y0[rows, np.arange(labeled) % c] = 1.0
+    return y0
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
 
 
 class TestBlockedMatvec:
@@ -133,16 +148,20 @@ class TestPropagation:
     def test_alpha_zero_returns_y0(self, rng):
         model, _, _ = build_model(rng)
         y0 = rng.random((model.n_points, 3))
-        out = propagate_labels(model, y0, PropagationConfig(alpha=0.0, iterations=17))
+        cfg = PropagationConfig(alpha=0.0, iterations=17)
+        out, iterations = spread_labels(model, y0, cfg)
         np.testing.assert_array_equal(out, y0)
+        assert_same_bits(out, reference_propagate(model, y0, cfg))
+        assert iterations == 1
 
     def test_identity_operator_fixed_point(self, rng):
         n = 10
         y0 = rng.random((n, 2))
-        out = propagate_labels(
-            np.eye(n), y0, PropagationConfig(alpha=0.01, iterations=300)
-        )
+        cfg = PropagationConfig(alpha=0.01, iterations=300)
+        out, iterations = spread_labels(np.eye(n), y0, cfg)
         np.testing.assert_allclose(out, y0, atol=1e-12)
+        assert_same_bits(out, reference_propagate(np.eye(n), y0, cfg))
+        assert 1 <= iterations < 300
 
     def test_defaults(self):
         cfg = PropagationConfig()
@@ -203,6 +222,63 @@ class TestPropagation:
         a = propagate_labels(model, y0, PropagationConfig())
         b = propagate_labels(model, y0, PropagationConfig())
         assert np.array_equal(a, b)
+
+
+class TestFixedPointExit:
+    """The early exit returns the fixed-count loop's scores bit for bit."""
+
+    @pytest.mark.parametrize("partition", ["coarsest", "refined"])
+    def test_compressed_matches_reference(self, rng, partition):
+        model, _, _ = build_model(rng, n=60, partition=partition)
+        y0 = one_hot(rng, 60, 3, 9)
+        cfg = PropagationConfig()
+        scores, iterations = spread_labels(model, y0, cfg)
+        assert_same_bits(scores, reference_propagate(model, y0, cfg))
+        assert 1 <= iterations < cfg.iterations
+
+    def test_dense_matches_reference(self, rng):
+        data = smoothed_counts(rng, 60, 5)
+        base = dense_transition_matrix(data, DivergenceSpec("gid", 5, epsilon=0.5))
+        y0 = one_hot(rng, 60, 3, 9)
+        cfg = PropagationConfig()
+        scores, iterations = spread_labels(base, y0, cfg)
+        assert_same_bits(scores, reference_propagate(base, y0, cfg))
+        assert_same_bits(propagate_labels(base, y0, cfg), scores)
+        assert 1 <= iterations < cfg.iterations
+
+    def test_slow_spreading_reaches_the_cap(self, rng):
+        model, _, _ = build_model(rng, n=40)
+        y0 = one_hot(rng, 40, 2, 4)
+        cfg = PropagationConfig(alpha=0.99)
+        scores, iterations = spread_labels(model, y0, cfg)
+        assert_same_bits(scores, reference_propagate(model, y0, cfg))
+        assert iterations == 300
+
+
+@st.composite
+def spreading_cases(draw):
+    """(row-stochastic M, alpha, one-hot y0) over at most 12 points."""
+    n = draw(st.integers(2, 12))
+    c = draw(st.integers(1, 3))
+    weight = st.floats(0.0, 1.0, allow_subnormal=False)
+    w = np.array(draw(st.lists(weight, min_size=n * n, max_size=n * n))).reshape(n, n)
+    w[w.sum(axis=1) == 0.0] = 1.0
+    alpha = draw(st.sampled_from([0.0, 0.01, 0.5, 0.99, 1.0]) | st.floats(0.0, 1.0))
+    y0 = np.zeros((n, c))
+    for row, cls in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, c - 1)))):
+        y0[row] = 0.0
+        y0[row, cls] = 1.0
+    return w / w.sum(axis=1, keepdims=True), alpha, y0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(spreading_cases())
+def test_early_exit_matches_fixed_count_loop(case):
+    p, alpha, y0 = case
+    cfg = PropagationConfig(alpha=alpha)
+    scores, iterations = spread_labels(p, y0, cfg)
+    assert_same_bits(scores, reference_propagate(p, y0, cfg))
+    assert 1 <= iterations <= cfg.iterations
 
 
 class TestClassify:
