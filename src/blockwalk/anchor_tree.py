@@ -3,19 +3,25 @@
 Construction runs in phases: grow ceil(sqrt(n)) anchors (each a pivot point
 with members sorted by decreasing divergence to it), agglomerate the anchors
 into a binary skeleton by cheapest merge cost, then recurse inside every
-multi-point anchor until all leaves are singletons. Stealing during the
-growing phase prunes with a threshold below which a member provably cannot be
-closer to the new pivot, generalizing the Euclidean halfway rule. Members
-within a rounding slack of the threshold stay candidates, so that a row
-exactly on two pivots' bisector moves as it would without pruning. One
-batched function evaluates that threshold at every vocabulary width, on dense
-pivot rows restricted to the union of the pivots' stored columns: a column
-where every pivot sits at the smoothing offset adds nothing to the bound.
-One grower serves every scope, with each row's anchor and its divergence to
-that anchor's pivot in two arrays. A scope of at most SMALL_SCOPE rows
-computes its pairwise divergences once, in one block that the scopes below
-it read; with every divergence known there, the grower makes no no-steal
-cut, which is exact and would save nothing.
+multi-point anchor until all leaves are singletons. The recursion runs one
+level at a time: every scope of a level grows its anchors in the same steps
+and merges them in the same steps, so a level costs a few array operations
+per step whatever its number of scopes. One grower serves every scope, with
+each row's anchor and its divergence to that anchor's pivot in two arrays;
+a step evaluates the divergences of a level's rows to their scopes' new
+pivots in one sparse product. A scope of at most SMALL_SCOPE rows computes
+its pairwise divergences once, in one block that the scopes below it read.
+
+Stealing during the growing phase can prune with a threshold below which a
+member provably cannot be closer to the new pivot, generalizing the
+Euclidean halfway rule. Members within a rounding slack of the threshold
+stay candidates, so that a row exactly on two pivots' bisector moves as it
+would without pruning, and the tree is the same either way. One batched
+function evaluates that threshold at every vocabulary width, on dense pivot
+rows restricted to the union of the pivots' stored columns: a column where
+every pivot sits at the smoothing offset adds nothing to the bound. Pruning
+is off by default: the rows it skips cost less in the sparse product than
+the thresholds cost to evaluate.
 
 Every node has four additive statistics (sum of generator values, sum of
 x'grad(x), coordinate sums, gradient sums) that later decouple per-block
@@ -30,7 +36,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,8 +145,8 @@ class _Workspace:
     def _row_kernels(self, t, idx):
         """Every pivot is a data row: tabulate, per row j, the pieces of
         d(., x_j) that depend on the pivot alone: the gradient, with the
-        arithmetic of ov_grad on `row_ov(j)`, and x_j'grad(x_j) as
-        div_to_pivot evaluates it at i == j."""
+        arithmetic of ov_grad on `row_ov(j)`, and x_j'grad(x_j) as a
+        divergence evaluates it at i == j."""
         spec, lens = self.spec, self.nnz_row
         short = lens < self.dim
         self.g_base_row = np.where(short, self._implicit(_grad_terms, "gradient"), 0.0)
@@ -169,20 +174,43 @@ class _Workspace:
         nz = np.nonzero(acc)[0]
         return OffsetVec(self.dim, self.eps, nz.astype(np.int64), acc[nz] / rows.size)
 
-    def mean_rows(self, groups):
-        """Dense member means of row groups, one row per group; row g equals
-        mean_of_rows(groups[g]).to_dense() bit for bit: one bincount adds
-        each group's column values in member order, and a zero sum gives
-        eps + 0."""
-        sizes = np.array([g.size for g in groups])
-        flat, lens = self._gather(np.concatenate(groups))
-        owner = np.repeat(np.repeat(np.arange(sizes.size), sizes), lens)
+    def group_means(self, rows, group, n_groups):
+        """Dense member means of row groups, one row per group: `rows` lists
+        every member, `group` its group. One bincount adds each group's
+        column values in listed order, so row g equals
+        mean_of_rows(its members in that order).to_dense() bit for bit, and
+        a zero sum gives eps + 0."""
+        flat, lens = self._gather(rows)
         acc = np.bincount(
-            owner * self.dim + self.csr.indices[flat],
+            np.repeat(group, lens) * self.dim + self.csr.indices[flat],
             weights=self.csr.data[flat],
-            minlength=sizes.size * self.dim,
-        ).reshape(sizes.size, self.dim)
+            minlength=n_groups * self.dim,
+        ).reshape(n_groups, self.dim)
+        sizes = np.bincount(group, minlength=n_groups)
         return self.eps + acc / np.maximum(sizes, 1)[:, None]
+
+    def keyed_rows(self, rows, group):
+        """`rows` as a CSR matrix whose columns are the distinct (group,
+        column) pairs of their stored entries, in sorted order; returns the
+        matrix, the pair keys group * dim + column, and each entry's flat
+        position in the data. A product with it sums each row's terms in
+        storage order from zero, as np.bincount does."""
+        flat, lens = self._gather(rows)
+        key = np.repeat(group, lens) * self.dim + self.csr.indices[flat]
+        span = (int(group.max()) + 1) * self.dim if group.size else 0
+        if span <= KEY_TABLE:
+            seen = np.zeros(span, dtype=bool)
+            seen[key] = True
+            keys = np.flatnonzero(seen)
+            col = np.cumsum(seen)[key] - 1
+        else:
+            keys, col = np.unique(key, return_inverse=True)
+        indptr = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(lens, out=indptr[1:])
+        mat = sp.csr_matrix(
+            (self.csr.data[flat], col, indptr), shape=(rows.size, keys.size)
+        )
+        return mat, keys, flat
 
     def _columns(self, flat):
         """The sorted distinct columns of the entries `flat`, and the
@@ -202,13 +230,6 @@ class _Workspace:
         out[np.repeat(np.arange(rows.size), lens), at] += self.csr.data[flat]
         return cols, out
 
-    def row_kernel(self, j):
-        """Pivot row j and its gradient values on a dense row of width dim."""
-        lo, hi = self.starts[j], self.starts[j] + self.nnz_row[j]
-        gdense = np.zeros(self.dim)
-        gdense[self.csr.indices[lo:hi]] = self.g_val[lo:hi]
-        return j, gdense
-
     def _xgrad(self, rows, pivots, dots):
         """x_i'grad(x_j) for rows i and pivot rows j, given the dot products
         of row i's stored values with pivot j's gradient values."""
@@ -221,36 +242,33 @@ class _Workspace:
         )
 
     def _finish(self, rows, pivots, dots):
-        # shared tail of div_to_pivot and div_block; the operation order is
-        # part of the contract (trees are compared bit for bit). As
+        # the tail of every divergence; the operation order is part of the
+        # contract (trees are compared bit for bit). As
         # (phi(x_i) - phi(x_j)) - (x_i'grad(x_j) - x_j'grad(x_j)) both
         # differences vanish exactly at i == j, so d(x_j, x_j) is 0.
         xg = self._xgrad(rows, pivots, dots)
         return (self.phi_row[rows] - self.phi_row[pivots]) - (xg - self.s2_row[pivots])
 
-    def div_to_pivot(self, rows, kernel):
-        j, gdense = kernel
-        flat, lens = self._gather(rows)
-        seg = np.repeat(np.arange(rows.size), lens)
-        prod = self.csr.data[flat] * gdense[self.csr.indices[flat]]
-        dots = np.bincount(seg, weights=prod, minlength=rows.size)
-        return self._finish(rows, j, dots)
-
     def div_block(self, rows):
-        """d(x_i, x_j) for all i, j in `rows`, row j as the pivot; entry
-        [i, j] equals div_to_pivot(rows, row_kernel(rows[j]))[i]: each dot
-        product still sums row i's terms in storage order from zero. The
-        pivot gradients sit on the block's own columns."""
-        s = rows.size
-        flat, lens = self._gather(rows)
-        seg = np.repeat(np.arange(s), lens)
-        _, cols = self._columns(flat)
-        g = np.zeros((s, cols.max() + 1 if cols.size else 0))
-        g[seg, cols] = self.g_val[flat]
-        prod = self.csr.data[flat] * g[:, cols]  # [j, k]: pivot j, entry k
-        bins = seg + s * np.arange(s)[:, None]
-        dots = np.bincount(bins.ravel(), weights=prod.ravel(), minlength=s * s)
-        return self._finish(rows[:, None], rows, dots.reshape(s, s).T)
+        """d(x_i, x_j) for all i, j in `rows`, row j as the pivot."""
+        n = rows.size
+        return self.div_blocks(rows, np.array([0, n])).reshape(n, n)
+
+    def div_blocks(self, rows, ptr):
+        """The blocks of divergences of the row groups rows[ptr[b]:ptr[b + 1]],
+        flattened one after another: entry [i, j] of block b is
+        d(x_i, x_j) with row j of the group as the pivot. Each dot product
+        sums row i's terms in storage order from zero."""
+        nb = np.diff(ptr)
+        bid = np.repeat(np.arange(nb.size), nb)
+        at = np.arange(rows.size) - ptr[bid]  # position within the group
+        mat, keys, flat = self.keyed_rows(rows, bid)
+        grads = np.zeros((keys.size, int(nb.max(initial=0))))
+        grads[mat.indices, np.repeat(at, np.diff(mat.indptr))] = self.g_val[flat]
+        dots = mat @ grads  # [e, j]: row e against pivot j of its group
+        e = np.repeat(np.arange(rows.size), nb[bid])
+        j = _ranges(np.zeros(rows.size, dtype=np.int64), nb[bid])
+        return self._finish(rows[e], rows[ptr[bid[e]] + j], dots[e, j])
 
 
 def _ranges(starts, lens):
@@ -258,6 +276,14 @@ def _ranges(starts, lens):
     ends = np.cumsum(lens)
     total = ends[-1] if ends.size else 0
     return np.arange(total) + np.repeat(starts - ends + lens, lens)
+
+
+def _offsets(lens):
+    """Where each of the runs of lengths `lens` starts when they are laid
+    end to end, followed by their total."""
+    out = np.zeros(lens.size + 1, dtype=np.int64)
+    np.cumsum(lens, out=out[1:])
+    return out
 
 
 def _segment_sums(vals, starts, lens):
@@ -327,16 +353,16 @@ def _thresholds(spec, pivots, new_pivot, cols=None):
     return 0.5 * (da + db).sum(axis=1), y
 
 
-def _no_steal_limits(ws, rows, pivots, cols):
-    """Divergence to each current pivot (all rows of `pivots` but the last)
-    below which a member cannot move to the new one (the last row): the
-    no-steal threshold less a rounding slack. `rows` are the pivots' data
-    rows. A member on two pivots' bisector sits at the threshold in exact
-    arithmetic and rounding alone decides whether it moves, so it is
-    evaluated as an unpruned build evaluates it."""
-    thr, _ = _thresholds(ws.spec, pivots[:-1], pivots[-1], cols)
-    mag = np.abs(ws.phi_row[rows]) + np.abs(ws.s2_row[rows])
-    return thr - TIE_SLACK * (mag[:-1] + mag[-1])
+def _no_steal_limits(ws, cur_rows, cur, new_rows, new, cols):
+    """Divergence to each current pivot (row k of `cur`) below which a
+    member cannot move to the new pivot of row k of `new`: the no-steal
+    threshold less a rounding slack. `cur_rows` and `new_rows` are the
+    pivots' data rows. A member on two pivots' bisector sits at the
+    threshold in exact arithmetic and rounding alone decides whether it
+    moves, so it is evaluated as an unpruned build evaluates it."""
+    thr, _ = _thresholds(ws.spec, cur, new, cols)
+    mag = np.abs(ws.phi_row) + np.abs(ws.s2_row)
+    return thr - TIE_SLACK * (mag[cur_rows] + mag[new_rows])
 
 
 # Agglomeration merges dense pivot rows up to this width and OffsetVec
@@ -345,81 +371,157 @@ def _no_steal_limits(ws, rows, pivots, cols):
 # 2.08 -> 4.09 s, N=3000 d=20000 19.1 -> 49.2 s; OffsetVec merges at d=50,
 # N=4000: 0.60-0.65 -> 1.17-1.24 s.
 DENSE_DIM_CAP = 4096
-SMALL_SCOPE = 16  # scopes up to this size grow from one _Block
+SMALL_SCOPE = 16  # scopes up to this size grow from one block of divergences
 TIE_SLACK = 1e-12  # relative to the pivots' generator and x'grad(x) sums
 STAT_CHUNK = 1 << 16  # sparse statistic entries per chunk of block pairs
+KEY_TABLE = 1 << 21  # (group, column) keys numbered by a table up to this many
+DENSE_CHUNK = 1 << 21  # dense values per chunk of merged scopes or parents
+
+
+def _first_max(d, donor, part, starts):
+    """Per part (positions starts[i] up to starts[i + 1], `part` naming each
+    position's part), the position of the first donor holding the largest d,
+    NaN counting as the largest (np.argmax's rule). Every part holds a
+    donor."""
+    v = np.where(donor, d, -np.inf)
+    best = np.maximum.reduceat(v, starts)  # NaN wins, as in np.argmax
+    pick = np.flatnonzero(donor & ((v == best[part]) | np.isnan(v)))
+    first = np.ones(pick.size, dtype=bool)
+    first[1:] = part[pick[1:]] != part[pick[:-1]]
+    return pick[first]
+
+
+def _grow_scopes(ws, rows, ptr, m, lookup, use_pruning):
+    """Grow m[s] anchors over every scope rows[ptr[s]:ptr[s + 1]] (sorted
+    rows, at least two) at once; returns each entry's anchor and its
+    divergence to that anchor's pivot, and the pivots as entry positions.
+
+    The first pivot is the scope's lowest row. The next pivot is the
+    farthest row (the lowest on a tie) of an anchor with two or more
+    members, so no anchor gives away its only member. A row moves to the new
+    pivot when it is strictly closer to it; the new pivot always moves.
+    Every scope takes one step at a time, until it has its m anchors.
+    `lookup` is (eb, at, bd): an entry with eb >= 0 lies in a scope held by
+    a block of divergences, where d(entry, pivot p) is bd[eb + at[p]], and
+    is never pruned. The other scopes get their divergences from one sparse
+    product per step; with pruning, only the rows at or above their
+    anchor's no-steal limit are evaluated."""
+    eb, at, bd = lookup
+    n = np.diff(ptr)
+    owner = np.zeros(rows.size, dtype=np.int64)
+    d = np.empty(rows.size)
+    pivots = np.full((n.size, int(m.max())), -1, dtype=np.int64)
+    held = eb[ptr[:-1]] >= 0
+    for blocked in (True, False):
+        s = np.flatnonzero(held == blocked)
+        if not s.size:
+            continue
+        sel = _ranges(ptr[s], n[s])
+        sub = (eb[sel], at[sel], bd) if blocked else None
+        got = _grow_alike(ws, rows[sel], _offsets(n[s]), m[s], sub, use_pruning)
+        owner[sel], d[sel] = got[0], got[1]
+        pivots[s, : got[2].shape[1]] = np.where(got[2] >= 0, sel[got[2]], -1)
+    return owner, d, pivots
+
+
+def _grow_alike(ws, rows, ptr, m, lookup, use_pruning):
+    """_grow_scopes over scopes that all read a block (`lookup` is
+    (eb, at, bd)) or all take sparse products (`lookup` is None)."""
+    n_scopes = ptr.size - 1
+    seg = np.repeat(np.arange(n_scopes), np.diff(ptr))
+    top = int(m.max())
+    if lookup is None:
+        mat, keys, _ = ws.keyed_rows(rows, seg)
+    else:
+        eb, at, bd = lookup
+        use_pruning = False
+
+    def div(cand, p, piv):
+        """Divergence of each entry cand[k] to the pivot entry p[k]; `piv`
+        lists the pivot entries of every scope in play."""
+        if lookup is not None:
+            return bd[eb[cand] + at[p]]
+        # each scope's pivot gradient on its (scope, column) keys
+        flat, lens = ws._gather(rows[piv])
+        grad = np.zeros(keys.size)
+        where = np.repeat(seg[piv] * ws.dim, lens) + ws.csr.indices[flat]
+        grad[np.searchsorted(keys, where)] = ws.g_val[flat]
+        return ws._finish(rows[cand], rows[p], (mat @ grad)[cand])
+
+    pivots = np.full((n_scopes, top), -1, dtype=np.int64)
+    pivots[:, 0] = ptr[:-1]
+    owner = np.zeros(rows.size, dtype=np.int64)
+    d = div(np.arange(rows.size), ptr[:-1][seg], ptr[:-1])
+    for t in range(1, top):
+        if t == 1 or np.any(m == t):  # the scopes still growing
+            live = np.flatnonzero(m > t)
+            cand = _ranges(ptr[live], np.diff(ptr)[live])
+            part = np.repeat(np.arange(live.size), np.diff(ptr)[live])
+            starts = _offsets(np.diff(ptr)[live])[:-1]
+        dc = d[cand]
+        key = part * top + owner[cand]
+        donor = np.bincount(key, minlength=live.size * top)[key] >= 2
+        new = cand[_first_max(dc, donor, part, starts)]
+        p = new[part]
+        evaluated = slice(None)
+        if use_pruning:
+            cur = rows[pivots[live, :t]].ravel()
+            cols, dense = ws.pivot_rows(np.concatenate([cur, rows[new]]))
+            limits = _no_steal_limits(
+                ws, cur, dense[: cur.size], np.repeat(rows[new], t),
+                np.repeat(dense[cur.size :], t, axis=0), cols,
+            )
+            # a NaN limit prunes nothing
+            evaluated = ~(dc < limits[part * t + owner[cand]]) | (cand == p)
+        dn = div(cand[evaluated], p[evaluated], new)
+        move = (dn < dc[evaluated]) | (cand[evaluated] == p[evaluated])
+        moved = cand[evaluated][move]
+        owner[moved] = t
+        d[moved] = dn[move]
+        pivots[live, t] = new
+    return owner, d, pivots
 
 
 def _grow(ws, scope, m, use_pruning, block=None):
     """Grow m anchors over `scope`: the pivot rows, each anchor's members
     sorted by nonincreasing divergence to its pivot (ties to the lowest
-    row) and those divergences.
-
-    The first pivot is the lowest row. The next pivot is the farthest row
-    (the lowest on a tie) of an anchor with two or more members, so no
-    anchor gives away its only member. A row moves to the new pivot when it
-    is strictly closer to it; the new pivot always moves. Pruning evaluates
-    only the rows at or above their anchor's no-steal limit. A `_Block`
-    holding the scope supplies every divergence, so there is nothing to
-    prune."""
+    row) and those divergences. A `_Block` holding the scope supplies every
+    divergence, so there is nothing to prune."""
     n = scope.size
     if m < 1 or m > n:
         raise ValueError(f"anchor count m={m} must be in 1..{n}")
     rows = np.sort(scope)
     if block is None:
-        def div(sel, p):
-            return ws.div_to_pivot(rows[sel], ws.row_kernel(rows[p]))
+        lookup = (np.full(n, -1), np.zeros(n, dtype=np.int64), np.empty(0))
     else:
         at = np.searchsorted(block.rows, rows)
-
-        def div(sel, p):
-            return block.d[at[sel], at[p]]
-
-        use_pruning = False
-    everyone = np.arange(n)
-    pivots = [0]  # positions in rows
-    owner = np.zeros(n, dtype=np.int64)  # the anchor of each row
-    d = div(everyone, 0)  # each row's divergence to its anchor's pivot
-    while len(pivots) < m:
-        donors = np.flatnonzero(np.bincount(owner)[owner] >= 2)
-        new = donors[np.argmax(d[donors])]
-        cand = everyone
-        if use_pruning:
-            piv = rows[pivots + [new]]
-            cols, dense = ws.pivot_rows(piv)
-            limits = _no_steal_limits(ws, piv, dense, cols)
-            keep = ~(d < limits[owner])  # a NaN limit prunes nothing
-            keep[new] = True
-            cand = np.flatnonzero(keep)
-        dn = div(cand, new)
-        move = dn < d[cand]
-        move[cand == new] = True
-        owner[cand[move]] = len(pivots)
-        d[cand[move]] = dn[move]
-        pivots.append(new)
-    # mean_rows sums each anchor's members in this order
+        lookup = (at * block.rows.size, at, block.d.ravel())
+    owner, d, pivots = _grow_scopes(
+        ws, rows, np.array([0, n]), np.array([m]), lookup, use_pruning
+    )
     order = np.lexsort((rows, -d, owner))
     bounds = np.cumsum(np.bincount(owner, minlength=m))[:-1]
     return (
-        rows[pivots],
+        rows[pivots[0]],
         np.split(rows[order], bounds),
         np.split(d[order], bounds),
     )
 
 
 class _Block:
-    """Every divergence between two rows of a small scope, evaluated at once
-    (equal to div_to_pivot's bit for bit) and looked up by _grow in the
-    scopes below it: d[i, j] is d(rows[i], rows[j])."""
+    """Every divergence between two rows of a small scope, evaluated at once:
+    d[i, j] is d(rows[i], rows[j])."""
 
     def __init__(self, ws, scope):
         self.rows = np.sort(scope)
         self.d = ws.div_block(self.rows)
 
 
-def grow_anchors(data, spec, m, scope=None, use_pruning=True):
+def grow_anchors(data, spec, m, scope=None, use_pruning=False):
     """Grow m anchors over the (smoothed) data; every point lands with the
-    pivot minimizing its divergence among all m pivots."""
+    pivot minimizing its divergence among all m pivots. use_pruning
+    evaluates only the rows at or above their anchor's no-steal limit; the
+    anchors are the same either way."""
     ws = _Workspace(data, spec)
     if scope is None:
         scope = np.arange(data.n_rows, dtype=np.int64)
@@ -583,6 +685,99 @@ def _greedy_merge(spec, sizes, rows):
     return AggloTree(sizes, list(rows[k:]), left, right, total - 1, merges)
 
 
+def _greedy_merge_scopes(spec, sizes, m, rows, first):
+    """_greedy_merge over many scopes at once: scope s merges its m[s] items
+    of sizes sizes[s] (padded to the widest scope) and dense pivot rows
+    rows[first[s]:first[s] + m[s]]. Returns the merged (left, right) items
+    per scope in merge order, with item M + k (M = sizes.shape[1]) the k-th
+    merged one; costs, means and ties are _greedy_merge's, bit for bit.
+    Scopes merge a chunk at a time, the most items first, and a chunk ends
+    where the item count halves, so that little of it is padding."""
+    n_scopes, top = sizes.shape
+    left = np.zeros((n_scopes, top - 1), dtype=np.int64)
+    right = np.zeros_like(left)
+    order = np.argsort(-m, kind="stable")
+    lo = 0
+    while lo < n_scopes:
+        c = int(m[order[lo]])
+        per = (2 * c - 1) * max(2 * c - 1, rows.shape[1])  # items and costs
+        hi = min(n_scopes, lo + max(1, DENSE_CHUNK // per))
+        hi = lo + int(np.count_nonzero(2 * m[order[lo:hi]] > c))
+        s = order[lo:hi]
+        pad = np.minimum(np.arange(c), m[s, None] - 1)  # a padded item repeats one
+        got = _merge_sorted(spec, sizes[s, :c], m[s], rows[first[s, None] + pad])
+        for out, x in zip((left, right), got):
+            out[s, : c - 1] = np.where(x >= c, x + top - c, x)
+        lo = hi
+    return left, right
+
+
+def _merge_sorted(spec, sizes, m, rows):
+    """Greedy merges of k scopes with m[0] >= m[1] >= ... items (sizes and
+    dense pivot rows padded to c = m[0]); item c + i is the i-th merge.
+    Each step takes the cheapest live pair of every scope that is still
+    merging, ties to the lowest (i, j), as the heap of _greedy_merge pops
+    it. A scope that meets a cost that is not finite, where the heap's
+    order is not a total one, is merged by _greedy_merge itself."""
+    k, c, dim = rows.shape
+    span = 2 * c - 1
+    items = np.empty((k, span, dim))
+    items[:, :c] = rows
+    flat = items.reshape(k * span, dim)
+    size_f = np.zeros((k, span))
+    size_f[:, :c] = sizes
+    size_f = size_f.ravel()
+    phis = np.zeros((k, span))
+    phis[:, :c] = _phi_terms(spec, rows).sum(axis=2)
+    phis = phis.ravel()
+    cost = np.full((k, span, span), np.inf)
+    iu, ju = np.triu_indices(c, 1)
+    s, p = np.nonzero(ju < m[:, None])
+    i, j, step = s * span + iu[p], s * span + ju[p], max(1, DENSE_CHUNK // dim)
+    got = np.concatenate([  # a chunk of pairs at a time bounds the temporaries
+        _merge_costs(spec, size_f, phis, flat, i[lo : lo + step], j[lo : lo + step])
+        for lo in range(0, max(i.size, 1), step)
+    ])
+    cost[s, iu[p], ju[p]] = got
+    bad = np.zeros(k, dtype=bool)
+    bad[s[~np.isfinite(got)]] = True
+    alive = np.arange(span) < m[:, None]
+    left = np.zeros((k, c - 1), dtype=np.int64)
+    right = np.zeros_like(left)
+    every = np.arange(k)
+    first = every * span
+    for step in range(c - 1):
+        # the scopes still merging lead; of those, the ones with two items
+        # left merge them, and only those with four or more left need the
+        # new item's costs
+        n, f, g = (int(np.count_nonzero(m - x > step)) for x in (1, 2, 3))
+        pick = np.argmin(cost[:f].reshape(f, span * span), axis=1)
+        i = np.concatenate([pick // span, np.nonzero(alive[f:n])[1][::2]])
+        j = np.concatenate([pick % span, np.nonzero(alive[f:n])[1][1::2]])
+        left[:n, step], right[:n, step] = i, j
+        alive[every[:n], i] = alive[every[:n], j] = False
+        t = c + step
+        alive[:n, t] = True
+        i, j = i[:g], j[:g]
+        ti, ii, jj = first[:g] + t, first[:g] + i, first[:g] + j
+        nt = size_f[ii] + size_f[jj]
+        merged = (size_f[ii][:, None] * flat[ii] + size_f[jj][:, None] * flat[jj]) / nt[:, None]
+        flat[ti], size_f[ti] = merged, nt
+        phis[ti] = _phi_terms(spec, merged).sum(axis=1)
+        for x in (i, j):
+            cost[every[:g], x, :] = np.inf
+            cost[every[:g], :, x] = np.inf
+        s, u = np.nonzero(alive[:g, :t])
+        got = _merge_costs(spec, size_f, phis, flat, first[s] + t, first[s] + u)
+        cost[s, u, t] = got
+        bad[s[~np.isfinite(got)]] = True
+    for s in np.flatnonzero(bad):
+        merges = _greedy_merge(spec, sizes[s, : m[s]], rows[s, : m[s]]).merges
+        for step, (i, j, _) in enumerate(merges):
+            left[s, step], right[s, step] = (x + c - m[s] if x >= m[s] else x for x in (i, j))
+    return left, right
+
+
 def agglomerate_anchors(anchors, spec):
     """Iteratively merge the anchor pair with the smallest merge cost."""
     if not anchors:
@@ -685,8 +880,11 @@ class ClusterTree:
         self.parent[left[inner]] = inner
         self.parent[right[inner]] = inner
         depth = np.zeros(self.n_nodes, dtype=np.int64)
-        for nid in range(self.n_nodes - 2, -1, -1):
-            depth[nid] = depth[self.parent[nid]] + 1
+        level = np.array([self.root])
+        while level.size:  # one depth at a time, from the root down
+            level = level[left[level] >= 0]
+            level = np.concatenate([left[level], right[level]])
+            depth[level] = depth[self.parent[level]] + 1
         self.depth = depth
         leaf_ids = np.nonzero(left < 0)[0]
         self.leaf_of_row = np.empty(self.n_points, dtype=np.int64)
@@ -728,64 +926,169 @@ class ClusterTree:
         return self.stats[nid].s1 / n - ov_phi(self.spec, self.pivot(nid))
 
 
-def build_cluster_tree(data, spec, use_pruning=True):
-    """Grow-and-agglomerate recursively down to singleton leaves."""
+def build_cluster_tree(data, spec, use_pruning=False):
+    """Grow-and-agglomerate recursively down to singleton leaves.
+
+    The recursion runs one level at a time: every scope of a level grows its
+    anchors together (_grow_scopes) and merges them together
+    (_greedy_merge_scopes); the anchors with two or more members are the
+    next level's scopes. Node ids, `perm` and the ranges are those of the
+    scope-by-scope recursion (_place_merges). use_pruning evaluates only
+    the rows at or above their anchor's no-steal limit; the tree is the
+    same either way."""
     ws = _Workspace(data, spec)
     n_rows = data.n_rows
-    left, right, size, start, end = [], [], [], [], []
-    perm = np.empty(n_rows, dtype=np.int64)
-
-    def add_node(l, r, s, a, b):
-        left.append(l)
-        right.append(r)
-        size.append(s)
-        start.append(a)
-        end.append(b)
-        return len(left) - 1
-
-    def build_scope(scope, offset, block=None):
-        n = scope.size
-        if n == 1:
-            perm[offset] = scope[0]
-            return add_node(-1, -1, 1, offset, offset + 1)
-        m = min(math.isqrt(n - 1) + 1, n)  # ceil(sqrt(n)), capped at n
-        if block is None and n <= SMALL_SCOPE:
-            block = _Block(ws, scope)
-        _, groups, _ = _grow(ws, scope, m, use_pruning, block)
-        if m == 2:
-            # two items have one merge: group 0 left, group 1 right
-            lc = build_scope(groups[0], offset, block)
-            rc = build_scope(groups[1], offset + groups[0].size, block)
-            return add_node(lc, rc, size[lc] + size[rc], start[lc], end[rc])
-        sizes = [g.size for g in groups]
-        if ws.dim <= DENSE_DIM_CAP:
-            local = _greedy_merge(spec, sizes, ws.mean_rows(groups))
-        else:
-            means = [ws.mean_of_rows(g) for g in groups]
-            local = _agglomerate_items(spec, sizes, means)
-        node_of = {}
-        cur = offset
-        for ai in local.inorder_leaves():
-            node_of[ai] = build_scope(groups[ai], cur, block)
-            cur += sizes[ai]
-        for t in range(m, len(local.sizes)):
-            lc, rc = node_of[local.left[t]], node_of[local.right[t]]
-            if start[rc] < start[lc]:
-                lc, rc = rc, lc
-            node_of[t] = add_node(lc, rc, size[lc] + size[rc], start[lc], end[rc])
-        return node_of[local.root]
-
-    build_scope(np.arange(n_rows, dtype=np.int64), 0)
-
-    left = np.asarray(left, dtype=np.int64)
-    right = np.asarray(right, dtype=np.int64)
-    size = np.asarray(size, dtype=np.int64)
-    start = np.asarray(start, dtype=np.int64)
-    end = np.asarray(end, dtype=np.int64)
-
-    tree = ClusterTree(data, spec, left, right, size, start, end, perm, None)
+    if n_rows < 1:
+        raise ValueError("cannot build a tree over no rows")
+    n_nodes = 2 * n_rows - 1
+    left = np.full(n_nodes, -1, dtype=np.int64)
+    right = np.full(n_nodes, -1, dtype=np.int64)
+    size = np.ones(n_nodes, dtype=np.int64)
+    start = np.zeros(n_nodes, dtype=np.int64)
+    perm = np.zeros(n_rows, dtype=np.int64)
+    # the level's scopes: rows[ptr[s]:ptr[s + 1]] (sorted), the first perm
+    # position and the first node id of each; per row, its place in a block
+    rows = np.arange(n_rows, dtype=np.int64)
+    ptr = np.array([0, n_rows])
+    offset = np.zeros(1, dtype=np.int64)
+    base = np.zeros(1, dtype=np.int64)
+    eb = np.full(n_rows, -1, dtype=np.int64)
+    at = np.zeros(n_rows, dtype=np.int64)
+    bd = np.empty(0)
+    if n_rows == 1:
+        ptr = ptr[:1]
+    while ptr.size > 1:
+        n = np.diff(ptr)
+        seg = np.repeat(np.arange(n.size), n)
+        bd = _add_blocks(ws, rows, ptr, eb, at, bd)
+        m = _ceil_sqrt(n)
+        owner, d, _ = _grow_scopes(ws, rows, ptr, m, (eb, at, bd), use_pruning)
+        top = int(m.max())
+        group = seg * top + owner
+        order = np.lexsort((-d, group))  # rows ascend within a scope already
+        gsize = np.bincount(group, minlength=n.size * top).reshape(n.size, top)
+        lm, rm = _merge_scopes(ws, rows[order], group[order], gsize, m)
+        off, isz, nid = _place_merges(lm, rm, gsize, m, offset, base)
+        s, k = np.nonzero(np.arange(top - 1) < (m - 1)[:, None])
+        l, r, v = lm[s, k], rm[s, k], nid[s, top + k]
+        left[v], right[v] = nid[s, l], nid[s, r]
+        size[v], start[v] = isz[s, l] + isz[s, r], off[s, l]
+        # the anchors: a single member is a leaf, the rest the next level
+        one = gsize[seg, owner] == 1
+        perm[off[seg[one], owner[one]]] = rows[one]
+        start[nid[seg[one], owner[one]]] = off[seg[one], owner[one]]
+        nxt = np.argsort(group, kind="stable")
+        nxt = nxt[gsize[seg, owner][nxt] > 1]
+        s, a = np.nonzero(gsize > 1)
+        ptr = _offsets(gsize[s, a])
+        offset, base = off[s, a], nid[s, a] - 2 * gsize[s, a] + 2
+        rows, eb, at = rows[nxt], eb[nxt], at[nxt]
+    tree = ClusterTree(
+        data, spec, left, right, size, start, start + size, perm, None
+    )
     tree.stats = _node_stats(ws, tree)
     return tree
+
+
+def _add_blocks(ws, rows, ptr, eb, at, bd):
+    """Give every scope of at most SMALL_SCOPE rows that no block holds yet
+    its block of divergences, appended to the flat blocks `bd`: its rows
+    get their place `at` in the block and eb, where their block row starts
+    (d(row, row j of the block) is bd[eb + j]). Returns the grown `bd`."""
+    n = np.diff(ptr)
+    fresh = (eb[ptr[:-1]] < 0) & (n <= SMALL_SCOPE)
+    if not fresh.any():
+        return bd
+    n = n[fresh]
+    sel = _ranges(ptr[:-1][fresh], n)
+    blk_ptr = _offsets(n)
+    at[sel] = np.arange(sel.size) - np.repeat(blk_ptr[:-1], n)
+    eb[sel] = bd.size + np.repeat(_offsets(n**2)[:-1], n) + at[sel] * np.repeat(n, n)
+    return np.concatenate([bd, ws.div_blocks(rows[sel], blk_ptr)])
+
+
+def _place_merges(lm, rm, gsize, m, offset, base):
+    """Where the merge trees put each scope's items: for every item (anchor
+    a, or the k-th merge at M + k) its first perm position, its row count
+    and its node id. A scope's subtree is numbered in post-order from
+    `base`: its anchors' subtrees in the merge tree's in-order, then its
+    merges, so a scope of n rows has its k-th merge at base + 2n - m + k,
+    and an anchor with p anchors and r rows before it has its subtree at
+    base + 2r - p and its root 2 * size - 2 ids on."""
+    n_scopes, top = gsize.shape
+    span = 2 * top - 1
+    isz = np.zeros((n_scopes, span), dtype=np.int64)
+    cnt = np.zeros((n_scopes, span), dtype=np.int64)
+    isz[:, :top] = gsize
+    cnt[:, :top] = np.arange(top) < m[:, None]
+    steps = [(np.flatnonzero(m - 1 > k), top + k) for k in range(top - 1)]
+    for k, (a, t) in enumerate(steps):  # up the merge trees
+        for arr in (isz, cnt):
+            arr[a, t] = arr[a, lm[a, k]] + arr[a, rm[a, k]]
+    off = np.zeros((n_scopes, span), dtype=np.int64)
+    before = np.zeros((n_scopes, span), dtype=np.int64)  # anchors before
+    off[np.arange(n_scopes), top + m - 2] = offset
+    for k in range(top - 2, -1, -1):  # and down again
+        a, t = steps[k]
+        l, r = lm[a, k], rm[a, k]
+        off[a, l], before[a, l] = off[a, t], before[a, t]
+        off[a, r] = off[a, t] + isz[a, l]
+        before[a, r] = before[a, t] + cnt[a, l]
+    nid = np.zeros((n_scopes, span), dtype=np.int64)
+    sub = base[:, None] + 2 * (off[:, :top] - offset[:, None]) - before[:, :top]
+    nid[:, :top] = sub + 2 * gsize - 2
+    n = gsize.sum(axis=1)
+    nid[:, top:] = (base + 2 * n - m)[:, None] + np.arange(top - 1)
+    return off, isz, nid
+
+
+def _ceil_sqrt(n):
+    """ceil(sqrt(n)) of positive integers, exactly: the float root corrected
+    by integer comparisons."""
+    m = np.ceil(np.sqrt(n)).astype(np.int64)
+    m -= (m - 1) ** 2 >= n
+    return m + (m**2 < n)
+
+
+def _merge_scopes(ws, members, group, gsize, m):
+    """Merge trees of every scope's anchors, as (left, right) items per
+    scope in merge order (anchor a is item a; with M anchors at most, the
+    k-th merge is item M + k). Two anchors merge as the first and the
+    second; more merge greedily on their member means, which sum each
+    anchor's `members` in listed order."""
+    n_scopes, top = gsize.shape
+    lm = np.zeros((n_scopes, max(top - 1, 1)), dtype=np.int64)
+    rm = np.ones_like(lm)
+    many = np.flatnonzero(m > 2)
+    if not many.size:
+        return lm, rm
+    if ws.dim <= DENSE_DIM_CAP:
+        step = max(1, DENSE_CHUNK // (top * ws.dim))
+        for lo in range(0, many.size, step):
+            sc = many[lo : lo + step]
+            first = np.full(n_scopes, -1)  # each scope's first mean
+            first[sc] = _offsets(m[sc])[:-1]
+            keep = first[group // top] >= 0
+            g = first[group[keep] // top] + group[keep] % top
+            means = ws.group_means(members[keep], g, int(m[sc].sum()))
+            lm[sc], rm[sc] = _greedy_merge_scopes(
+                ws.spec, gsize[sc], m[sc], means, first[sc]
+            )
+        return lm, rm
+    bounds = np.cumsum(gsize.ravel())[:-1]
+    groups = np.split(members, bounds)
+    for s in many:
+        local = _agglomerate_items(
+            ws.spec,
+            gsize[s, : m[s]],
+            [ws.mean_of_rows(groups[s * top + a]) for a in range(m[s])],
+        )
+        for k, t in enumerate(range(m[s], 2 * m[s] - 1)):
+            lm[s, k], rm[s, k] = (
+                x + top - m[s] if x >= m[s] else x
+                for x in (local.left[t], local.right[t])
+            )
+    return lm, rm
 
 
 def _node_stats(ws, tree):
@@ -815,24 +1118,14 @@ def _node_stats(ws, tree):
             lc, rc = tree.left[inner], tree.right[inner]
             for arr in (s1, s2, b3, b4):
                 arr[inner] = arr[lc] + arr[rc]
-            kids = np.concatenate([lc, rc])
             _, c_idx, c3, c4 = chunks[-1]  # the children sit one level down
-            owner = np.repeat(np.tile(np.arange(inner.size), 2), nnz[kids])
-            pos = _ranges(at[kids], nnz[kids])
-            # stable: for a shared coordinate the left child's entry comes first
-            order = np.lexsort((c_idx[pos], owner))
-            owner, pos = owner[order], pos[order]
-            cat_idx = c_idx[pos]
-            first = np.ones(owner.size, dtype=bool)
-            first[1:] = (owner[1:] != owner[:-1]) | (cat_idx[1:] != cat_idx[:-1])
-            heads = np.nonzero(first)[0]
-            second = np.nonzero(~first)[0]  # the right child's entry of a pair
-            m3, m4 = c3[pos[heads]], c4[pos[heads]]
-            head_of = np.searchsorted(heads, second) - 1
-            m3[head_of] += c3[pos[second]]
-            m4[head_of] += c4[pos[second]]
-            nnz[inner] = np.bincount(owner[heads], minlength=inner.size)
-            parts.append((cat_idx[heads], m3, m4))
+            step = max(1, DENSE_CHUNK // ws.dim)
+            for lo in range(0, inner.size, step):
+                sel = inner[lo : lo + step]
+                *merged, nnz[sel] = _merge_supports(
+                    ws.dim, tree.left[sel], tree.right[sel], nnz, at, c_idx, c3, c4
+                )
+                parts.append(merged)
         nodes = np.concatenate([leaves, inner])
         at[nodes] = np.cumsum(nnz[nodes]) - nnz[nodes]
         chunks.append((nodes, *(np.concatenate(p) for p in zip(*parts))))
@@ -845,3 +1138,26 @@ def _node_stats(ws, tree):
         dst = _ranges(ptr[nodes], nnz[nodes])
         idx[dst], v3[dst], v4[dst] = c_idx, c3, c4
     return TreeStats(ws.dim, s1, s2, b3, b4, ptr, idx, v3, v4)
+
+
+def _merge_supports(dim, lc, rc, nnz, at, c_idx, c3, c4):
+    """The sparse parts of the parents of children lc[k] and rc[k], whose
+    entries sit at at[child] in (c_idx, c3, c4): the union of the two
+    supports, in column order, with the left value + the right value on a
+    shared column and the one child's value elsewhere. Returns the parents'
+    entries and their counts."""
+    k = lc.size
+    seen = np.zeros(k * dim, dtype=bool)
+    v3, v4 = np.empty(k * dim), np.empty(k * dim)
+    for right, kids in enumerate((lc, rc)):
+        pos = _ranges(at[kids], nnz[kids])
+        key = np.repeat(np.arange(k) * dim, nnz[kids]) + c_idx[pos]  # (parent, column)
+        if right:  # the right child's entries on the left child's columns
+            shared = seen[key]
+            v3[key[shared]] += c3[pos[shared]]
+            v4[key[shared]] += c4[pos[shared]]
+            key, pos = key[~shared], pos[~shared]
+        v3[key], v4[key] = c3[pos], c4[pos]
+        seen[key] = True
+    key = np.flatnonzero(seen)
+    return key % dim, v3[key], v4[key], np.count_nonzero(seen.reshape(k, dim), axis=1)

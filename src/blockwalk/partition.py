@@ -61,12 +61,9 @@ def coarsest_partition(tree):
     """Every non-root node blocked with its sibling."""
     if tree.n_points < 2:
         raise ValueError("coarsest partition requires at least 2 points")
-    a, b = [], []
-    for nid in range(tree.n_nodes):
-        if nid == tree.root:
-            continue
-        a.append(nid)
-        b.append(tree.sibling(nid))
+    a = np.delete(np.arange(tree.n_nodes), tree.root)
+    up = tree.parent[a]
+    b = np.where(tree.left[up] == a, tree.right[up], tree.left[up])
     return BlockPartition(a, b, label="coarsest")
 
 

@@ -10,7 +10,10 @@ per-row kernels and the dataset's smoothing, and the sq-euclidean block
 sum from coordinate sums and squared norms checks the general one. The
 reference tree builder grows every scope with reference_grow, which keeps
 per-anchor sorted member lists where the library keeps two arrays over the
-scope and reads a small scope's divergences from one block. The test-scale
+scope and reads a small scope's divergences from one block, and which
+evaluates the divergences to one pivot at a time with np.bincount
+(div_to_pivot) where the library takes those of a whole tree level from one
+sparse product per step. The test-scale
 helpers (the dense expansion of a compressed model, per-row block lists and
 the exhaustive partition check) and the round-by-round refinement loop live
 here too, and so does the fixed-count label-spreading loop that the
@@ -198,6 +201,26 @@ def tree_stats(dim, stats):
     )
 
 
+def row_kernel(ws, j):
+    """Pivot row j and its gradient values on a dense row of width dim."""
+    lo, hi = ws.starts[j], ws.starts[j] + ws.nnz_row[j]
+    gdense = np.zeros(ws.dim)
+    gdense[ws.csr.indices[lo:hi]] = ws.g_val[lo:hi]
+    return j, gdense
+
+
+def div_to_pivot(ws, rows, kernel):
+    """d(x_i, x_j) for the rows i and the pivot row j of `kernel`, each dot
+    product summed by np.bincount over row i's stored terms: the arithmetic
+    the library's sparse products must reproduce bit for bit."""
+    j, gdense = kernel
+    flat, lens = ws._gather(rows)
+    seg = np.repeat(np.arange(rows.size), lens)
+    prod = ws.csr.data[flat] * gdense[ws.csr.indices[flat]]
+    dots = np.bincount(seg, weights=prod, minlength=rows.size)
+    return ws._finish(rows, j, dots)
+
+
 def _sorted_by_dist(rows, dists):
     order = np.lexsort((rows, -dists))
     return rows[order], dists[order]
@@ -212,7 +235,7 @@ def reference_grow(ws, scope, m, use_pruning):
     if m < 1 or m > n:
         raise ValueError(f"anchor count m={m} must be in 1..{n}")
     first = int(scope.min())
-    d0 = ws.div_to_pivot(scope, ws.row_kernel(first))
+    d0 = div_to_pivot(ws, scope, row_kernel(ws, first))
     members, dists = _sorted_by_dist(scope.copy(), d0)
     pivot = ws.row_ov(first)
     anchors = [Anchor(pivot, first, members, dists)]
@@ -247,7 +270,7 @@ def reference_grow(ws, scope, m, use_pruning):
             pivots[top, np.searchsorted(cols, new_pivot.idx)] += new_pivot.val
             pivot_rows[top] = new_row
             limits = _no_steal_limits(
-                ws, pivot_rows[: top + 1], pivots[: top + 1], cols
+                ws, pivot_rows[:top], pivots[:top], pivot_rows[top], pivots[top], cols
             )
         cuts = []
         for k, a in enumerate(anchors):
@@ -257,9 +280,10 @@ def reference_grow(ws, scope, m, use_pruning):
                 cut = a.members.size
             cuts.append(max(cut, 1) if k == donor_i else cut)
         # one evaluation for the candidates of every anchor
-        dn_all = ws.div_to_pivot(
+        dn_all = div_to_pivot(
+            ws,
             np.concatenate([a.members[:c] for a, c in zip(anchors, cuts)]),
-            ws.row_kernel(new_row),
+            row_kernel(ws, new_row),
         )
         stolen_rows, stolen_d = [], []
         pos = 0

@@ -1,10 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from blockwalk.anchor_tree import (
     Anchor,
     _Block,
+    _ceil_sqrt,
+    _first_max,
+    _greedy_merge,
+    _greedy_merge_scopes,
     _grow,
+    _grow_scopes,
     _thresholds,
     _Workspace,
     agglomerate_anchors,
@@ -39,7 +46,14 @@ from conftest import (
     sample_in_domain,
     smoothed_counts,
 )
-from oracles import ov_grad, ov_xdotgrad, reference_cluster_tree, reference_grow
+from oracles import (
+    div_to_pivot,
+    ov_grad,
+    ov_xdotgrad,
+    reference_cluster_tree,
+    reference_grow,
+    row_kernel,
+)
 
 
 def dense_to_data(X):
@@ -532,7 +546,7 @@ class TestSmallScopeBaseCase:
             g = ov_grad(ws.spec, pivot)
             gdense = np.zeros(d)
             gdense[g.idx] = g.val
-            row, kernel_dense = ws.row_kernel(j)
+            row, kernel_dense = row_kernel(ws, j)
             assert row == j
             assert (ws.g_base_row[j], ws.g_val_sum[j]) == (g.base, g.val_sum)
             assert ws.phi_row[j] == ov_phi(ws.spec, pivot)
@@ -546,7 +560,7 @@ class TestSmallScopeBaseCase:
         alphas = block_topic_alphas(3, dim, 0.8)
         data, _ = generate_synthetic(SyntheticSpec(alphas, np.full(3, 20.0), n, [7, n]))
         ws = _Workspace(smooth(data, 0.5), DivergenceSpec("gid", dim, epsilon=0.5))
-        own = [ws.div_to_pivot(np.array([j]), ws.row_kernel(j))[0] for j in range(n)]
+        own = [div_to_pivot(ws, np.array([j]), row_kernel(ws, j))[0] for j in range(n)]
         assert np.count_nonzero(own) == 0
         assert np.count_nonzero(np.diag(ws.div_block(np.arange(16)))) == 0
 
@@ -557,7 +571,7 @@ class TestSmallScopeBaseCase:
         rows = np.sort(rng.choice(30, size=11, replace=False))
         block = ws.div_block(rows)
         for j, r in enumerate(rows):
-            assert np.array_equal(block[:, j], ws.div_to_pivot(rows, ws.row_kernel(r)))
+            assert np.array_equal(block[:, j], div_to_pivot(ws, rows, row_kernel(ws, r)))
 
     @staticmethod
     def assert_grow_matches_reference(ws, scope, m):
@@ -607,6 +621,105 @@ class TestSmallScopeBaseCase:
                 self.assert_grow_matches_reference(ws, np.arange(40), m)
                 scope = rng.choice(np.arange(1, 40), size=16, replace=False)
                 self.assert_grow_matches_reference(ws, scope, m % 16 + 1)
+
+
+class TestLevelBatching:
+    """build_cluster_tree grows and merges all scopes of a level together;
+    every scope must come out as it does alone."""
+
+    @pytest.mark.parametrize("d", [3, 9, 5000])
+    @pytest.mark.parametrize("kind", ["gid", "sq-euclidean", "mahalanobis"])
+    def test_scopes_grow_as_one_each(self, kind, d):
+        # disjoint scopes of one corpus, the first ones read from blocks of
+        # divergences, the rest from the sparse products; each against the
+        # per-anchor reference grower on that scope alone, bit for bit
+        rng = np.random.default_rng(d + 1)
+        eps = 0.0 if kind == "mahalanobis" else 0.5
+        base = random_count_matrix(rng, 90, d, density=min(0.5, 50 / d))
+        rows = [base.row(i) for i in range(90)]
+        for i, j in rng.integers(0, 90, (12, 2)):
+            rows[j] = rows[i]
+        ws = _Workspace(smooth(DataMatrix.from_rows(rows, d), eps), make_spec(kind, d, rng, epsilon=eps))
+        for trial in range(4):
+            sizes = rng.integers(2, 17, 8)
+            scopes = np.split(rng.permutation(90)[: sizes.sum()], np.cumsum(sizes)[:-1])
+            scopes = [np.sort(sc) for sc in scopes]
+            ptr = np.r_[0, np.cumsum(sizes)]
+            m = np.array([rng.integers(1, n + 1) for n in sizes])
+            flat = np.concatenate(scopes)
+            eb = np.full(flat.size, -1)
+            at = np.zeros(flat.size, dtype=np.int64)
+            held = ptr[3] if trial % 2 else 0  # scopes 0-2 read blocks
+            at[:held] = np.concatenate([np.arange(n) for n in sizes[:3]])[:held]
+            firsts = np.repeat(np.r_[0, np.cumsum(sizes[:3] ** 2)][:-1], sizes[:3])[:held]
+            eb[:held] = firsts + at[:held] * np.repeat(sizes[:3], sizes[:3])[:held]
+            bd = ws.div_blocks(flat[:held], ptr[:4] if held else np.array([0]))
+            for use_pruning in (True, False):
+                owner, dist, pivots = _grow_scopes(ws, flat, ptr, m, (eb, at, bd), use_pruning)
+                for s, scope in enumerate(scopes):
+                    want = reference_grow(ws, scope, int(m[s]), use_pruning)
+                    got = slice(ptr[s], ptr[s + 1])
+                    assert flat[pivots[s, : m[s]]].tolist() == [a.pivot_row for a in want]
+                    order = np.lexsort((flat[got], -dist[got], owner[got]))
+                    bounds = np.cumsum([a.size for a in want])[:-1]
+                    for a, mem, dis in zip(
+                        want,
+                        np.split(flat[got][order], bounds),
+                        np.split(dist[got][order], bounds),
+                    ):
+                        assert np.array_equal(mem, a.members)
+                        assert dis.tobytes() == a.dists.tobytes()
+
+    @pytest.mark.parametrize("kind", ["gid", "sq-euclidean"])
+    def test_merges_match_the_heap(self, kind):
+        # scopes of 2-12 items, many with copied rows and sizes (tied costs),
+        # some with 1e200 coordinates (costs overflow to inf and NaN)
+        rng = np.random.default_rng(11)
+        for d in (1, 4, 30):
+            spec = make_spec(kind, d, epsilon=0.5)
+            n_scopes, top = 40, 12
+            m = rng.integers(2, top + 1, n_scopes)
+            rows = rng.uniform(0.5, 9.0, (n_scopes, top, d))
+            sizes = rng.integers(1, 6, (n_scopes, top))
+            for s in range(0, n_scopes, 3):
+                rows[s, 1::2] = rows[s, 0]
+                sizes[s] = 2
+            if kind == "sq-euclidean":
+                rows[5, 1, 0] = rows[9, 0, 0] = 1e200
+            means = np.concatenate([rows[s, : m[s]] for s in range(n_scopes)])
+            first = np.r_[0, np.cumsum(m)[:-1]]
+            with np.errstate(over="ignore", invalid="ignore"):
+                left, right = _greedy_merge_scopes(spec, sizes, m, means, first)
+                for s in range(n_scopes):
+                    tree = _greedy_merge(spec, sizes[s, : m[s]], rows[s, : m[s]])
+                    want = [
+                        [x + top - m[s] if x >= m[s] else x for x in (i, j)]
+                        for i, j, _ in tree.merges
+                    ]
+                    got = np.stack([left[s], right[s]], axis=1)[: m[s] - 1]
+                    assert got.tolist() == want, s
+
+    def test_first_max_follows_argmax(self):
+        # the first donor with the largest value, NaN before everything
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            sizes = rng.integers(1, 9, rng.integers(1, 6))
+            starts = np.r_[0, np.cumsum(sizes)[:-1]]
+            part = np.repeat(np.arange(sizes.size), sizes)
+            d = rng.choice([0.0, -0.0, 1.0, 2.0, np.inf, -np.inf, np.nan], part.size)
+            donor = rng.random(part.size) < 0.6
+            donor[starts] = True
+            want = [
+                lo + np.flatnonzero(donor[lo : lo + n])[
+                    np.argmax(d[lo : lo + n][donor[lo : lo + n]])
+                ]
+                for lo, n in zip(starts, sizes)
+            ]
+            assert _first_max(d, donor, part, starts).tolist() == want
+
+    def test_ceil_sqrt(self):
+        n = np.r_[np.arange(1, 200_000), [10**12, 10**12 + 1, 2**40 - 1, 2**40 + 1]]
+        assert _ceil_sqrt(n).tolist() == [math.isqrt(int(k) - 1) + 1 for k in n]
 
 
 class TestDuplicateRows:
