@@ -350,7 +350,7 @@ def _thresholds(spec, pivots, new_pivot, cols=None):
     phi_y = _phi_terms(spec, y, cols)
     da = phi_y - _phi_terms(spec, pivots, cols) - (y - pivots) * g
     db = phi_y - _phi_terms(spec, new_pivot, cols) - (y - new_pivot) * g_new
-    return 0.5 * (da + db).sum(axis=1), y
+    return 0.5 * (da + db).sum(axis=-1), y
 
 
 def _no_steal_limits(ws, cur_rows, cur, new_rows, new, cols):
@@ -359,7 +359,8 @@ def _no_steal_limits(ws, cur_rows, cur, new_rows, new, cols):
     threshold less a rounding slack. `cur_rows` and `new_rows` are the
     pivots' data rows. A member on two pivots' bisector sits at the
     threshold in exact arithmetic and rounding alone decides whether it
-    moves, so it is evaluated as an unpruned build evaluates it."""
+    moves, so it is evaluated as an unpruned build evaluates it. The
+    arrays may carry leading axes that broadcast against each other."""
     thr, _ = _thresholds(ws.spec, cur, new, cols)
     mag = np.abs(ws.phi_row) + np.abs(ws.s2_row)
     return thr - TIE_SLACK * (mag[cur_rows] + mag[new_rows])
@@ -426,7 +427,8 @@ def _grow_scopes(ws, rows, ptr, m, lookup, use_pruning):
 
 def _grow_alike(ws, rows, ptr, m, lookup, use_pruning):
     """_grow_scopes over scopes that all read a block (`lookup` is
-    (eb, at, bd)) or all take sparse products (`lookup` is None)."""
+    (eb, at, bd)) or all take sparse products (`lookup` is None). The
+    product matrix keeps the rows of the scopes still growing only."""
     n_scopes = ptr.size - 1
     seg = np.repeat(np.arange(n_scopes), np.diff(ptr))
     top = int(m.max())
@@ -436,26 +438,33 @@ def _grow_alike(ws, rows, ptr, m, lookup, use_pruning):
         eb, at, bd = lookup
         use_pruning = False
 
-    def div(cand, p, piv):
-        """Divergence of each entry cand[k] to the pivot entry p[k]; `piv`
+    def div(ev, p, piv):
+        """Divergence of each entry cand[ev] to the pivot entry p[ev]; `piv`
         lists the pivot entries of every scope in play."""
+        c, p = cand[ev], p[ev]
         if lookup is not None:
-            return bd[eb[cand] + at[p]]
+            return bd[eb[c] + at[p]]
         # each scope's pivot gradient on its (scope, column) keys
         flat, lens = ws._gather(rows[piv])
         grad = np.zeros(keys.size)
         where = np.repeat(seg[piv] * ws.dim, lens) + ws.csr.indices[flat]
         grad[np.searchsorted(keys, where)] = ws.g_val[flat]
-        return ws._finish(rows[cand], rows[p], (mat @ grad)[cand])
+        return ws._finish(rows[c], rows[p], (mat @ grad)[ev])
 
     pivots = np.full((n_scopes, top), -1, dtype=np.int64)
     pivots[:, 0] = ptr[:-1]
     owner = np.zeros(rows.size, dtype=np.int64)
-    d = div(np.arange(rows.size), ptr[:-1][seg], ptr[:-1])
+    cand = np.arange(rows.size)
+    every = slice(None)
+    d = div(every, ptr[:-1][seg], ptr[:-1])
     for t in range(1, top):
-        if t == 1 or np.any(m == t):  # the scopes still growing
+        if t == 1 or np.any(m == t):  # drop the scopes done growing
+            keep = np.flatnonzero(m[seg[cand]] > t)
+            if keep.size < cand.size:
+                cand = cand[keep]
+                if lookup is None:
+                    mat = mat[keep]
             live = np.flatnonzero(m > t)
-            cand = _ranges(ptr[live], np.diff(ptr)[live])
             part = np.repeat(np.arange(live.size), np.diff(ptr)[live])
             starts = _offsets(np.diff(ptr)[live])[:-1]
         dc = d[cand]
@@ -463,19 +472,19 @@ def _grow_alike(ws, rows, ptr, m, lookup, use_pruning):
         donor = np.bincount(key, minlength=live.size * top)[key] >= 2
         new = cand[_first_max(dc, donor, part, starts)]
         p = new[part]
-        evaluated = slice(None)
+        ev = every
         if use_pruning:
-            cur = rows[pivots[live, :t]].ravel()
-            cols, dense = ws.pivot_rows(np.concatenate([cur, rows[new]]))
+            cur = rows[pivots[live, :t]]
+            cols, dense = ws.pivot_rows(np.concatenate([cur.ravel(), rows[new]]))
             limits = _no_steal_limits(
-                ws, cur, dense[: cur.size], np.repeat(rows[new], t),
-                np.repeat(dense[cur.size :], t, axis=0), cols,
+                ws, cur, dense[: cur.size].reshape(live.size, t, -1),
+                rows[new][:, None], dense[cur.size :, None], cols,
             )
             # a NaN limit prunes nothing
-            evaluated = ~(dc < limits[part * t + owner[cand]]) | (cand == p)
-        dn = div(cand[evaluated], p[evaluated], new)
-        move = (dn < dc[evaluated]) | (cand[evaluated] == p[evaluated])
-        moved = cand[evaluated][move]
+            ev = np.flatnonzero(~(dc < limits[part, owner[cand]]) | (cand == p))
+        dn = div(ev, p, new)
+        move = (dn < dc[ev]) | (cand[ev] == p[ev])
+        moved = cand[ev][move]
         owner[moved] = t
         d[moved] = dn[move]
         pivots[live, t] = new

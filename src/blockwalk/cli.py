@@ -293,12 +293,17 @@ def cmd_propagate(args):
         for k, rid in enumerate(ids):
             name = labels.names[classes[k]]
             fh.write(f"{rid},{name},{scores[k, classes[k]]:.12g}\n")
-    truth = np.array([labels.assignments[rid] for rid in ids])
-    scored = np.array([rid not in labeled for rid in ids])
-    per_class = {
-        labels.names[c]: float(np.mean(classes[scored & (truth == c)] == c))
-        for c in np.unique(truth[scored])
-    }
+    per_class = {}
+    for cls in range(labels.n_classes):
+        rows = [
+            k
+            for k, rid in enumerate(ids)
+            if rid not in labeled and labels.assignments[rid] == cls
+        ]
+        if rows:
+            per_class[labels.names[cls]] = sum(
+                1 for k in rows if classes[k] == cls
+            ) / len(rows)
     metrics = {
         "accuracy": accuracy,
         "per_class_accuracy": per_class,
@@ -351,8 +356,12 @@ def _method_operator(family, kind, data, args, seed):
         model, _, _, timings = build_model(
             data, spec, args.partition, max_finest_n=args.max_exact_n
         )
-        phases = ("tree_seconds", "partition_seconds", "optimize_seconds")
-        return model, sum(timings[k] for k in phases)
+        build_s = (
+            timings["tree_seconds"]
+            + timings["partition_seconds"]
+            + timings["optimize_seconds"]
+        )
+        return model, build_s
     if data.n_rows > args.max_exact_n:
         raise ValueError(
             f"exact method refused for N={data.n_rows} > --max-exact-n={args.max_exact_n}"
@@ -603,9 +612,13 @@ def main(argv=None):
     if args.command == "experiment" and not args.scaling_rows and args.fractions is None:
         parser.error("experiment: provide --fractions or --scaling-rows")
     try:
-        command = {"synth": cmd_synth, "approximate": cmd_approximate,
-                   "propagate": cmd_propagate, "experiment": cmd_experiment}
-        return command[args.command](args)
+        if args.command == "synth":
+            return cmd_synth(args)
+        if args.command == "approximate":
+            return cmd_approximate(args)
+        if args.command == "propagate":
+            return cmd_propagate(args)
+        return cmd_experiment(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

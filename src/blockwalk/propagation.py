@@ -170,6 +170,5 @@ def evaluate_accuracy(pred, truth, ids, labeled_ids):
     eval_rows = [k for k, rid in enumerate(ids) if rid not in labeled_ids]
     if not eval_rows:
         raise ValueError("labeled set covers all rows; accuracy undefined")
-    want = [truth.assignments[ids[k]] for k in eval_rows]
-    hits = int(np.count_nonzero(np.asarray(pred)[eval_rows] == want))
+    hits = sum(1 for k in eval_rows if pred[k] == truth.assignments[ids[k]])
     return hits / len(eval_rows)
