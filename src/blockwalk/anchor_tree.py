@@ -12,16 +12,16 @@ a step evaluates the divergences of a level's rows to their scopes' new
 pivots in one sparse product. A scope of at most SMALL_SCOPE rows computes
 its pairwise divergences once, in one block that the scopes below it read.
 
-Stealing during the growing phase can prune with a threshold below which a
-member provably cannot be closer to the new pivot, generalizing the
-Euclidean halfway rule. Members within a rounding slack of the threshold
-stay candidates, so that a row exactly on two pivots' bisector moves as it
-would without pruning, and the tree is the same either way. One batched
-function evaluates that threshold at every vocabulary width, on dense pivot
-rows restricted to the union of the pivots' stored columns: a column where
-every pivot sits at the smoothing offset adds nothing to the bound. Pruning
-is off by default: the rows it skips cost less in the sparse product than
-the thresholds cost to evaluate.
+The paper's no-steal bound, behind steal_threshold, generalizes the
+Euclidean halfway rule: a row whose divergence to its current pivot is at
+or below the threshold of that pivot and a new one cannot be closer to the
+new one. The grower does not prune with it: a step evaluates every growing
+row of a level in one sparse product anyway, so pruning would only skip the
+arithmetic after that product, and evaluating the thresholds costs more:
+tree builds with pruning on / off took 0.36 / 0.26 s at N=8000, d=50, 0.19
+/ 0.13 s on refine-apply-n4000 and 1.05 / 0.80 s on wide-d5000 (best of 5,
+2-core host). The tests keep a pruned reference grower, whose trees must be
+the package's.
 
 Every node has four additive statistics (sum of generator values, sum of
 x'grad(x), coordinate sums, gradient sums) that later decouple per-block
@@ -212,24 +212,6 @@ class _Workspace:
         )
         return mat, keys, flat
 
-    def _columns(self, flat):
-        """The sorted distinct columns of the entries `flat`, and the
-        position of each entry's column among them."""
-        idx = self.csr.indices[flat]
-        seen = np.zeros(self.dim, dtype=bool)
-        seen[idx] = True
-        cols = np.flatnonzero(seen)
-        return cols, np.searchsorted(cols, idx)
-
-    def pivot_rows(self, rows):
-        """The sorted union `cols` of the stored columns of `rows`, and the
-        rows as dense rows over it: eps + value, as OffsetVec.to_dense."""
-        flat, lens = self._gather(rows)
-        cols, at = self._columns(flat)
-        out = np.full((rows.size, cols.size), self.eps)
-        out[np.repeat(np.arange(rows.size), lens), at] += self.csr.data[flat]
-        return cols, out
-
     def _xgrad(self, rows, pivots, dots):
         """x_i'grad(x_j) for rows i and pivot rows j, given the dot products
         of row i's stored values with pivot j's gradient values."""
@@ -248,11 +230,6 @@ class _Workspace:
         # differences vanish exactly at i == j, so d(x_j, x_j) is 0.
         xg = self._xgrad(rows, pivots, dots)
         return (self.phi_row[rows] - self.phi_row[pivots]) - (xg - self.s2_row[pivots])
-
-    def div_block(self, rows):
-        """d(x_i, x_j) for all i, j in `rows`, row j as the pivot."""
-        n = rows.size
-        return self.div_blocks(rows, np.array([0, n])).reshape(n, n)
 
     def div_blocks(self, rows, ptr):
         """The blocks of divergences of the row groups rows[ptr[b]:ptr[b + 1]],
@@ -353,19 +330,6 @@ def _thresholds(spec, pivots, new_pivot, cols=None):
     return 0.5 * (da + db).sum(axis=-1), y
 
 
-def _no_steal_limits(ws, cur_rows, cur, new_rows, new, cols):
-    """Divergence to each current pivot (row k of `cur`) below which a
-    member cannot move to the new pivot of row k of `new`: the no-steal
-    threshold less a rounding slack. `cur_rows` and `new_rows` are the
-    pivots' data rows. A member on two pivots' bisector sits at the
-    threshold in exact arithmetic and rounding alone decides whether it
-    moves, so it is evaluated as an unpruned build evaluates it. The
-    arrays may carry leading axes that broadcast against each other."""
-    thr, _ = _thresholds(ws.spec, cur, new, cols)
-    mag = np.abs(ws.phi_row) + np.abs(ws.s2_row)
-    return thr - TIE_SLACK * (mag[cur_rows] + mag[new_rows])
-
-
 # Agglomeration merges dense pivot rows up to this width and OffsetVec
 # pivots above it. Best-of-3 tree builds with dense merges on each scope's
 # stored columns at every width: N=1000 d=10000 1.31 -> 2.03 s, d=20000
@@ -373,7 +337,6 @@ def _no_steal_limits(ws, cur_rows, cur, new_rows, new, cols):
 # N=4000: 0.60-0.65 -> 1.17-1.24 s.
 DENSE_DIM_CAP = 4096
 SMALL_SCOPE = 16  # scopes up to this size grow from one block of divergences
-TIE_SLACK = 1e-12  # relative to the pivots' generator and x'grad(x) sums
 STAT_CHUNK = 1 << 16  # sparse statistic entries per chunk of block pairs
 KEY_TABLE = 1 << 21  # (group, column) keys numbered by a table up to this many
 DENSE_CHUNK = 1 << 21  # dense values per chunk of merged scopes or parents
@@ -392,7 +355,7 @@ def _first_max(d, donor, part, starts):
     return pick[first]
 
 
-def _grow_scopes(ws, rows, ptr, m, lookup, use_pruning):
+def _grow_scopes(ws, rows, ptr, m, lookup):
     """Grow m[s] anchors over every scope rows[ptr[s]:ptr[s + 1]] (sorted
     rows, at least two) at once; returns each entry's anchor and its
     divergence to that anchor's pivot, and the pivots as entry positions.
@@ -403,10 +366,8 @@ def _grow_scopes(ws, rows, ptr, m, lookup, use_pruning):
     pivot when it is strictly closer to it; the new pivot always moves.
     Every scope takes one step at a time, until it has its m anchors.
     `lookup` is (eb, at, bd): an entry with eb >= 0 lies in a scope held by
-    a block of divergences, where d(entry, pivot p) is bd[eb + at[p]], and
-    is never pruned. The other scopes get their divergences from one sparse
-    product per step; with pruning, only the rows at or above their
-    anchor's no-steal limit are evaluated."""
+    a block of divergences, where d(entry, pivot p) is bd[eb + at[p]]. The
+    other scopes get their divergences from one sparse product per step."""
     eb, at, bd = lookup
     n = np.diff(ptr)
     owner = np.zeros(rows.size, dtype=np.int64)
@@ -419,13 +380,13 @@ def _grow_scopes(ws, rows, ptr, m, lookup, use_pruning):
             continue
         sel = _ranges(ptr[s], n[s])
         sub = (eb[sel], at[sel], bd) if blocked else None
-        got = _grow_alike(ws, rows[sel], _offsets(n[s]), m[s], sub, use_pruning)
+        got = _grow_alike(ws, rows[sel], _offsets(n[s]), m[s], sub)
         owner[sel], d[sel] = got[0], got[1]
         pivots[s, : got[2].shape[1]] = np.where(got[2] >= 0, sel[got[2]], -1)
     return owner, d, pivots
 
 
-def _grow_alike(ws, rows, ptr, m, lookup, use_pruning):
+def _grow_alike(ws, rows, ptr, m, lookup):
     """_grow_scopes over scopes that all read a block (`lookup` is
     (eb, at, bd)) or all take sparse products (`lookup` is None). The
     product matrix keeps the rows of the scopes still growing only."""
@@ -436,27 +397,24 @@ def _grow_alike(ws, rows, ptr, m, lookup, use_pruning):
         mat, keys, _ = ws.keyed_rows(rows, seg)
     else:
         eb, at, bd = lookup
-        use_pruning = False
 
-    def div(ev, p, piv):
-        """Divergence of each entry cand[ev] to the pivot entry p[ev]; `piv`
-        lists the pivot entries of every scope in play."""
-        c, p = cand[ev], p[ev]
+    def div(p, piv):
+        """Divergence of each entry of cand to the pivot entry p of its
+        scope; `piv` lists the pivot entries of every scope in play."""
         if lookup is not None:
-            return bd[eb[c] + at[p]]
+            return bd[eb[cand] + at[p]]
         # each scope's pivot gradient on its (scope, column) keys
         flat, lens = ws._gather(rows[piv])
         grad = np.zeros(keys.size)
         where = np.repeat(seg[piv] * ws.dim, lens) + ws.csr.indices[flat]
         grad[np.searchsorted(keys, where)] = ws.g_val[flat]
-        return ws._finish(rows[c], rows[p], (mat @ grad)[ev])
+        return ws._finish(rows[cand], rows[p], mat @ grad)
 
     pivots = np.full((n_scopes, top), -1, dtype=np.int64)
     pivots[:, 0] = ptr[:-1]
     owner = np.zeros(rows.size, dtype=np.int64)
     cand = np.arange(rows.size)
-    every = slice(None)
-    d = div(every, ptr[:-1][seg], ptr[:-1])
+    d = div(ptr[:-1][seg], ptr[:-1])
     for t in range(1, top):
         if t == 1 or np.any(m == t):  # drop the scopes done growing
             keep = np.flatnonzero(m[seg[cand]] > t)
@@ -472,42 +430,25 @@ def _grow_alike(ws, rows, ptr, m, lookup, use_pruning):
         donor = np.bincount(key, minlength=live.size * top)[key] >= 2
         new = cand[_first_max(dc, donor, part, starts)]
         p = new[part]
-        ev = every
-        if use_pruning:
-            cur = rows[pivots[live, :t]]
-            cols, dense = ws.pivot_rows(np.concatenate([cur.ravel(), rows[new]]))
-            limits = _no_steal_limits(
-                ws, cur, dense[: cur.size].reshape(live.size, t, -1),
-                rows[new][:, None], dense[cur.size :, None], cols,
-            )
-            # a NaN limit prunes nothing
-            ev = np.flatnonzero(~(dc < limits[part, owner[cand]]) | (cand == p))
-        dn = div(ev, p, new)
-        move = (dn < dc[ev]) | (cand[ev] == p[ev])
-        moved = cand[ev][move]
+        dn = div(p, new)
+        move = (dn < dc) | (cand == p)
+        moved = cand[move]
         owner[moved] = t
         d[moved] = dn[move]
         pivots[live, t] = new
     return owner, d, pivots
 
 
-def _grow(ws, scope, m, use_pruning, block=None):
+def _grow(ws, scope, m):
     """Grow m anchors over `scope`: the pivot rows, each anchor's members
     sorted by nonincreasing divergence to its pivot (ties to the lowest
-    row) and those divergences. A `_Block` holding the scope supplies every
-    divergence, so there is nothing to prune."""
+    row) and those divergences."""
     n = scope.size
     if m < 1 or m > n:
         raise ValueError(f"anchor count m={m} must be in 1..{n}")
     rows = np.sort(scope)
-    if block is None:
-        lookup = (np.full(n, -1), np.zeros(n, dtype=np.int64), np.empty(0))
-    else:
-        at = np.searchsorted(block.rows, rows)
-        lookup = (at * block.rows.size, at, block.d.ravel())
-    owner, d, pivots = _grow_scopes(
-        ws, rows, np.array([0, n]), np.array([m]), lookup, use_pruning
-    )
+    lookup = (np.full(n, -1), np.zeros(n, dtype=np.int64), np.empty(0))
+    owner, d, pivots = _grow_scopes(ws, rows, np.array([0, n]), np.array([m]), lookup)
     order = np.lexsort((rows, -d, owner))
     bounds = np.cumsum(np.bincount(owner, minlength=m))[:-1]
     return (
@@ -517,24 +458,11 @@ def _grow(ws, scope, m, use_pruning, block=None):
     )
 
 
-class _Block:
-    """Every divergence between two rows of a small scope, evaluated at once:
-    d[i, j] is d(rows[i], rows[j])."""
-
-    def __init__(self, ws, scope):
-        self.rows = np.sort(scope)
-        self.d = ws.div_block(self.rows)
-
-
-def grow_anchors(data, spec, m, scope=None, use_pruning=False):
+def grow_anchors(data, spec, m):
     """Grow m anchors over the (smoothed) data; every point lands with the
-    pivot minimizing its divergence among all m pivots. use_pruning
-    evaluates only the rows at or above their anchor's no-steal limit; the
-    anchors are the same either way."""
+    pivot minimizing its divergence among all m pivots."""
     ws = _Workspace(data, spec)
-    if scope is None:
-        scope = np.arange(data.n_rows, dtype=np.int64)
-    pivots, members, dists = _grow(ws, scope, m, use_pruning)
+    pivots, members, dists = _grow(ws, np.arange(data.n_rows, dtype=np.int64), m)
     return [
         Anchor(ws.row_ov(p), int(p), mem, dis)
         for p, mem, dis in zip(pivots, members, dists)
@@ -926,25 +854,20 @@ class ClusterTree:
         n = self.size[nid]
         return OffsetVec(s3.dim, s3.base / n, s3.idx, s3.val / n)
 
-    def node_stats(self, nid):
-        return self.stats[nid]
-
     def bregman_information(self, nid):
         """Mean divergence of a node's members to the node mean."""
         n = self.size[nid]
         return self.stats[nid].s1 / n - ov_phi(self.spec, self.pivot(nid))
 
 
-def build_cluster_tree(data, spec, use_pruning=False):
+def build_cluster_tree(data, spec):
     """Grow-and-agglomerate recursively down to singleton leaves.
 
     The recursion runs one level at a time: every scope of a level grows its
     anchors together (_grow_scopes) and merges them together
     (_greedy_merge_scopes); the anchors with two or more members are the
     next level's scopes. Node ids, `perm` and the ranges are those of the
-    scope-by-scope recursion (_place_merges). use_pruning evaluates only
-    the rows at or above their anchor's no-steal limit; the tree is the
-    same either way."""
+    scope-by-scope recursion (_place_merges)."""
     ws = _Workspace(data, spec)
     n_rows = data.n_rows
     if n_rows < 1:
@@ -971,7 +894,7 @@ def build_cluster_tree(data, spec, use_pruning=False):
         seg = np.repeat(np.arange(n.size), n)
         bd = _add_blocks(ws, rows, ptr, eb, at, bd)
         m = _ceil_sqrt(n)
-        owner, d, _ = _grow_scopes(ws, rows, ptr, m, (eb, at, bd), use_pruning)
+        owner, d, _ = _grow_scopes(ws, rows, ptr, m, (eb, at, bd))
         top = int(m.max())
         group = seg * top + owner
         order = np.lexsort((-d, group))  # rows ascend within a scope already

@@ -13,7 +13,12 @@ per-anchor sorted member lists where the library keeps two arrays over the
 scope and reads a small scope's divergences from one block, and which
 evaluates the divergences to one pivot at a time with np.bincount
 (div_to_pivot) where the library takes those of a whole tree level from one
-sparse product per step. The test-scale
+sparse product per step. It is also the only grower that prunes: with
+use_pruning it skips the members below their anchor's no-steal limit
+(the paper's bound, _thresholds, less a rounding slack), and its trees must
+still be the library's, which evaluates every row. div_block and pivot_rows
+give one scope's block of divergences and its pivots as dense rows over
+their stored columns. The test-scale
 helpers (the dense expansion of a compressed model, per-row block lists and
 the exhaustive partition check) and the round-by-round refinement loop live
 here too, and so does the fixed-count label-spreading loop that the
@@ -32,7 +37,7 @@ from blockwalk.anchor_tree import (
     NodeStats,
     TreeStats,
     _agglomerate_items,
-    _no_steal_limits,
+    _thresholds,
     _Workspace,
 )
 from blockwalk.divergence import (
@@ -219,6 +224,48 @@ def div_to_pivot(ws, rows, kernel):
     prod = ws.csr.data[flat] * gdense[ws.csr.indices[flat]]
     dots = np.bincount(seg, weights=prod, minlength=rows.size)
     return ws._finish(rows, j, dots)
+
+
+def div_block(ws, rows):
+    """d(x_i, x_j) for all i, j in `rows`, row j as the pivot."""
+    n = rows.size
+    return ws.div_blocks(rows, np.array([0, n])).reshape(n, n)
+
+
+def _columns(ws, flat):
+    """The sorted distinct columns of the entries `flat`, and the
+    position of each entry's column among them."""
+    idx = ws.csr.indices[flat]
+    seen = np.zeros(ws.dim, dtype=bool)
+    seen[idx] = True
+    cols = np.flatnonzero(seen)
+    return cols, np.searchsorted(cols, idx)
+
+
+def pivot_rows(ws, rows):
+    """The sorted union `cols` of the stored columns of `rows`, and the
+    rows as dense rows over it: eps + value, as OffsetVec.to_dense."""
+    flat, lens = ws._gather(rows)
+    cols, at = _columns(ws, flat)
+    out = np.full((rows.size, cols.size), ws.eps)
+    out[np.repeat(np.arange(rows.size), lens), at] += ws.csr.data[flat]
+    return cols, out
+
+
+TIE_SLACK = 1e-12  # relative to the pivots' generator and x'grad(x) sums
+
+
+def _no_steal_limits(ws, cur_rows, cur, new_rows, new, cols):
+    """Divergence to each current pivot (row k of `cur`) below which a
+    member cannot move to the new pivot of row k of `new`: the no-steal
+    threshold less a rounding slack. `cur_rows` and `new_rows` are the
+    pivots' data rows. A member on two pivots' bisector sits at the
+    threshold in exact arithmetic and rounding alone decides whether it
+    moves, so it is evaluated as an unpruned build evaluates it. The
+    arrays may carry leading axes that broadcast against each other."""
+    thr, _ = _thresholds(ws.spec, cur, new, cols)
+    mag = np.abs(ws.phi_row) + np.abs(ws.s2_row)
+    return thr - TIE_SLACK * (mag[cur_rows] + mag[new_rows])
 
 
 def _sorted_by_dist(rows, dists):

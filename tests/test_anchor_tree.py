@@ -5,7 +5,6 @@ import pytest
 
 from blockwalk.anchor_tree import (
     Anchor,
-    _Block,
     _ceil_sqrt,
     _first_max,
     _greedy_merge,
@@ -47,9 +46,11 @@ from conftest import (
     smoothed_counts,
 )
 from oracles import (
+    div_block,
     div_to_pivot,
     ov_grad,
     ov_xdotgrad,
+    pivot_rows,
     reference_cluster_tree,
     reference_grow,
     row_kernel,
@@ -171,8 +172,8 @@ class TestGrowAnchors:
         for kind, eps in (("gid", 0.5), ("sq-euclidean", 0.0), ("itakura-saito", 0.5)):
             data = smoothed_counts(rng, 80, 7, epsilon=eps)
             spec = make_spec(kind, 7, epsilon=eps)
-            on = grow_anchors(data, spec, 9, use_pruning=True)
-            off = grow_anchors(data, spec, 9, use_pruning=False)
+            on = reference_grow(_Workspace(data, spec), np.arange(80), 9, True)
+            off = grow_anchors(data, spec, 9)
             for a, b in zip(on, off):
                 assert np.array_equal(a.members, b.members)
 
@@ -269,7 +270,7 @@ class TestClusterTree:
         spec = DivergenceSpec("gid", 2)
         tree = build_cluster_tree(data, spec)
         assert tree.n_nodes == 1
-        st = tree.node_stats(0)
+        st = tree.stats[0]
         assert st.s1 == pytest.approx(phi(spec, [1.0, 2.0]))
 
     def test_four_points_structure(self, rng):
@@ -307,7 +308,7 @@ class TestClusterTree:
         spec = DivergenceSpec("gid", 6, epsilon=0.5)
         tree = build_cluster_tree(data, spec)
         np.testing.assert_allclose(
-            tree.node_stats(tree.root).s3.to_dense(),
+            tree.stats[tree.root].s3.to_dense(),
             data.to_dense().sum(axis=0),
             rtol=1e-12,
         )
@@ -327,8 +328,8 @@ class TestClusterTree:
         for kind, eps in (("gid", 0.5), ("sq-euclidean", 0.0)):
             data = smoothed_counts(rng, 64, 6, epsilon=eps)
             spec = make_spec(kind, 6, epsilon=eps)
-            a = build_cluster_tree(data, spec, use_pruning=True)
-            b = build_cluster_tree(data, spec, use_pruning=False)
+            a = reference_cluster_tree(data, spec, use_pruning=True)
+            b = build_cluster_tree(data, spec)
             assert np.array_equal(a.perm, b.perm)
             assert np.array_equal(a.left, b.left)
             assert np.array_equal(a.right, b.right)
@@ -342,8 +343,8 @@ class TestClusterTree:
             data = smooth(random_count_matrix(rng, 299, 3), 0.0)
             spec = make_spec("mahalanobis", 3, rng)
             assert_same_tree(
-                build_cluster_tree(data, spec, use_pruning=True),
-                build_cluster_tree(data, spec, use_pruning=False),
+                build_cluster_tree(data, spec),
+                reference_cluster_tree(data, spec, use_pruning=True),
             )
 
     def test_sparse_and_dense_paths_build_same_tree(self, rng, monkeypatch):
@@ -381,7 +382,7 @@ class TestNodeStats:
         data = smooth(dense_to_data(np.array([[1.0, 2.0]])), 0.0)
         spec = DivergenceSpec("gid", 2)
         tree = build_cluster_tree(data, spec)
-        st = tree.node_stats(0)
+        st = tree.stats[0]
         assert st.s1 == pytest.approx(-1.613706, abs=1e-6)
         assert st.s2 == pytest.approx(1.386294, abs=1e-6)
         np.testing.assert_allclose(st.s3.to_dense(), [1.0, 2.0])
@@ -391,7 +392,7 @@ class TestNodeStats:
         data = smooth(dense_to_data(np.array([[1.0, 2.0], [2.0, 1.0]])), 0.0)
         spec = DivergenceSpec("gid", 2)
         tree = build_cluster_tree(data, spec)
-        st = tree.node_stats(tree.root)
+        st = tree.stats[tree.root]
         assert st.s1 == pytest.approx(-3.227411, abs=1e-6)
         assert st.s2 == pytest.approx(2.772589, abs=1e-6)
         np.testing.assert_allclose(st.s3.to_dense(), [3.0, 3.0])
@@ -404,9 +405,9 @@ class TestNodeStats:
         for nid in range(tree.n_nodes):
             if tree.is_leaf(nid):
                 continue
-            a = tree.node_stats(tree.left[nid])
-            b = tree.node_stats(tree.right[nid])
-            c = tree.node_stats(nid)
+            a = tree.stats[tree.left[nid]]
+            b = tree.stats[tree.right[nid]]
+            c = tree.stats[nid]
             assert c.s1 == pytest.approx(a.s1 + b.s1, rel=1e-12)
             assert c.s2 == pytest.approx(a.s2 + b.s2, rel=1e-12)
             np.testing.assert_allclose(
@@ -425,7 +426,7 @@ class TestNodeStats:
         pick = rng.choice(tree.n_nodes, size=10, replace=False)
         for nid in pick:
             rows = tree.subtree_rows(nid)
-            st = tree.node_stats(nid)
+            st = tree.stats[nid]
             s1 = sum(phi(spec, dense[r]) for r in rows)
             s2 = sum(float(dense[r] @ grad_phi(spec, dense[r])) for r in rows)
             s3 = dense[rows].sum(axis=0)
@@ -504,7 +505,7 @@ class TestSmallScopeBaseCase:
             spec = make_spec(kind, 8, epsilon=0.5)
             use_pruning = trial % 4 != 3
             assert_same_tree(
-                build_cluster_tree(data, spec, use_pruning),
+                build_cluster_tree(data, spec),
                 reference_cluster_tree(data, spec, use_pruning),
             )
 
@@ -562,23 +563,33 @@ class TestSmallScopeBaseCase:
         ws = _Workspace(smooth(data, 0.5), DivergenceSpec("gid", dim, epsilon=0.5))
         own = [div_to_pivot(ws, np.array([j]), row_kernel(ws, j))[0] for j in range(n)]
         assert np.count_nonzero(own) == 0
-        assert np.count_nonzero(np.diag(ws.div_block(np.arange(16)))) == 0
+        assert np.count_nonzero(np.diag(div_block(ws, np.arange(16)))) == 0
 
     @pytest.mark.parametrize("d", [9, 5000])
     def test_div_block_matches_div_to_pivot(self, d, rng):
         data = smoothed_counts(rng, 30, d, epsilon=0.5, density=min(0.5, 60 / d))
         ws = _Workspace(data, DivergenceSpec("gid", d, epsilon=0.5))
         rows = np.sort(rng.choice(30, size=11, replace=False))
-        block = ws.div_block(rows)
+        block = div_block(ws, rows)
         for j, r in enumerate(rows):
             assert np.array_equal(block[:, j], div_to_pivot(ws, rows, row_kernel(ws, r)))
 
     @staticmethod
-    def assert_grow_matches_reference(ws, scope, m):
+    def grow_from_block(ws, scope, m):
+        """_grow's anchors with every divergence read from the scope's block."""
+        rows = np.sort(scope)
+        n = rows.size
+        lookup = (np.arange(n) * n, np.arange(n), div_block(ws, rows).ravel())
+        owner, d, pivots = _grow_scopes(ws, rows, np.array([0, n]), np.array([m]), lookup)
+        order = np.lexsort((rows, -d, owner))
+        bounds = np.cumsum(np.bincount(owner, minlength=m))[:-1]
+        return rows[pivots[0]], np.split(rows[order], bounds), np.split(d[order], bounds)
+
+    def assert_grow_matches_reference(self, ws, scope, m):
+        got = [_grow(ws, scope, m), self.grow_from_block(ws, scope, m)]
         for use_pruning in (True, False):
             want = reference_grow(ws, scope, m, use_pruning)
-            for block in (None, _Block(ws, scope)):
-                pivots, members, dists = _grow(ws, scope, m, use_pruning, block)
+            for pivots, members, dists in got:
                 assert pivots.tolist() == [a.pivot_row for a in want]
                 for a, mem, dis in zip(want, members, dists):
                     assert np.array_equal(mem, a.members)
@@ -589,8 +600,8 @@ class TestSmallScopeBaseCase:
         "kind", ["gid", "sq-euclidean", "itakura-saito", "mahalanobis"]
     )
     def test_grow_matches_reference(self, kind, d):
-        # with and without the block, pruned or not: the pivots, members and
-        # divergences of the per-anchor reference grower, bit for bit
+        # with and without the block: the pivots, members and divergences of
+        # the per-anchor reference grower, pruned or not, bit for bit
         rng = np.random.default_rng(d)
         eps = 0.0 if kind == "mahalanobis" else 0.5
         base = random_count_matrix(rng, 80, d, density=min(0.5, 50 / d))
@@ -615,7 +626,7 @@ class TestSmallScopeBaseCase:
         data = smooth(DataMatrix.from_rows(rows, 6), 0.0)
         with np.errstate(invalid="ignore", over="ignore"):
             ws = _Workspace(data, make_spec("sq-euclidean", 6))
-            d = _Block(ws, np.arange(40)).d
+            d = div_block(ws, np.arange(40))
             assert np.isnan(d).any() and np.isinf(d).any()
             for m in (2, 7, 40):
                 self.assert_grow_matches_reference(ws, np.arange(40), m)
@@ -654,8 +665,8 @@ class TestLevelBatching:
             firsts = np.repeat(np.r_[0, np.cumsum(sizes[:3] ** 2)][:-1], sizes[:3])[:held]
             eb[:held] = firsts + at[:held] * np.repeat(sizes[:3], sizes[:3])[:held]
             bd = ws.div_blocks(flat[:held], ptr[:4] if held else np.array([0]))
+            owner, dist, pivots = _grow_scopes(ws, flat, ptr, m, (eb, at, bd))
             for use_pruning in (True, False):
-                owner, dist, pivots = _grow_scopes(ws, flat, ptr, m, (eb, at, bd), use_pruning)
                 for s, scope in enumerate(scopes):
                     want = reference_grow(ws, scope, int(m[s]), use_pruning)
                     got = slice(ptr[s], ptr[s + 1])
@@ -753,7 +764,7 @@ class TestDuplicateRows:
             data = smooth(random_count_matrix(rng, n, d, max_count=3), 0.5)
             spec = make_spec(kind, d, epsilon=0.5)
             use_pruning = trial % 4 != 3
-            tree = build_cluster_tree(data, spec, use_pruning)
+            tree = build_cluster_tree(data, spec)
             assert tree.n_nodes == 2 * n - 1
             assert_same_tree(tree, reference_cluster_tree(data, spec, use_pruning))
 
@@ -775,7 +786,7 @@ class TestWideVocabulary:
     def test_stored_columns_match_full_width(self, kind, d):
         data, spec = self.corpus(kind, 12, d, seed=d)
         rows = np.array([0, 3, 7, 11])
-        cols, piv = _Workspace(data, spec).pivot_rows(rows)
+        cols, piv = pivot_rows(_Workspace(data, spec), rows)
         got, _ = _thresholds(spec, piv[:-1], piv[-1], cols)
         dense = data.to_dense()
         want = [steal_threshold(spec, dense[r], dense[rows[-1]])[0] for r in rows[:-1]]
@@ -783,7 +794,8 @@ class TestWideVocabulary:
 
     def test_sparse_mahalanobis_builds(self):
         # every pruned mahalanobis build with sparse rows above the dense
-        # agglomeration width used to fail in the threshold
+        # agglomeration width used to fail in the threshold; the reference
+        # builder prunes
         data, spec = self.corpus("mahalanobis", 40, 5000, seed=5)
         tree = build_cluster_tree(data, spec)
         assert tree.n_nodes == 79
@@ -792,6 +804,7 @@ class TestWideVocabulary:
     @pytest.mark.parametrize("kind", ["gid", "sq-euclidean", "mahalanobis"])
     def test_pruning_invariance_matches_reference(self, kind):
         data, spec = self.corpus(kind, 60, 5000, seed=60)
-        on = build_cluster_tree(data, spec, use_pruning=True)
-        assert_same_tree(build_cluster_tree(data, spec, use_pruning=False), on)
-        assert_same_tree(on, reference_cluster_tree(data, spec))
+        assert_same_tree(
+            build_cluster_tree(data, spec),
+            reference_cluster_tree(data, spec, use_pruning=True),
+        )

@@ -85,7 +85,7 @@ class TestBlockDivergenceSum:
         part = auto_refine(coarsest_partition(tree), tree, 40)
         want = []
         for a, b in zip(part.a, part.b):
-            sa, sb = tree.node_stats(a), tree.node_stats(b)
+            sa, sb = tree.stats[a], tree.stats[b]
             want.append(
                 tree.size[b] * sa.s1
                 + tree.size[a] * (sb.s2 - sb.s1)
@@ -105,8 +105,8 @@ class TestBlockDivergenceSum:
             a, b = int(part.a[k]), int(part.b[k])
             fast = fast_all[k]
             legacy = euclidean_block_divergence_sum(
-                tree.node_stats(a),
-                tree.node_stats(b),
+                tree.stats[a],
+                tree.stats[b],
                 tree.size[a],
                 tree.size[b],
                 spec,
