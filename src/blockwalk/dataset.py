@@ -53,6 +53,11 @@ class DataMatrix:
             raise ValueError("row ids must be unique")
         if self.indptr.shape != (self.n_rows + 1,) or self.indptr[0] != 0:
             raise ValueError("malformed indptr")
+        lens = np.diff(self.indptr)
+        if np.any(lens < 0):
+            raise ValueError(
+                f"malformed indptr: row {int(np.argmax(lens < 0))} ends before it starts"
+            )
         if self.indptr[-1] != self.indices.size or self.indices.size != self.values.size:
             raise ValueError("indptr/indices/values sizes disagree")
         if self.indices.size:
@@ -60,22 +65,22 @@ class DataMatrix:
                 raise ValueError("column index out of bounds")
             if not np.all(self.values > 0):
                 raise ValueError("stored values must be > 0 (zeros are implicit)")
-            for i in range(self.n_rows):
-                row = self.indices[self.indptr[i] : self.indptr[i + 1]]
-                if row.size > 1 and np.any(np.diff(row) <= 0):
-                    raise ValueError(f"row {i}: column indices not strictly increasing")
+            # one step per adjacent pair of entries; a step into a row's
+            # first entry crosses a row boundary and may go down
+            bad = np.diff(self.indices) <= 0
+            starts = self.indptr[1:-1]
+            bad[starts[(starts > 0) & (starts < self.indices.size)] - 1] = False
+            if bad.any():
+                i = int(np.searchsorted(self.indptr, np.argmax(bad), side="right")) - 1
+                raise ValueError(f"row {i}: column indices not strictly increasing")
 
     @classmethod
     def from_rows(cls, rows, n_cols, ids=None):
         """Build from a list of (indices, values) pairs."""
+        idx_parts = [np.asarray(idx, dtype=np.int64) for idx, _ in rows]
+        val_parts = [np.asarray(val, dtype=np.float64) for _, val in rows]
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        idx_parts, val_parts = [], []
-        for i, (idx, val) in enumerate(rows):
-            idx = np.asarray(idx, dtype=np.int64)
-            val = np.asarray(val, dtype=np.float64)
-            indptr[i + 1] = indptr[i] + idx.size
-            idx_parts.append(idx)
-            val_parts.append(val)
+        np.cumsum([idx.size for idx in idx_parts], out=indptr[1:])
         indices = np.concatenate(idx_parts) if idx_parts else np.empty(0, np.int64)
         values = np.concatenate(val_parts) if val_parts else np.empty(0, np.float64)
         if ids is None:
@@ -312,6 +317,12 @@ def write_labels(path, ids, labels):
 # platforms.
 # ---------------------------------------------------------------------------
 
+# Dense count values per batched multinomial draw. The int64 count block and
+# the rows of pvals gathered for it (512 KB each) stay within a 2 MB L2
+# cache: at d=5000, blocks of 2^20 values drew about 8% slower than one call
+# per row, blocks of 2^16 as fast; at d=50 the two sizes draw alike.
+CHUNK_VALUES = 1 << 16
+
 
 @dataclass
 class SyntheticSpec:
@@ -346,19 +357,32 @@ class SyntheticSpec:
 
 
 def generate_synthetic(spec):
-    """Draw (DataMatrix, LabelSet); deterministic given the seed."""
+    """Draw (DataMatrix, LabelSet); deterministic given the seed.
+
+    The counts are drawn a chunk of rows at a time by one batched
+    multinomial call, which takes the rows in order from the same stream as
+    one call per row would, so the corpus does not depend on the chunking."""
     rng = np.random.default_rng(spec.seed)
     comps = rng.integers(0, spec.k, size=spec.n_rows)
     lengths = rng.poisson(spec.lambdas[comps])
-    rows = []
-    for i in range(spec.n_rows):
-        counts = rng.multinomial(lengths[i], spec.alphas[comps[i]])
-        nz = np.nonzero(counts)[0]
-        rows.append((nz.astype(np.int64), counts[nz].astype(np.float64)))
+    step = max(1, CHUNK_VALUES // spec.dim)
+    indptr = np.zeros(spec.n_rows + 1, dtype=np.int64)
+    idx_parts, val_parts = [], []
+    for lo in range(0, spec.n_rows, step):
+        hi = min(lo + step, spec.n_rows)
+        counts = rng.multinomial(lengths[lo:hi], spec.alphas[comps[lo:hi]])
+        rows, cols = np.nonzero(counts)  # row-major: columns ascend per row
+        indptr[lo + 1 : hi + 1] = np.bincount(rows, minlength=hi - lo)
+        idx_parts.append(cols)
+        val_parts.append(counts[rows, cols].astype(np.float64))
+    np.cumsum(indptr, out=indptr)
     ids = [str(i + 1) for i in range(spec.n_rows)]
-    data = DataMatrix.from_rows(rows, spec.dim, ids)
+    data = DataMatrix(
+        spec.n_rows, spec.dim, indptr, np.concatenate(idx_parts),
+        np.concatenate(val_parts), ids,
+    )
     names = [str(k) for k in range(spec.k)]
-    labels = LabelSet({ids[i]: int(comps[i]) for i in range(spec.n_rows)}, names)
+    labels = LabelSet(dict(zip(ids, comps.tolist())), names)
     return data, labels
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -136,6 +136,9 @@ class BlockParams:
     converged: bool = True
     residual: float = 0.0
     sweeps: int = 0  # tree passes run: 2 (up, down), 1 when max_sweeps < 2
+    # (tree, partition, block divergence sums) of the fit, so the bound on
+    # that same tree and partition need not sum the blocks again
+    fit_sums: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -158,7 +161,8 @@ def optimize_q(tree, partition, spec=None, data=None, tol=1e-10, max_sweeps=10_0
     """
     a, n_nodes = partition.a, tree.n_nodes
     nb = tree.size[partition.b].astype(np.float64)
-    dbar = block_divergence_sums(tree, partition) / (tree.size[a] * nb)
+    dvec = block_divergence_sums(tree, partition)
+    dbar = dvec / (tree.size[a] * nb)
     if not np.all(np.isfinite(dbar)):
         raise ValueError("non-finite block divergence sum")
     s = np.log(nb) - dbar
@@ -187,7 +191,10 @@ def optimize_q(tree, partition, spec=None, data=None, tol=1e-10, max_sweeps=10_0
                 child = log_r[k] + w[k] - v[k] if v[k] > -math.inf else -math.inf
                 log_r[left[k]] = log_r[right[k]] = child
     logq = np.array(log_r)[a] - np.array(v)[a] - dbar  # s_B - log|B| = -dbar_B
-    params = BlockParams(values=np.exp(logq), log_values=logq, sweeps=sweeps)
+    params = BlockParams(
+        values=np.exp(logq), log_values=logq, sweeps=sweeps,
+        fit_sums=(tree, partition, dvec),
+    )
     res = constraint_residuals(tree, partition, params)
     params.residual = float(np.max(np.abs(res)))
     params.converged = params.residual <= tol
@@ -209,8 +216,14 @@ def _logaddexp(x, y):
 
 
 def lower_bound(params, partition, tree, spec=None, data=None):
-    """Evaluate the bound exactly for given block parameters."""
-    dvec = block_divergence_sums(tree, partition)
+    """Evaluate the bound exactly for given block parameters. The block
+    divergence sums are those the parameters were fit on when they were fit
+    on this same tree and partition, and are summed afresh otherwise."""
+    fit = params.fit_sums
+    if fit is not None and fit[0] is tree and fit[1] is partition:
+        dvec = fit[2]
+    else:
+        dvec = block_divergence_sums(tree, partition)
     q = params.values
     ncells = (tree.size[partition.a] * tree.size[partition.b]).astype(np.float64)
     qd = float(dvec @ q)

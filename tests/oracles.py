@@ -22,7 +22,10 @@ their stored columns. The test-scale
 helpers (the dense expansion of a compressed model, per-row block lists and
 the exhaustive partition check) and the round-by-round refinement loop live
 here too, and so does the fixed-count label-spreading loop that the
-early-exit loop must reproduce bit for bit.
+early-exit loop must reproduce bit for bit. The ingest references draw a
+synthetic corpus one row at a time (one multinomial call per row, the rows
+joined by a running indptr) and check a CSR triple one row at a time, the
+routes the batched draw and the whole-array DataMatrix check must match.
 """
 import math
 from dataclasses import dataclass
@@ -40,6 +43,7 @@ from blockwalk.anchor_tree import (
     _thresholds,
     _Workspace,
 )
+from blockwalk.dataset import DataMatrix, LabelSet
 from blockwalk.divergence import (
     _grad_terms,
     _scalar_base,
@@ -506,3 +510,64 @@ def reference_auto_refine(p, tree, rounds):
             side = "a" if tree.size[a] >= tree.size[b] else "b"
         p = refine_partition(p, Block(a, b), tree, side=side)
     return p
+
+
+def reference_synthetic(spec):
+    """generate_synthetic's corpus drawn one row at a time: one multinomial
+    call per row, each row's nonzero counts appended behind a running
+    indptr."""
+    rng = np.random.default_rng(spec.seed)
+    comps = rng.integers(0, spec.k, size=spec.n_rows)
+    lengths = rng.poisson(spec.lambdas[comps])
+    indptr = np.zeros(spec.n_rows + 1, dtype=np.int64)
+    idx_parts, val_parts = [], []
+    for i in range(spec.n_rows):
+        counts = rng.multinomial(lengths[i], spec.alphas[comps[i]])
+        nz = np.nonzero(counts)[0]
+        indptr[i + 1] = indptr[i] + nz.size
+        idx_parts.append(nz.astype(np.int64))
+        val_parts.append(counts[nz].astype(np.float64))
+    ids = [str(i + 1) for i in range(spec.n_rows)]
+    data = DataMatrix(
+        spec.n_rows, spec.dim, indptr, np.concatenate(idx_parts),
+        np.concatenate(val_parts), ids,
+    )
+    labels = LabelSet(
+        {ids[i]: int(comps[i]) for i in range(spec.n_rows)},
+        [str(k) for k in range(spec.k)],
+    )
+    return data, labels
+
+
+def reference_validate(n_rows, n_cols, indptr, indices, values, ids):
+    """DataMatrix's checks in their order, each row checked on its own;
+    returns the message of the first that fails, or None."""
+    indptr = np.asarray(indptr, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    ids = list(ids)
+    if n_rows < 1:
+        return "empty dataset"
+    if n_cols < 1:
+        return "n_cols must be positive"
+    if len(ids) != n_rows:
+        return "ids length does not match n_rows"
+    if len(set(ids)) != n_rows:
+        return "row ids must be unique"
+    if indptr.shape != (n_rows + 1,) or indptr[0] != 0:
+        return "malformed indptr"
+    for i in range(n_rows):
+        if indptr[i + 1] < indptr[i]:
+            return f"malformed indptr: row {i} ends before it starts"
+    if indptr[-1] != indices.size or indices.size != values.size:
+        return "indptr/indices/values sizes disagree"
+    if indices.size:
+        if indices.min() < 0 or indices.max() >= n_cols:
+            return "column index out of bounds"
+        if not np.all(values > 0):
+            return "stored values must be > 0 (zeros are implicit)"
+        for i in range(n_rows):
+            row = indices[indptr[i] : indptr[i + 1]]
+            if row.size > 1 and np.any(np.diff(row) <= 0):
+                return f"row {i}: column indices not strictly increasing"
+    return None

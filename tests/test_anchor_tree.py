@@ -808,3 +808,30 @@ class TestWideVocabulary:
             build_cluster_tree(data, spec),
             reference_cluster_tree(data, spec, use_pruning=True),
         )
+
+    @pytest.mark.parametrize("kind", ["gid", "sq-euclidean", "mahalanobis"])
+    def test_pruning_invariance_on_clustered_wide_rows(self, kind):
+        # sparse random rows at d=5000 are all about equally far apart, so
+        # no row lies near its pivot and an unsound limit (1.5x the
+        # threshold) prunes nothing that should move. These rows hold
+        # counts 1..9 on five columns spread over the vocabulary and a 1 on
+        # one column of their own, so they sit at every distance from
+        # their pivots and such a limit changes the reference's tree.
+        n, d = 200, 5000
+        rng = np.random.default_rng(205)
+        low = random_count_matrix(rng, n, 5)
+        spread = np.arange(5) * 1000 + 500
+        own = rng.integers(0, 500, n) + 1000 * rng.integers(0, 5, n)
+        rows = []
+        for i in range(n):
+            idx, val = low.row(i)
+            idx = np.append(spread[idx], own[i])
+            order = np.argsort(idx)
+            rows.append((idx[order], np.append(val, 1.0)[order]))
+        eps = 0.0 if kind == "mahalanobis" else 0.5
+        data = smooth(DataMatrix.from_rows(rows, d), eps)
+        spec = make_spec(kind, d, rng, epsilon=eps)
+        assert_same_tree(
+            build_cluster_tree(data, spec),
+            reference_cluster_tree(data, spec, use_pruning=True),
+        )

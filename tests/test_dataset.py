@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import blockwalk.dataset as dataset
 from blockwalk.dataset import (
     DataMatrix,
     SyntheticSpec,
@@ -15,7 +18,73 @@ from blockwalk.dataset import (
 from blockwalk.divergence import DivergenceSpec, DomainError
 
 from conftest import random_count_matrix
-from oracles import ov_divergence
+from oracles import ov_divergence, reference_synthetic, reference_validate
+
+
+def check_message(n_rows, n_cols, indptr, indices, values, ids):
+    """The message DataMatrix raises for a CSR triple, or None."""
+    try:
+        DataMatrix(n_rows, n_cols, indptr, indices, values, ids)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def csr_triples(draw):
+    """Small CSR triples, mostly well formed: each row holds 0..4 columns,
+    sorted and distinct or, one row in five, as drawn (repeats, any order);
+    now and then a stored 0 or two indptr entries swapped."""
+    n_rows = draw(st.integers(1, 6))
+    n_cols = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(n_rows):
+        row = draw(st.lists(st.integers(0, n_cols - 1), max_size=4))
+        rows.append(row if draw(st.integers(0, 4)) == 0 else sorted(set(row)))
+    indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+    if n_rows > 1 and draw(st.integers(0, 9)) == 0:
+        i = draw(st.integers(1, n_rows - 1))
+        indptr[i], indptr[i + 1] = indptr[i + 1], indptr[i]
+    indices = [c for r in rows for c in r]
+    values = draw(
+        st.lists(st.sampled_from([1.0, 2.0, 3.5]), min_size=len(indices),
+                 max_size=len(indices))
+    )
+    if values and draw(st.integers(0, 9)) == 0:
+        values[draw(st.integers(0, len(values) - 1))] = 0.0
+    return n_rows, n_cols, indptr, indices, values, [str(i) for i in range(n_rows)]
+
+
+class TestDataMatrixChecks:
+    def test_decreasing_indptr_rejected(self):
+        # row 1 would span indices[3:2], -1 entries, and csr() used to
+        # build a matrix from it without a word
+        with pytest.raises(ValueError, match="malformed indptr: row 1"):
+            DataMatrix(3, 4, [0, 3, 2, 3], [0, 1, 2], [1.0, 1.0, 1.0], "abc")
+
+    @pytest.mark.parametrize(
+        "indptr, indices, want",
+        [
+            ([0, 2, 4], [1, 3, 3, 4], None),  # equal columns across rows
+            ([0, 2, 4], [1, 3, 0, 2], None),  # columns go down across rows
+            ([0, 0, 2, 2], [1, 3], None),  # empty first and last rows
+            ([0, 0, 0, 0], [], None),  # every row empty
+            ([0, 1, 3], [2, 3, 3], "row 1: column indices not strictly increasing"),
+            ([0, 0, 3, 3], [0, 2, 1], "row 1: column indices not strictly increasing"),
+            ([0, 2, 2, 4], [1, 2, 4, 0], "row 2: column indices not strictly increasing"),
+            ([0, 3, 3], [0, 1, 0], "row 0: column indices not strictly increasing"),
+        ],
+    )
+    def test_column_order(self, indptr, indices, want):
+        n = len(indptr) - 1
+        args = (n, 5, indptr, indices, [1.0] * len(indices), [str(i) for i in range(n)])
+        assert check_message(*args) == want
+        assert reference_validate(*args) == want
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(csr_triples())
+    def test_same_verdict_as_per_row_reference(self, triple):
+        assert check_message(*triple) == reference_validate(*triple)
 
 
 class TestLoadUciBow:
@@ -199,3 +268,63 @@ class TestSynthetic:
         a = block_topic_alphas(3, 17, overlap=0.4)
         np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-12)
         assert a.shape == (3, 17)
+
+
+class TestSyntheticMatchesReference:
+    """The batched draw against the per-row reference, byte for byte."""
+
+    @staticmethod
+    def assert_same(spec):
+        data, labels = generate_synthetic(spec)
+        want, want_labels = reference_synthetic(spec)
+        for name in ("indptr", "indices", "values"):
+            got, exp = getattr(data, name), getattr(want, name)
+            assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes(), name
+        assert (data.n_rows, data.n_cols, data.ids) == (want.n_rows, want.n_cols, want.ids)
+        assert labels == want_labels
+        return data
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_component_counts(self, k):
+        spec = SyntheticSpec(
+            block_topic_alphas(k, 23), np.linspace(4.0, 30.0, k), n_rows=300, seed=k
+        )
+        self.assert_same(spec)
+
+    def test_one_row(self):
+        self.assert_same(SyntheticSpec(block_topic_alphas(2, 9), [5.0, 5.0], 1, seed=3))
+
+    def test_zero_length_rows(self):
+        spec = SyntheticSpec(block_topic_alphas(3, 12), [0.2, 0.5, 1.0], 400, seed=8)
+        data = self.assert_same(spec)
+        lens = np.diff(data.indptr)
+        assert (lens == 0).sum() > 100
+
+    def test_wide_vocabulary_across_chunks(self):
+        rows_per_chunk = dataset.CHUNK_VALUES // 5000
+        spec = SyntheticSpec(
+            block_topic_alphas(3, 5000), np.full(3, 80.0), 2 * rows_per_chunk + 7, seed=4
+        )
+        self.assert_same(spec)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_independent_of_chunking(self, chunk, monkeypatch):
+        monkeypatch.setattr(dataset, "CHUNK_VALUES", chunk)
+        spec = SyntheticSpec(block_topic_alphas(3, 30), np.full(3, 12.0), 97, seed=chunk)
+        self.assert_same(spec)
+
+    # the corpora of the benchmark's workloads: (N, d, overlap, mean length),
+    # three classes, seed [42, N]
+    @pytest.mark.parametrize(
+        "n, d, overlap, mean_length",
+        [
+            (8000, 50, 0.3, 80.0),  # tier1-n8000
+            (1000, 5000, 0.3, 80.0),  # wide-d5000
+            (4000, 50, 0.8, 20.0),  # refine-apply-n4000 and dense-n4000 share it
+        ],
+    )
+    def test_benchmark_corpora(self, n, d, overlap, mean_length):
+        spec = SyntheticSpec(
+            block_topic_alphas(3, d, overlap), np.full(3, mean_length), n, [42, n]
+        )
+        self.assert_same(spec)

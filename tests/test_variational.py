@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import blockwalk.variational as variational
 from blockwalk.anchor_tree import build_cluster_tree
+from blockwalk.cli import build_model
 from blockwalk.dataset import (
     SyntheticSpec,
     block_topic_alphas,
@@ -16,6 +20,7 @@ from blockwalk.partition import (
     finest_partition,
 )
 from blockwalk.variational import (
+    BlockParams,
     block_divergence_sums,
     constraint_residuals,
     exact_loglik,
@@ -293,6 +298,63 @@ class TestLowerBound:
                 assert ell >= prev - 1e-9
             prev = ell
             part = auto_refine(part, tree, 1)
+
+
+class TestBlockSumsOnce:
+    """The bound reuses the block sums of the fit only for its own tree and
+    partition."""
+
+    @staticmethod
+    def fitted(rng, n=30):
+        data = smoothed_counts(rng, n, 5)
+        spec = DivergenceSpec("gid", 5, epsilon=0.5)
+        tree = build_cluster_tree(data, spec)
+        part = auto_refine(coarsest_partition(tree), tree, 12)
+        return tree, part, optimize_q(tree, part, spec, data)
+
+    @staticmethod
+    def bare(params):
+        """The same parameters with no fit attached: the bound sums afresh."""
+        return BlockParams(params.values, params.log_values)
+
+    def test_build_model_sums_once(self, rng, monkeypatch):
+        calls = []
+        real = variational.block_divergence_sums
+
+        def counted(tree, partition):
+            calls.append(partition)
+            return real(tree, partition)
+
+        monkeypatch.setattr(variational, "block_divergence_sums", counted)
+        data = smoothed_counts(rng, 30, 5).base
+        spec = DivergenceSpec("gid", 5, epsilon=0.5)
+        model, report, _, _ = build_model(data, spec, "refine:12")
+        assert len(calls) == 1
+        want = lower_bound(self.bare(model.params), model.partition, model.tree)
+        assert report.ell == want.ell
+        np.testing.assert_array_equal(report.d_ab, want.d_ab)
+
+    def test_other_partition_sums_afresh(self, rng):
+        tree, part, params = self.fitted(rng)
+        # the same blocks in reverse order, with the parameters moved along:
+        # the fit's sums, in the fit's order, would pair with the wrong q
+        flipped = BlockPartition(part.a[::-1], part.b[::-1])
+        moved = replace(
+            params, values=params.values[::-1], log_values=params.log_values[::-1]
+        )
+        got = lower_bound(moved, flipped, tree)
+        assert got.ell == lower_bound(self.bare(moved), flipped, tree).ell
+        np.testing.assert_array_equal(got.d_ab, block_divergence_sums(tree, flipped))
+        assert got.ell == pytest.approx(lower_bound(params, part, tree).ell, rel=1e-12)
+
+    def test_other_tree_sums_afresh(self, rng):
+        tree, part, params = self.fitted(rng)
+        # a tree on other rows of the same size: same node ids, other sums
+        other, _, _ = self.fitted(rng)
+        got = lower_bound(params, part, other)
+        want = lower_bound(self.bare(params), part, other)
+        assert got.ell == want.ell
+        assert got.ell != lower_bound(params, part, tree).ell
 
 
 class TestExactLoglik:
