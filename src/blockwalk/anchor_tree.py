@@ -507,17 +507,6 @@ class AggloTree:
     root: int
     merges: list  # (i, j, cost) in merge order
 
-    def inorder_leaves(self):
-        out, stack = [], [self.root]
-        while stack:
-            t = stack.pop()
-            if self.left[t] < 0:
-                out.append(t)
-            else:
-                stack.append(self.right[t])
-                stack.append(self.left[t])
-        return out
-
 
 def _agglomerate_items(spec, sizes, pivots):
     k = len(sizes)
@@ -795,6 +784,8 @@ class ClusterTree:
 
     Nodes are indexed so children precede parents; each node's members form a
     contiguous range of `perm`. The pivot of a node is its member mean.
+    `levels` holds the node ids of each depth in ascending order, root
+    first: top-down passes walk it forward, bottom-up passes in reverse.
     `stats` is the tree's TreeStats. `data` is optional: a deserialized tree
     keeps its statistics but not the rows they were built from.
     """
@@ -816,13 +807,14 @@ class ClusterTree:
         inner = np.nonzero(left >= 0)[0]
         self.parent[left[inner]] = inner
         self.parent[right[inner]] = inner
-        depth = np.zeros(self.n_nodes, dtype=np.int64)
-        level = np.array([self.root])
+        self.levels, level = [], np.array([self.root])
         while level.size:  # one depth at a time, from the root down
+            self.levels.append(level)
             level = level[left[level] >= 0]
-            level = np.concatenate([left[level], right[level]])
-            depth[level] = depth[self.parent[level]] + 1
-        self.depth = depth
+            level = np.sort(np.concatenate([left[level], right[level]]))
+        self.depth = np.empty(self.n_nodes, dtype=np.int64)
+        for lv, nodes in enumerate(self.levels):
+            self.depth[nodes] = lv
         leaf_ids = np.nonzero(left < 0)[0]
         self.leaf_of_row = np.empty(self.n_points, dtype=np.int64)
         self.leaf_of_row[perm[start[leaf_ids]]] = leaf_ids
@@ -839,12 +831,6 @@ class ClusterTree:
 
     def is_leaf(self, nid):
         return self.left[nid] < 0
-
-    def sibling(self, nid):
-        p = self.parent[nid]
-        if p < 0:
-            raise ValueError("root has no sibling")
-        return int(self.right[p] if self.left[p] == nid else self.left[p])
 
     def subtree_rows(self, nid):
         return self.perm[self.start[nid] : self.end[nid]]
@@ -1024,7 +1010,8 @@ def _merge_scopes(ws, members, group, gsize, m):
 
 
 def _node_stats(ws, tree):
-    """TreeStats of every node, one depth level at a time from the deepest.
+    """TreeStats of every node, one level of tree.levels at a time from the
+    deepest.
 
     Leaves take their row's values; a parent's sums are left + right, and
     its sparse parts take the union of the children's supports, adding the
@@ -1032,13 +1019,12 @@ def _node_stats(ws, tree):
     sparse entries form one chunk, in which the next level up finds its
     children; the chunks are written into the node-ordered arrays at the end.
     """
-    n, depth = tree.n_nodes, tree.depth
+    n = tree.n_nodes
     s1, s2, b3, b4 = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     nnz = np.zeros(n, dtype=np.int64)
     at = np.zeros(n, dtype=np.int64)  # a node's first entry in its level's chunk
     chunks = []  # (nodes, idx, v3, v4) per level, deepest first
-    for lv in range(int(depth.max()), -1, -1):
-        nodes = np.nonzero(depth == lv)[0]
+    for nodes in reversed(tree.levels):
         is_leaf = tree.left[nodes] < 0
         leaves, inner = nodes[is_leaf], nodes[~is_leaf]
         rows = tree.perm[tree.start[leaves]]

@@ -171,9 +171,6 @@ class LabelSet:
     def n_classes(self):
         return len(self.names)
 
-    def class_of(self, row_id):
-        return self.assignments[row_id]
-
 
 # ---------------------------------------------------------------------------
 # File formats

@@ -74,15 +74,10 @@ def finest_partition(tree, cap=2048):
         raise ValueError("finest partition requires at least 2 points")
     if n > cap:
         raise ValueError(f"finest partition refused for N={n} > cap={cap}")
-    leaves = [nid for nid in range(tree.n_nodes) if tree.is_leaf(nid)]
-    leaves.sort(key=lambda nid: tree.start[nid])
-    a, b = [], []
-    for x in leaves:
-        for y in leaves:
-            if x != y:
-                a.append(x)
-                b.append(y)
-    return BlockPartition(a, b, label="finest")
+    leaves = tree.leaf_of_row[tree.perm]  # in the order of their rows in perm
+    a, b = np.repeat(leaves, n), np.tile(leaves, n)
+    off = a != b
+    return BlockPartition(a[off], b[off], label="finest")
 
 
 def refine_partition(p, block, tree, side=None):
@@ -113,10 +108,11 @@ def auto_refine(p, tree, rounds):
     The blocks wait in one max-heap; a split block is replaced in place by
     its two halves, A-side or B-side children in order, as
     refine_partition does."""
-    size, left, right = tree.size, tree.left, tree.right
+    size, left, right = tree.size.tolist(), tree.left.tolist(), tree.right.tolist()
     a, b = p.a.tolist(), p.b.tolist()
     halves = {}  # split block -> its two halves, as indices into a and b
-    heap = [(-int(size[x] * size[y]), x, y, k) for k, (x, y) in enumerate(zip(a, b))]
+    prod = (tree.size[p.a] * tree.size[p.b]).tolist()
+    heap = [(-prod[k], x, y, k) for k, (x, y) in enumerate(zip(a, b))]
     heapq.heapify(heap)
     for _ in range(rounds):
         if not heap or heap[0][0] == -1:
@@ -124,12 +120,12 @@ def auto_refine(p, tree, rounds):
         _, x, y, k = heapq.heappop(heap)
         # the larger side that is not a leaf, A on a tie
         if left[y] < 0 or (left[x] >= 0 and size[x] >= size[y]):
-            parts = [(int(left[x]), y), (int(right[x]), y)]
+            parts = [(left[x], y), (right[x], y)]
         else:
-            parts = [(x, int(left[y])), (x, int(right[y]))]
+            parts = [(x, left[y]), (x, right[y])]
         halves[k] = (len(a), len(a) + 1)
         for u, v in parts:
-            heapq.heappush(heap, (-int(size[u] * size[v]), u, v, len(a)))
+            heapq.heappush(heap, (-size[u] * size[v], u, v, len(a)))
             a.append(u)
             b.append(v)
     if not halves:

@@ -24,14 +24,15 @@ log r_child = log r_k + w_k - v_k from log r_root = 0. Then
 
     log q_B = log r_A - v_A + s_B - log|B|,    ell = c + N v_root,
 
-so the fit costs O(#blocks + #nodes). This is the closed-form coordinate
+so the fit costs O(#blocks + #nodes). Each pass runs one level at a time,
+one array step per level of ClusterTree.levels: the up pass from the deepest
+level, the down pass from the root. This is the closed-form coordinate
 structure of the Euclidean variational dual tree (Amizadeh, Thiesson &
 Hauskrecht, UAI 2012; Thiesson & Kim, AISTATS 2012) under any Bregman
 divergence.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -171,26 +172,9 @@ def optimize_q(tree, partition, spec=None, data=None, tol=1e-10, max_sweeps=10_0
     np.maximum.at(peak, a, s)
     with np.errstate(divide="ignore"):
         big_l = peak + np.log(np.bincount(a, np.exp(s - peak[a]), n_nodes))
-    left, right = tree.left.tolist(), tree.right.tolist()
-    size, big_l = tree.size.tolist(), big_l.tolist()
-    v, w = [-math.inf] * n_nodes, [-math.inf] * n_nodes
-    for k in range(n_nodes):  # up: children precede parents
-        lc, rc = left[k], right[k]
-        if lc < 0:
-            v[k] = big_l[k]
-            continue
-        w[k] = (size[lc] * v[lc] + size[rc] * v[rc]) / size[k]
-        v[k] = _logaddexp(big_l[k], w[k])
-    log_r = [0.0] * n_nodes
-    sweeps = 1
-    if max_sweeps >= 2:
-        sweeps = 2
-        for k in range(n_nodes - 1, -1, -1):  # down: parents precede children
-            if left[k] >= 0:
-                # a subtree left with no feasible split (v = -inf) gets nothing
-                child = log_r[k] + w[k] - v[k] if v[k] > -math.inf else -math.inf
-                log_r[left[k]] = log_r[right[k]] = child
-    logq = np.array(log_r)[a] - np.array(v)[a] - dbar  # s_B - log|B| = -dbar_B
+    sweeps = 2 if max_sweeps >= 2 else 1
+    v, log_r = _tree_passes(tree, big_l, down=sweeps == 2)
+    logq = log_r[a] - v[a] - dbar  # s_B - log|B| = -dbar_B
     params = BlockParams(
         values=np.exp(logq), log_values=logq, sweeps=sweeps,
         fit_sums=(tree, partition, dvec),
@@ -207,12 +191,25 @@ def optimize_q(tree, partition, spec=None, data=None, tol=1e-10, max_sweeps=10_0
     return params
 
 
-def _logaddexp(x, y):
-    """log(exp(x) + exp(y)) on Python floats; -inf when both are -inf."""
-    hi = max(x, y)
-    if hi == -math.inf:
-        return hi
-    return hi + math.log1p(math.exp(-abs(x - y)))
+def _tree_passes(tree, big_l, down):
+    """v and log r of every node (see the module docstring): the up pass from
+    the deepest level, then, if `down`, the down pass from the root, one array
+    step per level of tree.levels. Without the down pass every log r is 0."""
+    left, right, size = tree.left, tree.right, tree.size
+    inner = [nodes[left[nodes] >= 0] for nodes in tree.levels]
+    v, w = big_l.copy(), np.full(tree.n_nodes, -np.inf)  # a leaf's v is its L
+    for k in reversed(inner):
+        lc, rc = left[k], right[k]
+        w[k] = (size[lc] * v[lc] + size[rc] * v[rc]) / size[k]
+        v[k] = np.logaddexp(big_l[k], w[k])
+    log_r = np.zeros(tree.n_nodes)
+    if down:
+        for k in inner:
+            # a subtree left with no feasible split (v = -inf) gets nothing
+            with np.errstate(invalid="ignore"):
+                child = np.where(v[k] > -np.inf, log_r[k] + w[k] - v[k], -np.inf)
+            log_r[left[k]] = log_r[right[k]] = child
+    return v, log_r
 
 
 def lower_bound(params, partition, tree, spec=None, data=None):

@@ -26,6 +26,9 @@ early-exit loop must reproduce bit for bit. The ingest references draw a
 synthetic corpus one row at a time (one multinomial call per row, the rows
 joined by a running indptr) and check a CSR triple one row at a time, the
 routes the batched draw and the whole-array DataMatrix check must match.
+The per-node tree passes of the optimizer (one node at a time on Python
+floats) and the double loop over leaf pairs of the finest partition are the
+references the level passes and the array partition must match bit for bit.
 """
 import math
 from dataclasses import dataclass
@@ -34,6 +37,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import xlogy
 
+from blockwalk import variational
 from blockwalk.anchor_tree import (
     Anchor,
     ClusterTree,
@@ -50,7 +54,7 @@ from blockwalk.divergence import (
     ov_phi,
     pairwise_divergences,
 )
-from blockwalk.partition import Block, refine_partition
+from blockwalk.partition import Block, BlockPartition, refine_partition
 from blockwalk.propagation import DenseBaseline, TransitionModel
 from blockwalk.vectors import OffsetVec
 
@@ -159,6 +163,73 @@ def projected_ascent_q(tree, partition, spec, data, max_iters=500, grad_tol=1e-1
         if not improved:
             break
     return q, fq
+
+
+def _logaddexp(x, y):
+    """log(exp(x) + exp(y)) on Python floats; -inf when both are -inf."""
+    hi = max(x, y)
+    if hi == -math.inf:
+        return hi
+    return hi + math.log1p(math.exp(-abs(x - y)))
+
+
+def reference_tree_passes(tree, big_l, down):
+    """v and log r of every node (see the variational module docstring), one
+    node at a time on Python floats: the up pass over the node ids (children
+    precede parents), then, if `down`, the down pass over them in reverse.
+    Without the down pass every log r is 0."""
+    n_nodes = tree.n_nodes
+    left, right = tree.left.tolist(), tree.right.tolist()
+    size, big_l = tree.size.tolist(), big_l.tolist()
+    v, w = [-math.inf] * n_nodes, [-math.inf] * n_nodes
+    for k in range(n_nodes):  # up: children precede parents
+        lc, rc = left[k], right[k]
+        if lc < 0:
+            v[k] = big_l[k]
+            continue
+        w[k] = (size[lc] * v[lc] + size[rc] * v[rc]) / size[k]
+        v[k] = _logaddexp(big_l[k], w[k])
+    log_r = [0.0] * n_nodes
+    if down:
+        for k in range(n_nodes - 1, -1, -1):  # down: parents precede children
+            if left[k] >= 0:
+                # a subtree left with no feasible split (v = -inf) gets nothing
+                child = log_r[k] + w[k] - v[k] if v[k] > -math.inf else -math.inf
+                log_r[left[k]] = log_r[right[k]] = child
+    return np.array(v), np.array(log_r)
+
+
+def reference_optimize_q(tree, partition, max_sweeps=10_000):
+    """optimize_q with the per-node passes: (L, v, log r, q, log q, residual),
+    L being the logsumexp of s over the blocks of each row side."""
+    a, n_nodes = partition.a, tree.n_nodes
+    nb = tree.size[partition.b].astype(np.float64)
+    dbar = variational.block_divergence_sums(tree, partition) / (tree.size[a] * nb)
+    s = np.log(nb) - dbar
+    peak = np.full(n_nodes, -np.inf)
+    np.maximum.at(peak, a, s)
+    with np.errstate(divide="ignore"):
+        big_l = peak + np.log(np.bincount(a, np.exp(s - peak[a]), n_nodes))
+    v, log_r = reference_tree_passes(tree, big_l, max_sweeps >= 2)
+    logq = log_r[a] - v[a] - dbar
+    q = np.exp(logq)
+    params = variational.BlockParams(values=q, log_values=logq)
+    res = variational.constraint_residuals(tree, partition, params)
+    return big_l, v, log_r, q, logq, float(np.max(np.abs(res)))
+
+
+def reference_finest_partition(tree):
+    """All ordered leaf pairs, leaves in the order of their rows in perm, by a
+    double loop over the leaves."""
+    leaves = [nid for nid in range(tree.n_nodes) if tree.is_leaf(nid)]
+    leaves.sort(key=lambda nid: tree.start[nid])
+    a, b = [], []
+    for x in leaves:
+        for y in leaves:
+            if x != y:
+                a.append(x)
+                b.append(y)
+    return BlockPartition(a, b, label="finest")
 
 
 def _apply_operator(op, y):
@@ -360,6 +431,19 @@ def reference_grow(ws, scope, m, use_pruning):
     return anchors
 
 
+def inorder_leaves(agglo):
+    """The input items of an AggloTree, left to right."""
+    out, stack = [], [agglo.root]
+    while stack:
+        t = stack.pop()
+        if agglo.left[t] < 0:
+            out.append(t)
+        else:
+            stack.append(agglo.right[t])
+            stack.append(agglo.left[t])
+    return out
+
+
 def reference_cluster_tree(data, spec, use_pruning=True):
     """Grow-and-agglomerate recursively down to singleton leaves, with
     reference_grow and _agglomerate_items on every scope and node
@@ -390,7 +474,7 @@ def reference_cluster_tree(data, spec, use_pruning=True):
         local = _agglomerate_items(spec, sizes, means)
         node_of = {}
         cur = offset
-        for ai in local.inorder_leaves():
+        for ai in inorder_leaves(local):
             node_of[ai] = build_scope(anchors[ai].members, cur)
             cur += anchors[ai].size
         for t in range(len(anchors), len(local.sizes)):

@@ -13,7 +13,12 @@ from blockwalk.partition import (
 )
 
 from conftest import random_count_matrix
-from oracles import reference_auto_refine, row_block_lists, validate_partition
+from oracles import (
+    reference_auto_refine,
+    reference_finest_partition,
+    row_block_lists,
+    validate_partition,
+)
 from test_anchor_tree import dense_to_data
 
 
@@ -75,6 +80,14 @@ class TestFinest:
         fine = finest_partition(tree)
         coarse = coarsest_partition(tree)
         assert set(zip(fine.a, fine.b)) == set(zip(coarse.a, coarse.b))
+
+    def test_matches_double_loop(self, rng):
+        for n in range(2, 65):
+            tree = gid_tree(rng, n)
+            want = reference_finest_partition(tree)
+            got = finest_partition(tree)
+            assert got.a.tobytes() == want.a.tobytes()
+            assert got.b.tobytes() == want.b.tobytes()
 
     def test_cap_guard(self, rng):
         tree = gid_tree(rng, 10)

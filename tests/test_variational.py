@@ -1,7 +1,10 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blockwalk.variational as variational
 from blockwalk.anchor_tree import build_cluster_tree
@@ -33,8 +36,10 @@ from oracles import (
     brute_block_sums,
     euclidean_block_divergence_sum,
     projected_ascent_q,
+    reference_optimize_q,
 )
 from test_anchor_tree import dense_to_data
+from test_properties import PROPERTY
 
 
 def euclid_tree(points_1d):
@@ -242,6 +247,41 @@ class TestOptimizeQ:
         assert params.converged
         assert np.max(np.abs(constraint_residuals(tree, part, params))) <= 1e-9
         assert np.all(params.values > 0) and np.all(params.values <= 1 + 1e-12)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(
+    n=st.integers(2, 300),
+    d=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    copies=st.integers(0, 300),
+    kind=st.sampled_from(["gid", "sq-euclidean", "itakura-saito", "mahalanobis"]),
+    rounds=st.integers(0, 900),
+    drop=st.sampled_from([0.0, 0.0, 0.1, 0.5]),
+)
+def test_level_passes_match_per_node_passes(n, d, seed, copies, kind, rounds, drop):
+    # smoothed counts with copied rows; a coarsest or refined partition, from
+    # which dropped blocks leave nodes with L = -inf and subtrees with v = -inf
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 5, (n, d)) * (rng.random((n, d)) < 0.6)
+    counts[rng.integers(0, n, copies)] = counts[rng.integers(0, n, copies)]
+    eps = 0.0 if kind == "mahalanobis" else 0.5  # mahalanobis takes no offset
+    data = smooth(dense_to_data(counts), eps)
+    spec = make_spec(kind, d, rng, epsilon=eps)
+    tree = build_cluster_tree(data, spec)
+    part = auto_refine(coarsest_partition(tree), tree, rounds % (3 * n))
+    keep = rng.random(part.n_blocks) >= drop
+    part = BlockPartition(part.a[keep], part.b[keep])
+    for max_sweeps in (1, 2):  # without and with the down pass
+        big_l, v, log_r, q, log_q, residual = reference_optimize_q(tree, part, max_sweeps)
+        got_v, got_log_r = variational._tree_passes(tree, big_l, max_sweeps >= 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            params = optimize_q(tree, part, max_sweeps=max_sweeps)
+        pairs = [(v, got_v), (log_r, got_log_r), (q, params.values), (log_q, params.log_values)]
+        for want, got in pairs:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert params.residual == residual
 
 
 class TestLowerBound:
