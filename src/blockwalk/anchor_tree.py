@@ -42,13 +42,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .divergence import (
-    DomainError,
     _as_vector,
     _check_domain,
     _grad_inv_terms,
     _grad_terms,
     _phi_terms,
     _scalar_base,
+    check_smoothed,
     ov_phi,
 )
 from .vectors import OffsetVec
@@ -76,6 +76,7 @@ class _Workspace:
     def __init__(self, data, spec):
         if spec.dim != data.dim:
             raise ValueError("spec.dim does not match data dimension")
+        check_smoothed(spec, data)
         self.data = data
         self.spec = spec
         self.eps = data.epsilon
@@ -83,7 +84,6 @@ class _Workspace:
         self.csr = data.csr()
         self.nnz_row = data.nnz_per_row()
         self.row_sum = data.row_sums()
-        self._validate_domain()
         vals = self.csr.data
         smoothed = vals + self.eps
         idx = self.csr.indices
@@ -104,43 +104,6 @@ class _Workspace:
         if np.all(self.nnz_row == self.dim):
             return 0.0
         return _scalar_base(self.spec, fn, self.eps, what)
-
-    def _validate_domain(self):
-        kind = self.spec.kind
-        smoothed = self.csr.data + self.eps
-        if kind in ("gid", "kl", "itakura-saito") and self.eps == 0.0:
-            short = self.nnz_row < self.dim
-            if np.any(short):
-                i = int(np.argmax(short))
-                row_idx, _ = self.data.base.row(i)
-                j = int(np.setdiff1d(np.arange(self.dim), row_idx)[0])
-                raise DomainError(
-                    f"{kind} requires positive inputs after smoothing; "
-                    f"row {i} column {j} is zero with epsilon=0",
-                    (i, j),
-                )
-        if kind == "logistic":
-            if self.eps <= 0.0 and np.any(self.nnz_row < self.dim):
-                i = int(np.argmax(self.nnz_row < self.dim))
-                raise DomainError(
-                    f"logistic requires entries in (0,1); row {i} has an implicit "
-                    f"coordinate at {self.eps}",
-                    i,
-                )
-            bad = (smoothed <= 0.0) | (smoothed >= 1.0)
-            if np.any(bad):
-                k = int(np.argmax(bad))
-                raise DomainError(
-                    f"logistic requires entries in (0,1); found {smoothed[k]}"
-                )
-        if kind == "kl":
-            totals = self.row_sum + self.eps * self.dim
-            off = np.abs(totals - 1.0)
-            if np.any(off > 1e-6):
-                i = int(np.argmax(off))
-                raise DomainError(
-                    f"kl requires simplex rows; row {i} sums to {totals[i]:.6g}", i
-                )
 
     def _row_kernels(self, t, idx):
         """Every pivot is a data row: tabulate, per row j, the pieces of

@@ -43,7 +43,6 @@ from .variational import exact_loglik, lower_bound, optimize_q
 DEFAULT_EPSILON = 0.5  # additive count smoothing for positive-domain kinds
 DEFAULT_ALPHA = 0.01
 DEFAULT_ITERS = 300
-ITERS_HELP = "update cap; spreading stops earlier at its bitwise fixed point (default 300)"
 DEFAULT_MAX_EXACT_N = 8192
 SIGMA_STREAM = 0xD157  # fixed sub-stream for the bandwidth policy
 
@@ -58,28 +57,6 @@ def _int_list(text):
 
 def _str_list(text):
     return [t.strip() for t in str(text).split(",") if t.strip()]
-
-
-def _read_config(path):
-    out = {}
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{ln}: expected key=value")
-        key, val = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = val.strip()
-    return out
-
-
-def _merge_config(args, parser_types):
-    if getattr(args, "config", None):
-        cfg = _read_config(args.config)
-        for key, conv in parser_types.items():
-            if getattr(args, key, None) is None and key in cfg:
-                setattr(args, key, conv(cfg[key]))
-    return args
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +91,9 @@ def make_divergence_spec(kind, data, sigma=None, epsilon=None, seed=0):
             sigma = default_sigma(data, seed)
             notes["sigma_policy"] = "median-random-pairs"
         notes["sigma"] = sigma
-    spec = DivergenceSpec(kind, data.n_cols, sigma=sigma or 1.0, epsilon=epsilon)
+    spec = DivergenceSpec(
+        kind, data.n_cols, sigma=sigma if sigma is not None else 1.0, epsilon=epsilon
+    )
     return spec, notes
 
 
@@ -398,6 +377,8 @@ def _synthesize(args, rows, seed):
 
 
 def cmd_experiment(args):
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     methods = _parse_methods(args.methods)
     config = PropagationConfig(alpha=args.alpha, iterations=args.iters)
     out = Path(args.out)
@@ -479,117 +460,104 @@ def cmd_experiment(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="key=value config file; flags win")
-    sub.add_argument("--seed", type=int, default=None)
-
-
 def build_parser():
+    """The top-level parser and its subcommand parsers by name. Each option
+    is declared once, with its type and default, in one parent parser
+    (common, corpus, fit, spread) or in the one subcommand that takes it."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="key=value config file; flags win")
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--out")
+
+    corpus = argparse.ArgumentParser(add_help=False)
+    corpus.add_argument("--classes", type=int, default=3)
+    corpus.add_argument("--dim", type=int, default=200)
+    corpus.add_argument("--rows", type=int, default=1500)
+    corpus.add_argument("--mean-length", type=_float_list)
+    corpus.add_argument("--overlap", type=float, default=0.3)
+
+    fit = argparse.ArgumentParser(add_help=False)
+    fit.add_argument("--input")
+    fit.add_argument("--format", choices=("uci-bow", "dense-csv"), default="uci-bow")
+    fit.add_argument("--sigma", type=float)
+    fit.add_argument("--epsilon", type=float)
+    fit.add_argument("--partition", default="coarsest")
+    fit.add_argument("--max-exact-n", type=int, default=DEFAULT_MAX_EXACT_N)
+
+    spread = argparse.ArgumentParser(add_help=False)
+    spread.add_argument("--labels")
+    spread.add_argument("--labeled-fraction", type=float, default=0.05)
+    spread.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    spread.add_argument(
+        "--iters", type=int, default=DEFAULT_ITERS,
+        help="update cap; spreading stops earlier at its bitwise fixed point "
+        f"(default {DEFAULT_ITERS})",
+    )
+
     parser = argparse.ArgumentParser(
         prog="blockwalk",
         description="Compressed transition-matrix approximation and label propagation",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    subs.add_parser("synth", parents=[common, corpus], help="generate a synthetic corpus")
 
-    p = subs.add_parser("synth", help="generate a synthetic corpus")
-    _add_common(p)
-    p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--rows", type=int, default=None)
-    p.add_argument("--mean-length", dest="mean_length", type=_float_list, default=None)
-    p.add_argument("--overlap", type=float, default=None)
-    p.add_argument("--out", default=None)
+    p = subs.add_parser(
+        "approximate", parents=[common, fit], help="fit the compressed transition model"
+    )
+    p.add_argument("--divergence")
+    p.add_argument("--report")
+    p.add_argument("--exact", action="store_true")
 
-    p = subs.add_parser("approximate", help="fit the compressed transition model")
-    _add_common(p)
-    p.add_argument("--input", default=None)
-    p.add_argument("--format", choices=["uci-bow", "dense-csv"], default=None)
-    p.add_argument("--divergence", default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--partition", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--report", default=None)
-    p.add_argument("--exact", action="store_true", default=None)
-    p.add_argument("--max-exact-n", dest="max_exact_n", type=int, default=None)
+    p = subs.add_parser(
+        "propagate", parents=[common, spread], help="spread labels from a seeded subset"
+    )
+    p.add_argument("--model")
 
-    p = subs.add_parser("propagate", help="spread labels from a seeded subset")
-    _add_common(p)
-    p.add_argument("--model", default=None)
-    p.add_argument("--labels", default=None)
-    p.add_argument("--labeled-fraction", dest="labeled_fraction", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--iters", type=int, default=None, help=ITERS_HELP)
-    p.add_argument("--out", default=None)
-
-    p = subs.add_parser("experiment", help="accuracy and timing sweeps")
-    _add_common(p)
-    p.add_argument("--input", default=None)
-    p.add_argument("--format", choices=["uci-bow", "dense-csv"], default=None)
-    p.add_argument("--labels", default=None)
-    p.add_argument("--methods", type=_str_list, default=None)
-    p.add_argument("--fractions", type=_float_list, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--iters", type=int, default=None, help=ITERS_HELP)
-    p.add_argument("--labeled-fraction", dest="labeled_fraction", type=float, default=None)
-    p.add_argument("--partition", default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--max-exact-n", dest="max_exact_n", type=int, default=None)
-    p.add_argument("--scaling-rows", dest="scaling_rows", type=_int_list, default=None)
-    p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--rows", type=int, default=None)
-    p.add_argument("--mean-length", dest="mean_length", type=_float_list, default=None)
-    p.add_argument("--overlap", type=float, default=None)
-    p.add_argument("--out", default=None)
-    return parser
+    p = subs.add_parser(
+        "experiment", parents=[common, corpus, fit, spread],
+        help="accuracy and timing sweeps",
+    )
+    p.add_argument("--methods", type=_str_list)
+    p.add_argument("--fractions", type=_float_list)
+    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--scaling-rows", type=_int_list)
+    return parser, subs.choices
 
 
-_CONFIG_TYPES = {
-    "classes": int,
-    "dim": int,
-    "rows": int,
-    "mean_length": _float_list,
-    "overlap": float,
-    "out": str,
-    "seed": int,
-    "input": str,
-    "format": str,
-    "divergence": str,
-    "sigma": float,
-    "epsilon": float,
-    "partition": str,
-    "report": str,
-    "exact": lambda s: s.lower() in ("1", "true", "yes"),
-    "max_exact_n": int,
-    "model": str,
-    "labels": str,
-    "labeled_fraction": float,
-    "alpha": float,
-    "iters": int,
-    "methods": _str_list,
-    "fractions": _float_list,
-    "trials": int,
-    "scaling_rows": _int_list,
-}
+def _config_flags(path, command, subcommands):
+    """A key=value config file as flags of `command`, to go before the
+    command line's flags, which win. A key that only other subcommands take
+    is skipped, so one file serves them all."""
+    sub = subcommands[command]
+    # each subcommand's option names, from a parse of no arguments
+    keys = {
+        name: set(vars(p.parse_args([]))) - {"config"}
+        for name, p in subcommands.items()
+    }
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        sub.error(f"cannot read config file {path}: {exc}")
+    flags = []
+    for ln, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, val = line.partition("=")
+        key, val = key.strip().replace("-", "_"), val.strip()
+        if not eq:
+            sub.error(f"{path}:{ln}: expected key=value")
+        if not any(key in known for known in keys.values()):
+            sub.error(f"{path}:{ln}: unknown key {key!r}")
+        if key not in keys[command]:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if key == "exact":
+            flags += [flag] if val.lower() in ("1", "true", "yes") else []
+        else:
+            flags.append(f"{flag}={val}")
+    return flags
 
-_HARD_DEFAULTS = {
-    "seed": 0,
-    "format": "uci-bow",
-    "partition": "coarsest",
-    "alpha": DEFAULT_ALPHA,
-    "iters": DEFAULT_ITERS,
-    "max_exact_n": DEFAULT_MAX_EXACT_N,
-    "trials": 1,
-    "labeled_fraction": 0.05,
-    "overlap": 0.3,
-    "classes": 3,
-    "dim": 200,
-    "rows": 1500,
-    "exact": False,
-}
 
 _REQUIRED = {
     "synth": ["out"],
@@ -599,26 +567,31 @@ _REQUIRED = {
 }
 
 
+_COMMANDS = {
+    "synth": cmd_synth,
+    "approximate": cmd_approximate,
+    "propagate": cmd_propagate,
+    "experiment": cmd_experiment,
+}
+
+
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, subcommands = build_parser()
     args = parser.parse_args(argv)
-    args = _merge_config(args, _CONFIG_TYPES)
-    for key, val in _HARD_DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, val)
+    if args.config:
+        # the config's flags go right after the subcommand's name, before
+        # the command line's own
+        at = argv.index(args.command) + 1
+        flags = _config_flags(args.config, args.command, subcommands)
+        args = parser.parse_args(argv[:at] + flags + argv[at:])
     missing = [k for k in _REQUIRED[args.command] if getattr(args, k, None) is None]
     if missing:
         parser.error(f"{args.command}: missing required option --{missing[0].replace('_', '-')}")
     if args.command == "experiment" and not args.scaling_rows and args.fractions is None:
         parser.error("experiment: provide --fractions or --scaling-rows")
     try:
-        if args.command == "synth":
-            return cmd_synth(args)
-        if args.command == "approximate":
-            return cmd_approximate(args)
-        if args.command == "propagate":
-            return cmd_propagate(args)
-        return cmd_experiment(args)
+        return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

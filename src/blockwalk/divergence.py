@@ -10,6 +10,14 @@ relative entropy) are summed over coordinates.
 Three evaluation layers share the same kernels: scalars/dense vectors (public
 API), dense row batches (exact baselines), and OffsetVec inputs (cluster
 statistics, where off-support coordinates sit at a common baseline).
+
+Every data layout shares one domain rule and one carrier per kind. The rule
+is `_outside`: `_check_domain` applies it to a vector or a stack of rows,
+and `check_smoothed` to a smoothed sparse matrix, on its stored values plus
+the offset and on the offset at its implicit coordinates. The carrier is
+`carrier_rows` (`log_carrier` is its one-row case, `total_carrier` its sum
+over a smoothed matrix); the Gaussian kinds take their log normalizer from
+`_normalizer`. The tree and the bound branch on no kind.
 """
 from __future__ import annotations
 
@@ -29,6 +37,8 @@ __all__ = [
     "grad_phi_inv",
     "bregman_divergence",
     "log_carrier",
+    "check_smoothed",
+    "total_carrier",
     "phi_rows",
     "pairwise_divergences",
     "ov_phi",
@@ -89,36 +99,78 @@ class DivergenceSpec:
 # ---------------------------------------------------------------------------
 
 
-def _first_bad(mask):
-    return int(np.argmax(mask))
+def _outside(kind, x, strict):
+    """Mask of the entries of x outside the domain of `kind`, or False where
+    the domain is all of R. `strict` asks for the relative interior, where
+    the gradient is finite; only gid and kl admit zero outside it."""
+    if kind in ("gid", "kl"):
+        return x <= 0 if strict else x < 0
+    if kind == "itakura-saito":
+        return x <= 0
+    if kind == "logistic":
+        return (x <= 0) | (x >= 1)
+    return False  # sq-euclidean / mahalanobis
+
+
+def _rule(kind, strict):
+    if kind == "logistic":
+        return "entries in (0,1)"
+    if kind in ("gid", "kl") and not strict:
+        return "nonnegative entries"
+    return "positive entries"
 
 
 def _check_domain(spec, x, strict, name="x"):
-    """Reject coordinates outside the domain (strict = relative interior)."""
-    kind = spec.kind
-    if kind in ("gid", "kl"):
-        bad = (x < 0) | (x <= 0 if strict else np.zeros_like(x, bool))
-        if np.any(bad):
-            j = _first_bad(bad)
-            bound = "positive" if strict else "nonnegative"
+    """Reject entries of a vector or a stack of rows outside the domain; the
+    error's index is j for a vector and (i, j) for rows."""
+    bad = _outside(spec.kind, x, strict)
+    if np.any(bad):
+        at = tuple(int(k) for k in np.unravel_index(int(np.argmax(bad)), x.shape))
+        raise DomainError(
+            f"{spec.kind} requires {_rule(spec.kind, strict)}; "
+            f"{name}[{', '.join(map(str, at))}] = {x[at]}",
+            at[0] if x.ndim == 1 else at,
+        )
+
+
+def check_smoothed(spec, data):
+    """Domain check of a SmoothedMatrix without densifying it: first the
+    offset on the implicit coordinates of short rows, then the stored values
+    plus the offset, then kl's simplex rule. An entry's error names its row
+    and column, the simplex rule's its row."""
+    if spec.epsilon != data.epsilon:
+        raise ValueError(
+            f"spec epsilon {spec.epsilon} differs from the data's smoothing "
+            f"offset {data.epsilon}"
+        )
+    kind, eps, csr = spec.kind, data.epsilon, data.csr()
+    short = np.flatnonzero(data.nnz_per_row() < data.dim)
+    if short.size and np.any(_outside(kind, eps, strict=True)):
+        i = int(short[0])
+        j = int(np.setdiff1d(np.arange(data.dim), data.base.row(i)[0])[0])
+        raise DomainError(
+            f"{kind} requires {_rule(kind, True)}; row {i} column {j} is "
+            f"implicit, at the smoothing offset {eps}",
+            (i, j),
+        )
+    bad = _outside(kind, csr.data + eps, strict=True)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        i = int(np.searchsorted(csr.indptr, k, side="right")) - 1
+        j = int(csr.indices[k])
+        raise DomainError(
+            f"{kind} requires {_rule(kind, True)}; row {i} column {j} is "
+            f"{csr.data[k] + eps} after smoothing",
+            (i, j),
+        )
+    if kind == "kl":
+        totals = data.row_sums() + eps * data.dim
+        off = np.abs(totals - 1.0)
+        if np.any(off > 1e-6):
+            i = int(np.argmax(off))
             raise DomainError(
-                f"{kind} requires {bound} entries; {name}[{j}] = {x[j]}", j
+                f"kl requires simplex rows; row {i} sums to {totals[i]:.6g}", i
             )
-    elif kind == "itakura-saito":
-        bad = x <= 0
-        if np.any(bad):
-            j = _first_bad(bad)
-            raise DomainError(
-                f"itakura-saito requires positive entries; {name}[{j}] = {x[j]}", j
-            )
-    elif kind == "logistic":
-        bad = (x <= 0) | (x >= 1)
-        if np.any(bad):
-            j = _first_bad(bad)
-            raise DomainError(
-                f"logistic requires entries in (0,1); {name}[{j}] = {x[j]}", j
-            )
-    # sq-euclidean / mahalanobis: all of R^d
 
 
 def _as_vector(spec, x, name="x"):
@@ -179,7 +231,7 @@ def _check_grad_range(spec, u, name="u"):
     if spec.kind == "itakura-saito":
         bad = u >= 0
         if np.any(bad):
-            j = _first_bad(bad)
+            j = int(np.argmax(bad))
             raise DomainError(
                 f"itakura-saito gradient range is negative; {name}[{j}] = {u[j]}", j
             )
@@ -231,21 +283,7 @@ def log_carrier(spec, x):
     the normalizer (constant in phi + carrier), the rest carry 1.
     """
     x = _as_vector(spec, x)
-    kind = spec.kind
-    if kind in ("gid", "kl"):
-        return float(-np.sum(gammaln(x + 1.0)))
-    if kind == "sq-euclidean":
-        d = spec.dim
-        return float(-0.5 * d * np.log(2.0 * np.pi * spec.sigma**2)) - float(
-            np.sum(_phi_terms(spec, x))
-        )
-    if kind == "mahalanobis":
-        d = spec.dim
-        const = -0.5 * d * np.log(2.0 * np.pi) - 0.5 * np.sum(
-            np.log(spec.covariance_diag / 2.0)
-        )
-        return float(const) - float(np.sum(_phi_terms(spec, x)))
-    return 0.0  # itakura-saito, logistic
+    return float(carrier_rows(spec, x[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -253,51 +291,55 @@ def log_carrier(spec, x):
 # ---------------------------------------------------------------------------
 
 
-def _check_rows(spec, X, strict, name="X"):
-    kind = spec.kind
-    if kind in ("gid", "kl"):
-        bad = X <= 0 if strict else X < 0
-    elif kind == "itakura-saito":
-        bad = X <= 0
-    elif kind == "logistic":
-        bad = (X <= 0) | (X >= 1)
-    else:
-        return
-    if np.any(bad):
-        i, j = np.unravel_index(int(np.argmax(bad)), X.shape)
-        raise DomainError(
-            f"{kind} domain violated at {name}[{i}, {j}] = {X[i, j]}", (int(i), int(j))
-        )
-
-
 def phi_rows(spec, X):
     X = np.asarray(X, dtype=np.float64)
-    _check_rows(spec, X, strict=False)
+    _check_domain(spec, X, strict=False, name="X")
     return _phi_terms(spec, X).sum(axis=1)
 
 
-def carrier_rows(spec, X):
-    X = np.asarray(X, dtype=np.float64)
-    kind = spec.kind
-    if kind in ("gid", "kl"):
-        return -gammaln(X + 1.0).sum(axis=1)
-    if kind == "sq-euclidean":
-        const = -0.5 * spec.dim * np.log(2.0 * np.pi * spec.sigma**2)
-        return const - _phi_terms(spec, X).sum(axis=1)
-    if kind == "mahalanobis":
-        const = -0.5 * spec.dim * np.log(2.0 * np.pi) - 0.5 * np.sum(
+def _normalizer(spec):
+    """The Gaussian kinds' log normalizer, which makes phi + carrier one
+    constant per row; None for the other kinds."""
+    if spec.kind == "sq-euclidean":
+        return -0.5 * spec.dim * np.log(2.0 * np.pi * spec.sigma**2)
+    if spec.kind == "mahalanobis":
+        return -0.5 * spec.dim * np.log(2.0 * np.pi) - 0.5 * np.sum(
             np.log(spec.covariance_diag / 2.0)
         )
+    return None
+
+
+def carrier_rows(spec, X):
+    """Log carrier of every row of X (see log_carrier)."""
+    X = np.asarray(X, dtype=np.float64)
+    if spec.kind in ("gid", "kl"):
+        return -gammaln(X + 1.0).sum(axis=1)
+    const = _normalizer(spec)
+    if const is not None:
         return const - _phi_terms(spec, X).sum(axis=1)
     return np.zeros(X.shape[0])
+
+
+def total_carrier(data, spec, total_phi):
+    """Log carrier summed over the rows of a SmoothedMatrix, whose generator
+    values sum to total_phi, without densifying it."""
+    n, d = data.n_rows, data.dim
+    if spec.kind in ("gid", "kl"):
+        stored = float(gammaln(data.csr().data + data.epsilon + 1.0).sum())
+        implicit = float((d - data.nnz_per_row()).sum() * gammaln(data.epsilon + 1.0))
+        return -(stored + implicit)
+    const = _normalizer(spec)
+    if const is not None:
+        return n * const - total_phi
+    return 0.0
 
 
 def pairwise_divergences(spec, X, Y):
     """Matrix of d(x_i, y_j) for dense row stacks X (n,d) and Y (m,d)."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    _check_rows(spec, X, strict=False)
-    _check_rows(spec, Y, strict=True, name="Y")
+    _check_domain(spec, X, strict=False, name="X")
+    _check_domain(spec, Y, strict=True, name="Y")
     px = _phi_terms(spec, X).sum(axis=1)
     py = _phi_terms(spec, Y).sum(axis=1)
     G = _grad_terms(spec, Y)
@@ -312,12 +354,8 @@ def pairwise_divergences(spec, X, Y):
 
 
 @lru_cache(maxsize=4096)
-def _scalar_base_value(kind, sigma, base, fn_name):
+def _scalar_base_value(fn, kind, sigma, base):
     spec = DivergenceSpec(kind, 1, sigma=sigma if kind == "sq-euclidean" else 1.0)
-    fn = {
-        "_phi_terms": _phi_terms,
-        "_grad_terms": _grad_terms,
-    }[fn_name]
     with np.errstate(divide="ignore", invalid="ignore"):
         return float(fn(spec, np.array([base]))[0])
 
@@ -331,7 +369,7 @@ def _scalar_base(spec, fn, base, what):
                 "(smoothing offsets are not supported for this kind)"
             )
         return 0.0
-    out = _scalar_base_value(spec.kind, spec.sigma, float(base), fn.__name__)
+    out = _scalar_base_value(fn, spec.kind, spec.sigma, float(base))
     if not np.isfinite(out):
         raise DomainError(
             f"{spec.kind} {what} undefined at off-support value {base} "

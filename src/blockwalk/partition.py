@@ -108,6 +108,8 @@ def auto_refine(p, tree, rounds):
     The blocks wait in one max-heap; a split block is replaced in place by
     its two halves, A-side or B-side children in order, as
     refine_partition does."""
+    if rounds < 0:
+        raise ValueError(f"refinement rounds must be >= 0, got {rounds}")
     size, left, right = tree.size.tolist(), tree.left.tolist(), tree.right.tolist()
     a, b = p.a.tolist(), p.b.tolist()
     halves = {}  # split block -> its two halves, as indices into a and b

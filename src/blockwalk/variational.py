@@ -37,9 +37,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import logsumexp
 
-from .divergence import carrier_rows, pairwise_divergences, phi_rows
+from .divergence import carrier_rows, pairwise_divergences, phi_rows, total_carrier
 
 __all__ = [
     "BlockParams",
@@ -74,26 +74,6 @@ def block_divergence_sums(tree, partition):
 # ---------------------------------------------------------------------------
 
 
-def _total_carrier(data, spec, total_phi):
-    """Sum of the log carrier over all rows."""
-    kind = spec.kind
-    n, d = data.n_rows, data.dim
-    if kind in ("gid", "kl"):
-        stored = float(gammaln(data.csr().data + data.epsilon + 1.0).sum())
-        implicit = float((d - data.nnz_per_row()).sum() * gammaln(data.epsilon + 1.0))
-        return -(stored + implicit)
-    # Gaussian kinds: phi + carrier is one constant per row
-    if kind == "sq-euclidean":
-        const = -0.5 * d * np.log(2.0 * np.pi * spec.sigma**2)
-        return n * const - total_phi
-    if kind == "mahalanobis":
-        const = -0.5 * d * np.log(2.0 * np.pi) - 0.5 * float(
-            np.sum(np.log(spec.covariance_diag / 2.0))
-        )
-        return n * const - total_phi
-    return 0.0
-
-
 def constant_term(tree):
     """Additive constant of the bound: -N log(N-1) + sum phi + sum carrier."""
     data, spec = tree.data, tree.spec
@@ -104,7 +84,7 @@ def constant_term(tree):
         )
     n = data.n_rows
     total_phi = float(tree.stats.s1[tree.root])
-    carrier = _total_carrier(data, spec, total_phi)
+    carrier = total_carrier(data, spec, total_phi)
     return -n * np.log(n - 1) + total_phi + carrier
 
 

@@ -371,6 +371,23 @@ class TestClusterTree:
         with pytest.raises(DomainError):
             build_cluster_tree(data, spec)
 
+    def test_epsilon_from_one_source(self, rng):
+        # the statistics would use the data's offset, the saved spec its own
+        data = smoothed_counts(rng, 6, 4, epsilon=0.3)
+        with pytest.raises(ValueError, match="epsilon 0.5 differs"):
+            build_cluster_tree(data, DivergenceSpec("gid", 4, epsilon=0.5))
+
+    def test_domain_error_names_row_and_column(self, rng):
+        data = smooth(DataMatrix.from_rows([([0, 1], [1.0, 2.0]), ([1], [3.0])], 2), 0.0)
+        with pytest.raises(DomainError) as err:
+            build_cluster_tree(data, DivergenceSpec("gid", 2))
+        assert err.value.index == (1, 0)
+        rows = [([0, 1], [0.2, 0.3]), ([0, 1], [0.4, 0.8])]
+        data = smooth(DataMatrix.from_rows(rows, 2), 0.25)
+        with pytest.raises(DomainError) as err:
+            build_cluster_tree(data, DivergenceSpec("logistic", 2, epsilon=0.25))
+        assert err.value.index == (1, 1)
+
     def test_domain_error_for_offset_mahalanobis(self, rng):
         data = smoothed_counts(rng, 6, 4, epsilon=0.5, density=0.4)
         with pytest.raises(DomainError):

@@ -270,6 +270,105 @@ class TestExperiment:
         assert lines[1].split(",")[2] == "1"  # flag beat the config's trials=2
 
 
+class TestRejectedInputs:
+    def test_zero_sigma_named(self, synth_dir, tmp_path, capsys):
+        rc = run(
+            "approximate", "--input", synth_dir / "data.bow", "--divergence",
+            "sq-euclidean", "--sigma", 0, "--out", tmp_path / "m.npz",
+        )
+        assert rc == 1
+        assert "sigma must be > 0" in capsys.readouterr().err
+
+    def test_negative_refine_rounds_named(self, synth_dir, tmp_path, capsys):
+        rc = run(
+            "approximate", "--input", synth_dir / "data.bow", "--divergence",
+            "gid", "--partition", "refine:-5", "--out", tmp_path / "m.npz",
+        )
+        assert rc == 1
+        assert "rounds must be >= 0" in capsys.readouterr().err
+
+    def test_zero_trials_named(self, synth_dir, tmp_path, capsys):
+        rc = run(
+            "experiment", "--input", synth_dir / "data.bow", "--labels",
+            synth_dir / "labels.csv", "--methods", "bvdt:gid",
+            "--fractions", 0.1, "--trials", 0, "--out", tmp_path / "e",
+        )
+        assert rc == 1
+        assert "--trials must be at least 1" in capsys.readouterr().err
+
+
+class TestConfigFile:
+    """A config file's values are parsed by their options' own types; bad
+    files, lines, values and keys are usage errors (exit code 2)."""
+
+    def usage_error(self, capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [("propagate", "alpha", "abc"), ("approximate", "format", "csv"),
+         ("experiment", "scaling-rows", "10,x")],
+    )
+    def test_malformed_value(self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        err = self.usage_error(capsys, command, "--config", cfg)
+        assert f"--{key}" in err and f"'{value}'" in err
+
+    def test_missing_file(self, tmp_path, capsys):
+        err = self.usage_error(capsys, "propagate", "--config", tmp_path / "no.cfg")
+        assert "cannot read config file" in err
+
+    def test_line_without_equals(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# comment\n\nalpha\n")
+        err = self.usage_error(capsys, "propagate", "--config", cfg)
+        assert "run.cfg:3: expected key=value" in err
+
+    def test_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alphaa=0.3\n")
+        err = self.usage_error(capsys, "propagate", "--config", cfg)
+        assert "unknown key 'alphaa'" in err
+
+    @pytest.mark.parametrize(
+        "value, flag, want", [("false", False, False), ("yes", False, True),
+                              ("0", True, True)],
+    )
+    def test_exact_words(self, synth_dir, tmp_path, value, flag, want):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"exact={value}\ninput={synth_dir / 'data.bow'}\ndivergence=gid\n"
+            f"out={tmp_path / 'm.npz'}\n"
+        )
+        rc = run("approximate", "--config", cfg, *(["--exact"] if flag else []))
+        assert rc == 0
+        report = json.loads((tmp_path / "m.npz.report.json").read_text())
+        assert ("exact_loglik" in report) is want
+
+    def test_one_file_serves_every_subcommand(self, tmp_path):
+        # keys of synth, approximate and propagate in one file; each
+        # subcommand takes its own and skips the others'
+        corpus, model = tmp_path / "corpus", tmp_path / "m.npz"
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text(
+            "classes=2\ndim=20\nrows=60\nmean-length=30\nseed=3\n"
+            f"out={corpus}\ninput={corpus / 'data.bow'}\ndivergence=gid\n"
+            f"model={model}\nlabels={corpus / 'labels.csv'}\nalpha=0.05\n"
+        )
+        assert run("synth", "--config", cfg) == 0
+        assert run("approximate", "--config", cfg, "--out", model) == 0
+        out = tmp_path / "run"
+        assert run("propagate", "--config", cfg, "--alpha", 0.02, "--out", out) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["config"]["alpha"] == 0.02
+        assert metrics["config"]["seed"] == 3
+        assert load_bow(corpus / "data.bow").n_rows == 60
+
+
 class TestStratifiedSubset:
     def test_at_least_one_per_class(self, rng):
         from blockwalk.dataset import LabelSet

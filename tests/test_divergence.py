@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal, poisson
 
 from blockwalk.divergence import (
     DivergenceSpec,
     DomainError,
     bregman_divergence,
+    carrier_rows,
     grad_phi,
     grad_phi_inv,
     log_carrier,
@@ -39,6 +41,19 @@ class TestPhi:
         with pytest.raises(DomainError) as err:
             phi(spec, [1.0, -2.0, 3.0])
         assert err.value.index == 1
+
+    def test_row_violation_reports_row_and_column(self):
+        spec = DivergenceSpec("gid", 3)
+        X = np.ones((3, 3))
+        X[1, 2] = -1.0
+        with pytest.raises(DomainError) as err:
+            pairwise_divergences(spec, X, np.ones((2, 3)))
+        assert err.value.index == (1, 2)
+        X[1, 2] = 0.0  # in gid's domain, outside its relative interior
+        pairwise_divergences(spec, X, np.ones((2, 3)))
+        with pytest.raises(DomainError) as err:
+            pairwise_divergences(spec, np.ones((2, 3)), X)
+        assert err.value.index == (1, 2)
 
     def test_logistic_requires_open_unit_interval(self):
         spec = DivergenceSpec("logistic", 2)
@@ -202,6 +217,25 @@ class TestCarrier:
         for _ in range(5):
             x = rng.normal(size=4)
             assert phi(spec, x) + log_carrier(spec, x) == pytest.approx(want)
+
+    @pytest.mark.parametrize("kind", ["sq-euclidean", "mahalanobis", "gid"])
+    def test_kernel_is_the_family_density(self, kind, rng):
+        # log p(x | y) = -d(x, y) + phi(x) + log carrier(x): a Gaussian with
+        # covariance sigma^2 or Sigma/2, a product of Poissons for gid
+        d = 4
+        spec = make_spec(kind, d, rng, sigma=1.7)
+        for _ in range(5):
+            if kind == "gid":
+                x = rng.integers(0, 6, d).astype(float)
+                y = rng.uniform(0.5, 4.0, d)
+                want = float(np.sum(poisson.logpmf(x, y)))
+            else:
+                x, y = rng.normal(size=d), rng.normal(size=d)
+                cov = spec.sigma**2 if kind == "sq-euclidean" else spec.covariance_diag / 2
+                want = multivariate_normal.logpdf(x, y, np.diag(np.broadcast_to(cov, d)))
+            got = -bregman_divergence(spec, x, y) + phi(spec, x) + log_carrier(spec, x)
+            assert got == pytest.approx(want, rel=1e-12)
+            assert carrier_rows(spec, x[None, :])[0] == log_carrier(spec, x)
 
 
 class TestOffsetVecKernels:

@@ -140,6 +140,11 @@ class TestRefine:
         assert q.n_blocks == p.n_blocks + 5
         assert validate_partition(q, tree)
 
+    def test_auto_refine_rejects_negative_rounds(self, rng):
+        tree = gid_tree(rng, 12)
+        with pytest.raises(ValueError, match="rounds must be >= 0"):
+            auto_refine(coarsest_partition(tree), tree, -5)
+
     def test_auto_refine_matches_round_by_round_loop(self, rng):
         tree = gid_tree(rng, 40)
         p = coarsest_partition(tree)

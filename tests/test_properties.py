@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from blockwalk.anchor_tree import build_cluster_tree
 from blockwalk.dataset import DataMatrix, smooth
+from blockwalk.divergence import DomainError, _check_domain
 from blockwalk.model_io import load_model, save_model
 from blockwalk.partition import auto_refine, coarsest_partition
 from blockwalk.propagation import TransitionModel
@@ -118,3 +119,44 @@ def test_save_load_round_trip(tmp_path_factory, corpus):
         assert np.array_equal(getattr(loaded.tree.stats, name), getattr(tree.stats, name))
     v = np.arange(2.0 * data.n_rows).reshape(data.n_rows, 2)
     assert np.array_equal(loaded.matmat(v), model.matmat(v))
+
+
+@st.composite
+def smoothed_corpora(draw):
+    """(smoothed data, kind): rows with and without implicit coordinates,
+    offsets 0 to 1; logistic values in (0, 1), counts 1..4 otherwise."""
+    kind = draw(st.sampled_from(["gid", "itakura-saito", "logistic", "sq-euclidean"]))
+    n = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 5))
+    eps = draw(st.sampled_from([0.0, 0.0, 0.05, 0.5, 1.0]))
+    value = (
+        st.sampled_from([0.1, 0.2, 0.3, 0.45, 0.97])
+        if kind == "logistic"
+        else st.integers(1, 4).map(float)
+    )
+    stored = st.just([True] * d) | st.lists(st.booleans(), min_size=d, max_size=d)
+    rows = []
+    for _ in range(n):
+        idx = np.nonzero(draw(stored))[0]
+        rows.append((idx, [draw(value) for _ in idx]))
+    return smooth(DataMatrix.from_rows(rows, d), eps), kind
+
+
+@settings(PROPERTY, max_examples=200)
+@given(smoothed_corpora())
+def test_smoothed_domain_is_the_dense_rule(corpus):
+    """The tree rejects a smoothed matrix exactly when the dense domain rule
+    rejects its densified rows."""
+    data, kind = corpus
+    spec = make_spec(kind, data.dim, epsilon=data.epsilon)
+    try:
+        _check_domain(spec, data.to_dense(), strict=True)
+        dense_ok = True
+    except DomainError:
+        dense_ok = False
+    try:
+        build_cluster_tree(data, spec)
+        tree_ok = True
+    except DomainError:
+        tree_ok = False
+    assert tree_ok == dense_ok
