@@ -9,8 +9,7 @@ and merges them in the same steps, so a level costs a few array operations
 per step whatever its number of scopes. One grower serves every scope, with
 each row's anchor and its divergence to that anchor's pivot in two arrays;
 a step evaluates the divergences of a level's rows to their scopes' new
-pivots in one sparse product. A scope of at most SMALL_SCOPE rows computes
-its pairwise divergences once, in one block that the scopes below it read.
+pivots in one sparse product, whatever the sizes of their scopes.
 
 The paper's no-steal bound, behind steal_threshold, generalizes the
 Euclidean halfway rule: a row whose divergence to its current pivot is at
@@ -155,9 +154,9 @@ class _Workspace:
     def keyed_rows(self, rows, group):
         """`rows` as a CSR matrix whose columns are the distinct (group,
         column) pairs of their stored entries, in sorted order; returns the
-        matrix, the pair keys group * dim + column, and each entry's flat
-        position in the data. A product with it sums each row's terms in
-        storage order from zero, as np.bincount does."""
+        matrix and its entries' gradient values, aligned with its data. A
+        product with it sums each row's terms in storage order from zero,
+        as np.bincount does."""
         flat, lens = self._gather(rows)
         key = np.repeat(group, lens) * self.dim + self.csr.indices[flat]
         span = (int(group.max()) + 1) * self.dim if group.size else 0
@@ -173,7 +172,7 @@ class _Workspace:
         mat = sp.csr_matrix(
             (self.csr.data[flat], col, indptr), shape=(rows.size, keys.size)
         )
-        return mat, keys, flat
+        return mat, self.g_val[flat]
 
     def _xgrad(self, rows, pivots, dots):
         """x_i'grad(x_j) for rows i and pivot rows j, given the dot products
@@ -193,22 +192,6 @@ class _Workspace:
         # differences vanish exactly at i == j, so d(x_j, x_j) is 0.
         xg = self._xgrad(rows, pivots, dots)
         return (self.phi_row[rows] - self.phi_row[pivots]) - (xg - self.s2_row[pivots])
-
-    def div_blocks(self, rows, ptr):
-        """The blocks of divergences of the row groups rows[ptr[b]:ptr[b + 1]],
-        flattened one after another: entry [i, j] of block b is
-        d(x_i, x_j) with row j of the group as the pivot. Each dot product
-        sums row i's terms in storage order from zero."""
-        nb = np.diff(ptr)
-        bid = np.repeat(np.arange(nb.size), nb)
-        at = np.arange(rows.size) - ptr[bid]  # position within the group
-        mat, keys, flat = self.keyed_rows(rows, bid)
-        grads = np.zeros((keys.size, int(nb.max(initial=0))))
-        grads[mat.indices, np.repeat(at, np.diff(mat.indptr))] = self.g_val[flat]
-        dots = mat @ grads  # [e, j]: row e against pivot j of its group
-        e = np.repeat(np.arange(rows.size), nb[bid])
-        j = _ranges(np.zeros(rows.size, dtype=np.int64), nb[bid])
-        return self._finish(rows[e], rows[ptr[bid[e]] + j], dots[e, j])
 
 
 def _ranges(starts, lens):
@@ -299,7 +282,6 @@ def _thresholds(spec, pivots, new_pivot, cols=None):
 # 2.08 -> 4.09 s, N=3000 d=20000 19.1 -> 49.2 s; OffsetVec merges at d=50,
 # N=4000: 0.60-0.65 -> 1.17-1.24 s.
 DENSE_DIM_CAP = 4096
-SMALL_SCOPE = 16  # scopes up to this size grow from one block of divergences
 STAT_CHUNK = 1 << 16  # sparse statistic entries per chunk of block pairs
 KEY_TABLE = 1 << 21  # (group, column) keys numbered by a table up to this many
 DENSE_CHUNK = 1 << 21  # dense values per chunk of merged scopes or parents
@@ -318,7 +300,7 @@ def _first_max(d, donor, part, starts):
     return pick[first]
 
 
-def _grow_scopes(ws, rows, ptr, m, lookup):
+def _grow_scopes(ws, rows, ptr, m):
     """Grow m[s] anchors over every scope rows[ptr[s]:ptr[s + 1]] (sorted
     rows, at least two) at once; returns each entry's anchor and its
     divergence to that anchor's pivot, and the pivots as entry positions.
@@ -327,50 +309,23 @@ def _grow_scopes(ws, rows, ptr, m, lookup):
     farthest row (the lowest on a tie) of an anchor with two or more
     members, so no anchor gives away its only member. A row moves to the new
     pivot when it is strictly closer to it; the new pivot always moves.
-    Every scope takes one step at a time, until it has its m anchors.
-    `lookup` is (eb, at, bd): an entry with eb >= 0 lies in a scope held by
-    a block of divergences, where d(entry, pivot p) is bd[eb + at[p]]. The
-    other scopes get their divergences from one sparse product per step."""
-    eb, at, bd = lookup
-    n = np.diff(ptr)
-    owner = np.zeros(rows.size, dtype=np.int64)
-    d = np.empty(rows.size)
-    pivots = np.full((n.size, int(m.max())), -1, dtype=np.int64)
-    held = eb[ptr[:-1]] >= 0
-    for blocked in (True, False):
-        s = np.flatnonzero(held == blocked)
-        if not s.size:
-            continue
-        sel = _ranges(ptr[s], n[s])
-        sub = (eb[sel], at[sel], bd) if blocked else None
-        got = _grow_alike(ws, rows[sel], _offsets(n[s]), m[s], sub)
-        owner[sel], d[sel] = got[0], got[1]
-        pivots[s, : got[2].shape[1]] = np.where(got[2] >= 0, sel[got[2]], -1)
-    return owner, d, pivots
-
-
-def _grow_alike(ws, rows, ptr, m, lookup):
-    """_grow_scopes over scopes that all read a block (`lookup` is
-    (eb, at, bd)) or all take sparse products (`lookup` is None). The
-    product matrix keeps the rows of the scopes still growing only."""
+    Every scope takes one step at a time, until it has its m anchors. A
+    step takes its divergences from one sparse product, whose matrix keeps
+    the rows of the scopes still growing only."""
     n_scopes = ptr.size - 1
     seg = np.repeat(np.arange(n_scopes), np.diff(ptr))
     top = int(m.max())
-    if lookup is None:
-        mat, keys, _ = ws.keyed_rows(rows, seg)
-    else:
-        eb, at, bd = lookup
+    mat, g = ws.keyed_rows(rows, seg)
+    # an entry's row of the matrix holds its (scope, column) keys, on which
+    # its gradient lies when it is a pivot
+    col, first, lens = mat.indices, mat.indptr, np.diff(mat.indptr)
 
     def div(p, piv):
         """Divergence of each entry of cand to the pivot entry p of its
         scope; `piv` lists the pivot entries of every scope in play."""
-        if lookup is not None:
-            return bd[eb[cand] + at[p]]
-        # each scope's pivot gradient on its (scope, column) keys
-        flat, lens = ws._gather(rows[piv])
-        grad = np.zeros(keys.size)
-        where = np.repeat(seg[piv] * ws.dim, lens) + ws.csr.indices[flat]
-        grad[np.searchsorted(keys, where)] = ws.g_val[flat]
+        at = _ranges(first[piv], lens[piv])  # the pivots' own rows
+        grad = np.zeros(mat.shape[1])
+        grad[col[at]] = g[at]
         return ws._finish(rows[cand], rows[p], mat @ grad)
 
     pivots = np.full((n_scopes, top), -1, dtype=np.int64)
@@ -382,9 +337,7 @@ def _grow_alike(ws, rows, ptr, m, lookup):
         if t == 1 or np.any(m == t):  # drop the scopes done growing
             keep = np.flatnonzero(m[seg[cand]] > t)
             if keep.size < cand.size:
-                cand = cand[keep]
-                if lookup is None:
-                    mat = mat[keep]
+                cand, mat = cand[keep], mat[keep]
             live = np.flatnonzero(m > t)
             part = np.repeat(np.arange(live.size), np.diff(ptr)[live])
             starts = _offsets(np.diff(ptr)[live])[:-1]
@@ -410,8 +363,7 @@ def _grow(ws, scope, m):
     if m < 1 or m > n:
         raise ValueError(f"anchor count m={m} must be in 1..{n}")
     rows = np.sort(scope)
-    lookup = (np.full(n, -1), np.zeros(n, dtype=np.int64), np.empty(0))
-    owner, d, pivots = _grow_scopes(ws, rows, np.array([0, n]), np.array([m]), lookup)
+    owner, d, pivots = _grow_scopes(ws, rows, np.array([0, n]), np.array([m]))
     order = np.lexsort((rows, -d, owner))
     bounds = np.cumsum(np.bincount(owner, minlength=m))[:-1]
     return (
@@ -828,22 +780,18 @@ def build_cluster_tree(data, spec):
     start = np.zeros(n_nodes, dtype=np.int64)
     perm = np.zeros(n_rows, dtype=np.int64)
     # the level's scopes: rows[ptr[s]:ptr[s + 1]] (sorted), the first perm
-    # position and the first node id of each; per row, its place in a block
+    # position and the first node id of each
     rows = np.arange(n_rows, dtype=np.int64)
     ptr = np.array([0, n_rows])
     offset = np.zeros(1, dtype=np.int64)
     base = np.zeros(1, dtype=np.int64)
-    eb = np.full(n_rows, -1, dtype=np.int64)
-    at = np.zeros(n_rows, dtype=np.int64)
-    bd = np.empty(0)
     if n_rows == 1:
         ptr = ptr[:1]
     while ptr.size > 1:
         n = np.diff(ptr)
         seg = np.repeat(np.arange(n.size), n)
-        bd = _add_blocks(ws, rows, ptr, eb, at, bd)
         m = _ceil_sqrt(n)
-        owner, d, _ = _grow_scopes(ws, rows, ptr, m, (eb, at, bd))
+        owner, d, _ = _grow_scopes(ws, rows, ptr, m)
         top = int(m.max())
         group = seg * top + owner
         order = np.lexsort((-d, group))  # rows ascend within a scope already
@@ -863,29 +811,12 @@ def build_cluster_tree(data, spec):
         s, a = np.nonzero(gsize > 1)
         ptr = _offsets(gsize[s, a])
         offset, base = off[s, a], nid[s, a] - 2 * gsize[s, a] + 2
-        rows, eb, at = rows[nxt], eb[nxt], at[nxt]
+        rows = rows[nxt]
     tree = ClusterTree(
         data, spec, left, right, size, start, start + size, perm, None
     )
     tree.stats = _node_stats(ws, tree)
     return tree
-
-
-def _add_blocks(ws, rows, ptr, eb, at, bd):
-    """Give every scope of at most SMALL_SCOPE rows that no block holds yet
-    its block of divergences, appended to the flat blocks `bd`: its rows
-    get their place `at` in the block and eb, where their block row starts
-    (d(row, row j of the block) is bd[eb + j]). Returns the grown `bd`."""
-    n = np.diff(ptr)
-    fresh = (eb[ptr[:-1]] < 0) & (n <= SMALL_SCOPE)
-    if not fresh.any():
-        return bd
-    n = n[fresh]
-    sel = _ranges(ptr[:-1][fresh], n)
-    blk_ptr = _offsets(n)
-    at[sel] = np.arange(sel.size) - np.repeat(blk_ptr[:-1], n)
-    eb[sel] = bd.size + np.repeat(_offsets(n**2)[:-1], n) + at[sel] * np.repeat(n, n)
-    return np.concatenate([bd, ws.div_blocks(rows[sel], blk_ptr)])
 
 
 def _place_merges(lm, rm, gsize, m, offset, base):

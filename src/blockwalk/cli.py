@@ -321,6 +321,10 @@ def _parse_methods(tokens):
             raise ValueError(f"unknown method family {family!r}")
         if kind not in KINDS:
             raise ValueError(f"unknown divergence {kind!r} in method {tok!r}")
+        if kind == "mahalanobis":
+            raise ValueError(
+                f"no option gives the covariance that mahalanobis in method {tok!r} needs"
+            )
         out.append((family, kind))
     return out
 
@@ -346,9 +350,7 @@ def _method_operator(family, kind, data, args, seed):
             f"exact method refused for N={data.n_rows} > --max-exact-n={args.max_exact_n}"
         )
     t0 = time.perf_counter()
-    base = dense_transition_matrix(
-        smooth(data, spec.epsilon), spec, cap=args.max_exact_n, keep_w=False
-    )
+    base = dense_transition_matrix(smooth(data, spec.epsilon), spec, cap=args.max_exact_n)
     return base, time.perf_counter() - t0
 
 
@@ -504,7 +506,8 @@ def build_parser():
     p = subs.add_parser(
         "approximate", parents=[common, fit], help="fit the compressed transition model"
     )
-    p.add_argument("--divergence")
+    # every kind but mahalanobis, whose covariance no option gives
+    p.add_argument("--divergence", choices=[k for k in KINDS if k != "mahalanobis"])
     p.add_argument("--report")
     p.add_argument("--exact", action="store_true")
 
@@ -527,8 +530,10 @@ def build_parser():
 def _config_flags(path, command, subcommands):
     """A key=value config file as flags of `command`, to go before the
     command line's flags, which win. A key that only other subcommands take
-    is skipped, so one file serves them all."""
+    is skipped, so one file serves them all. Each flag is parsed alone
+    first, so that a value its option rejects is named by its line."""
     sub = subcommands[command]
+    sub.exit_on_error = False  # a rejected value raises ArgumentError
     # each subcommand's option names, from a parse of no arguments
     keys = {
         name: set(vars(p.parse_args([]))) - {"config"}
@@ -543,8 +548,9 @@ def _config_flags(path, command, subcommands):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, eq, val = line.partition("=")
-        key, val = key.strip().replace("-", "_"), val.strip()
+        name, eq, val = line.partition("=")
+        name, val = name.strip(), val.strip()
+        key = name.replace("-", "_")
         if not eq:
             sub.error(f"{path}:{ln}: expected key=value")
         if not any(key in known for known in keys.values()):
@@ -554,8 +560,12 @@ def _config_flags(path, command, subcommands):
         flag = "--" + key.replace("_", "-")
         if key == "exact":
             flags += [flag] if val.lower() in ("1", "true", "yes") else []
-        else:
-            flags.append(f"{flag}={val}")
+            continue
+        flags.append(f"{flag}={val}")
+        try:
+            sub.parse_known_args(flags[-1:])
+        except argparse.ArgumentError as exc:
+            sub.error(f"{path}:{ln}: key {name!r}: {exc}")
     return flags
 
 

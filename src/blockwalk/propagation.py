@@ -83,8 +83,9 @@ class DenseBaseline:
         return self.p @ v
 
 
-def dense_transition_matrix(data, spec, cap=8192, keep_w=True, block_rows=512):
-    """Exact row-softmax transition matrix with log-sum-exp stabilization."""
+def dense_transition_matrix(data, spec, cap=8192, keep_w=False, block_rows=512):
+    """Exact row-softmax transition matrix with log-sum-exp stabilization;
+    the similarity matrix w is filled only when keep_w is set."""
     n = data.n_rows
     if n < 2:
         raise ValueError("transition matrix needs at least 2 points")

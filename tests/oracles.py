@@ -10,15 +10,15 @@ per-row kernels and the dataset's smoothing, and the sq-euclidean block
 sum from coordinate sums and squared norms checks the general one. The
 reference tree builder grows every scope with reference_grow, which keeps
 per-anchor sorted member lists where the library keeps two arrays over the
-scope and reads a small scope's divergences from one block, and which
-evaluates the divergences to one pivot at a time with np.bincount
-(div_to_pivot) where the library takes those of a whole tree level from one
-sparse product per step. It is also the only grower that prunes: with
-use_pruning it skips the members below their anchor's no-steal limit
-(the paper's bound, _thresholds, less a rounding slack), and its trees must
-still be the library's, which evaluates every row. div_block and pivot_rows
-give one scope's block of divergences and its pivots as dense rows over
-their stored columns. The test-scale
+scope, and which evaluates the divergences to one pivot at a time with
+np.bincount (div_to_pivot) where the library takes those of a whole tree
+level from one sparse product per step. It is also the only grower that
+prunes: with use_pruning it skips the members below their anchor's
+no-steal limit (the paper's bound, _thresholds, less a rounding slack), and
+its trees must still be the library's, which evaluates every row. div_block
+gives the divergences between all rows of a scope, one div_to_pivot column
+per pivot, and pivot_rows the pivots as dense rows over their stored
+columns. The test-scale
 helpers (the dense expansion of a compressed model, per-row block lists and
 the exhaustive partition check) and the round-by-round refinement loop live
 here too, and so does the fixed-count label-spreading loop that the
@@ -302,9 +302,9 @@ def div_to_pivot(ws, rows, kernel):
 
 
 def div_block(ws, rows):
-    """d(x_i, x_j) for all i, j in `rows`, row j as the pivot."""
-    n = rows.size
-    return ws.div_blocks(rows, np.array([0, n])).reshape(n, n)
+    """d(x_i, x_j) for all i, j in `rows`, row j as the pivot: column j is
+    div_to_pivot to row j."""
+    return np.stack([div_to_pivot(ws, rows, row_kernel(ws, j)) for j in rows], axis=1)
 
 
 def _columns(ws, flat):

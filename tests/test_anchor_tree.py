@@ -510,8 +510,8 @@ def assert_same_tree(got, want):
 
 
 class TestSmallScopeBaseCase:
-    """build_cluster_tree builds small scopes from one block of pairwise
-    divergences; the trees must be those of the general recursion."""
+    """Small scopes, down to two rows, grow by the same sparse products as
+    the large ones; the trees must be those of the reference builder."""
 
     @pytest.mark.parametrize("kind", ["gid", "sq-euclidean", "itakura-saito"])
     def test_matches_reference_builder(self, kind):
@@ -582,43 +582,22 @@ class TestSmallScopeBaseCase:
         assert np.count_nonzero(own) == 0
         assert np.count_nonzero(np.diag(div_block(ws, np.arange(16)))) == 0
 
-    @pytest.mark.parametrize("d", [9, 5000])
-    def test_div_block_matches_div_to_pivot(self, d, rng):
-        data = smoothed_counts(rng, 30, d, epsilon=0.5, density=min(0.5, 60 / d))
-        ws = _Workspace(data, DivergenceSpec("gid", d, epsilon=0.5))
-        rows = np.sort(rng.choice(30, size=11, replace=False))
-        block = div_block(ws, rows)
-        for j, r in enumerate(rows):
-            assert np.array_equal(block[:, j], div_to_pivot(ws, rows, row_kernel(ws, r)))
-
-    @staticmethod
-    def grow_from_block(ws, scope, m):
-        """_grow's anchors with every divergence read from the scope's block."""
-        rows = np.sort(scope)
-        n = rows.size
-        lookup = (np.arange(n) * n, np.arange(n), div_block(ws, rows).ravel())
-        owner, d, pivots = _grow_scopes(ws, rows, np.array([0, n]), np.array([m]), lookup)
-        order = np.lexsort((rows, -d, owner))
-        bounds = np.cumsum(np.bincount(owner, minlength=m))[:-1]
-        return rows[pivots[0]], np.split(rows[order], bounds), np.split(d[order], bounds)
-
     def assert_grow_matches_reference(self, ws, scope, m):
-        got = [_grow(ws, scope, m), self.grow_from_block(ws, scope, m)]
+        pivots, members, dists = _grow(ws, scope, m)
         for use_pruning in (True, False):
             want = reference_grow(ws, scope, m, use_pruning)
-            for pivots, members, dists in got:
-                assert pivots.tolist() == [a.pivot_row for a in want]
-                for a, mem, dis in zip(want, members, dists):
-                    assert np.array_equal(mem, a.members)
-                    assert dis.tobytes() == a.dists.tobytes()
+            assert pivots.tolist() == [a.pivot_row for a in want]
+            for a, mem, dis in zip(want, members, dists):
+                assert np.array_equal(mem, a.members)
+                assert dis.tobytes() == a.dists.tobytes()
 
     @pytest.mark.parametrize("d", [3, 9, 5000])
     @pytest.mark.parametrize(
         "kind", ["gid", "sq-euclidean", "itakura-saito", "mahalanobis"]
     )
     def test_grow_matches_reference(self, kind, d):
-        # with and without the block: the pivots, members and divergences of
-        # the per-anchor reference grower, pruned or not, bit for bit
+        # the pivots, members and divergences of the per-anchor reference
+        # grower, pruned or not, bit for bit
         rng = np.random.default_rng(d)
         eps = 0.0 if kind == "mahalanobis" else 0.5
         base = random_count_matrix(rng, 80, d, density=min(0.5, 50 / d))
@@ -650,6 +629,28 @@ class TestSmallScopeBaseCase:
                 scope = rng.choice(np.arange(1, 40), size=16, replace=False)
                 self.assert_grow_matches_reference(ws, scope, m % 16 + 1)
 
+    def test_tree_matches_reference_with_nan_divergences(self):
+        # two rows with a 1e200 coordinate, so every level that holds one
+        # of them meets NaN and inf divergences: the whole tree must still
+        # be the reference builder's
+        rng = np.random.default_rng(19)
+        for _ in range(12):
+            n = int(rng.integers(20, 121))
+            base = random_count_matrix(rng, n, 6)
+            rows = [base.row(i) for i in range(n)]
+            for r in rng.choice(n, size=2, replace=False):
+                idx, val = rows[r]
+                rows[r] = (idx, np.r_[1e200, val[1:]])
+            data = smooth(DataMatrix.from_rows(rows, 6), 0.0)
+            spec = make_spec("sq-euclidean", 6)
+            with np.errstate(invalid="ignore", over="ignore"):
+                ws = _Workspace(data, spec)
+                d = div_block(ws, np.arange(n))
+                assert np.isnan(d).any() and np.isinf(d).any()
+                assert_same_tree(
+                    build_cluster_tree(data, spec), reference_cluster_tree(data, spec)
+                )
+
 
 class TestLevelBatching:
     """build_cluster_tree grows and merges all scopes of a level together;
@@ -658,8 +659,7 @@ class TestLevelBatching:
     @pytest.mark.parametrize("d", [3, 9, 5000])
     @pytest.mark.parametrize("kind", ["gid", "sq-euclidean", "mahalanobis"])
     def test_scopes_grow_as_one_each(self, kind, d):
-        # disjoint scopes of one corpus, the first ones read from blocks of
-        # divergences, the rest from the sparse products; each against the
+        # disjoint scopes of one corpus, grown together; each against the
         # per-anchor reference grower on that scope alone, bit for bit
         rng = np.random.default_rng(d + 1)
         eps = 0.0 if kind == "mahalanobis" else 0.5
@@ -668,21 +668,14 @@ class TestLevelBatching:
         for i, j in rng.integers(0, 90, (12, 2)):
             rows[j] = rows[i]
         ws = _Workspace(smooth(DataMatrix.from_rows(rows, d), eps), make_spec(kind, d, rng, epsilon=eps))
-        for trial in range(4):
+        for _ in range(4):
             sizes = rng.integers(2, 17, 8)
             scopes = np.split(rng.permutation(90)[: sizes.sum()], np.cumsum(sizes)[:-1])
             scopes = [np.sort(sc) for sc in scopes]
             ptr = np.r_[0, np.cumsum(sizes)]
             m = np.array([rng.integers(1, n + 1) for n in sizes])
             flat = np.concatenate(scopes)
-            eb = np.full(flat.size, -1)
-            at = np.zeros(flat.size, dtype=np.int64)
-            held = ptr[3] if trial % 2 else 0  # scopes 0-2 read blocks
-            at[:held] = np.concatenate([np.arange(n) for n in sizes[:3]])[:held]
-            firsts = np.repeat(np.r_[0, np.cumsum(sizes[:3] ** 2)][:-1], sizes[:3])[:held]
-            eb[:held] = firsts + at[:held] * np.repeat(sizes[:3], sizes[:3])[:held]
-            bd = ws.div_blocks(flat[:held], ptr[:4] if held else np.array([0]))
-            owner, dist, pivots = _grow_scopes(ws, flat, ptr, m, (eb, at, bd))
+            owner, dist, pivots = _grow_scopes(ws, flat, ptr, m)
             for use_pruning in (True, False):
                 for s, scope in enumerate(scopes):
                     want = reference_grow(ws, scope, int(m[s]), use_pruning)

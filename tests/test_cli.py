@@ -296,6 +296,41 @@ class TestRejectedInputs:
         assert rc == 1
         assert "--trials must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["mahalanobis", "bogus"])
+    def test_divergence_outside_the_choices(self, synth_dir, tmp_path, capsys, kind):
+        # mahalanobis needs a covariance, which no option gives
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "approximate", "--input", synth_dir / "data.bow", "--divergence",
+                kind, "--out", tmp_path / "m.npz",
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--divergence" in err and "invalid choice" in err
+
+    def test_mahalanobis_method_named(self, synth_dir, tmp_path, capsys):
+        rc = run(
+            "experiment", "--input", synth_dir / "data.bow", "--labels",
+            synth_dir / "labels.csv", "--methods", "bvdt:gid,bvdt:mahalanobis",
+            "--fractions", 0.1, "--out", tmp_path / "e",
+        )
+        assert rc == 1
+        assert "mahalanobis in method 'bvdt:mahalanobis'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["kl", "logistic"])
+    def test_kinds_for_dense_csv_fit(self, tmp_path, kind):
+        # rows on the simplex with every value in (0, 1), left unsmoothed,
+        # suit both kinds
+        x = np.random.default_rng(4).uniform(0.1, 1.0, (30, 4))
+        x /= x.sum(axis=1, keepdims=True)
+        csv = tmp_path / "rows.csv"
+        csv.write_text("".join(",".join(map(repr, r)) + "\n" for r in x.tolist()))
+        rc = run(
+            "approximate", "--input", csv, "--format", "dense-csv",
+            "--divergence", kind, "--epsilon", 0, "--out", tmp_path / "m.npz",
+        )
+        assert rc == 0
+
 
 class TestConfigFile:
     """A config file's values are parsed by their options' own types; bad
@@ -317,6 +352,19 @@ class TestConfigFile:
         cfg.write_text(f"{key}={value}\n")
         err = self.usage_error(capsys, command, "--config", cfg)
         assert f"--{key}" in err and f"'{value}'" in err
+        assert f"run.cfg:1: key '{key}'" in err
+
+    def test_bad_value_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# spread\nlabels=l.csv\n\nalpha = abc\n")
+        err = self.usage_error(capsys, "propagate", "--config", cfg, "--alpha", 0.1)
+        assert f"{cfg}:4: key 'alpha'" in err
+
+    def test_divergence_choice_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("divergence=mahalanobis\n")
+        err = self.usage_error(capsys, "approximate", "--config", cfg)
+        assert "run.cfg:1: key 'divergence'" in err and "invalid choice" in err
 
     def test_missing_file(self, tmp_path, capsys):
         err = self.usage_error(capsys, "propagate", "--config", tmp_path / "no.cfg")

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from blockwalk.anchor_tree import build_cluster_tree
 from blockwalk.dataset import LabelSet, smooth
-from blockwalk.divergence import DivergenceSpec
+from blockwalk.divergence import DivergenceSpec, pairwise_divergences
 from blockwalk.partition import auto_refine, coarsest_partition, finest_partition
 from blockwalk.propagation import (
     PropagationConfig,
@@ -142,6 +142,15 @@ class TestDenseTransitionMatrix:
         a = dense_transition_matrix(data, spec, block_rows=7)
         b = dense_transition_matrix(data, spec, block_rows=512)
         np.testing.assert_allclose(a.p, b.p, atol=1e-15)
+
+    def test_similarities_kept_on_request_only(self, rng):
+        data = smoothed_counts(rng, 12, 4)
+        spec = DivergenceSpec("gid", 4, epsilon=0.5)
+        assert dense_transition_matrix(data, spec).w is None
+        kept = dense_transition_matrix(data, spec, keep_w=True)
+        d = pairwise_divergences(spec, data.to_dense(), data.to_dense())
+        np.fill_diagonal(d, np.inf)
+        np.testing.assert_allclose(kept.w, np.exp(-d), rtol=1e-12)
 
 
 class TestPropagation:
