@@ -117,7 +117,8 @@ class _Workspace:
         every = np.arange(lens.size)
         prods = self.csr.data * self.g_val
         own = np.bincount(np.repeat(every, lens), weights=prods, minlength=every.size)
-        self.s2_row = self._xgrad(every, every, own)
+        const, g_base = self._pivot_consts(every)
+        self.s2_row = _xgrad(const, g_base, self.row_sum, own)
 
     def row_ov(self, i):
         return self.data.row(int(i))
@@ -152,46 +153,55 @@ class _Workspace:
         return self.eps + acc / np.maximum(sizes, 1)[:, None]
 
     def keyed_rows(self, rows, group):
-        """`rows` as a CSR matrix whose columns are the distinct (group,
-        column) pairs of their stored entries, in sorted order; returns the
-        matrix and its entries' gradient values, aligned with its data. A
-        product with it sums each row's terms in storage order from zero,
-        as np.bincount does."""
+        """`rows` as a CSR matrix with one column per (group, column) pair:
+        group * dim + column while there are at most KEY_TABLE such pairs,
+        else the distinct pairs of their stored entries in sorted order.
+        Returns the matrix and its entries' gradient values, aligned with
+        its data. A product with it sums each row's terms in storage order
+        from zero, as np.bincount does."""
         flat, lens = self._gather(rows)
-        key = np.repeat(group, lens) * self.dim + self.csr.indices[flat]
         span = (int(group.max()) + 1) * self.dim if group.size else 0
-        if span <= KEY_TABLE:
-            seen = np.zeros(span, dtype=bool)
-            seen[key] = True
-            keys = np.flatnonzero(seen)
-            col = np.cumsum(seen)[key] - 1
-        else:
-            keys, col = np.unique(key, return_inverse=True)
-        indptr = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(lens, out=indptr[1:])
-        mat = sp.csr_matrix(
-            (self.csr.data[flat], col, indptr), shape=(rows.size, keys.size)
-        )
+        # within the table the keys are int32, scipy's own index type, which
+        # it would otherwise check them against and convert them to
+        kind = np.int64 if span > KEY_TABLE else np.int32
+        key = np.repeat(group.astype(kind), lens) * self.dim + self.csr.indices[flat]
+        if span > KEY_TABLE:
+            keys, key = np.unique(key, return_inverse=True)
+            span = keys.size
+        shape = (rows.size, span)
+        mat = sp.csr_matrix((self.csr.data[flat], key, _offsets(lens)), shape=shape)
         return mat, self.g_val[flat]
 
-    def _xgrad(self, rows, pivots, dots):
-        """x_i'grad(x_j) for rows i and pivot rows j, given the dot products
-        of row i's stored values with pivot j's gradient values."""
+    def _pivot_consts(self, pivots):
+        """Per pivot row j, the part of x'grad(x_j) that no x changes and
+        the baseline of grad(x_j)."""
         g_base = self.g_base_row[pivots]
-        return (
-            self.eps * g_base * self.dim
-            + self.eps * self.g_val_sum[pivots]
-            + g_base * self.row_sum[rows]
-            + dots
-        )
+        const = self.eps * g_base * self.dim + self.eps * self.g_val_sum[pivots]
+        return const, g_base
+
+    def _pivot_terms(self, pivots):
+        """Every term of d(., x_j) that depends on pivot row j alone:
+        _pivot_consts, phi(x_j) and x_j'grad(x_j)."""
+        return (*self._pivot_consts(pivots), self.phi_row[pivots], self.s2_row[pivots])
 
     def _finish(self, rows, pivots, dots):
-        # the tail of every divergence; the operation order is part of the
-        # contract (trees are compared bit for bit). As
-        # (phi(x_i) - phi(x_j)) - (x_i'grad(x_j) - x_j'grad(x_j)) both
-        # differences vanish exactly at i == j, so d(x_j, x_j) is 0.
-        xg = self._xgrad(rows, pivots, dots)
-        return (self.phi_row[rows] - self.phi_row[pivots]) - (xg - self.s2_row[pivots])
+        """d(x_i, x_j) for rows i and pivot rows j, given the dot products
+        of row i's stored values with pivot j's gradient values."""
+        terms = self._pivot_terms(pivots)
+        return _tail(self.phi_row[rows], self.row_sum[rows], dots, *terms)
+
+
+def _xgrad(const, g_base, row_sum, dots):
+    """x_i'grad(x_j) from pivot j's _pivot_consts, row i's sum and dot."""
+    return const + g_base * row_sum + dots
+
+
+def _tail(phi, row_sum, dots, const, g_base, phi_p, s2_p):
+    # the tail of every divergence; the operation order is part of the
+    # contract (trees are compared bit for bit). As
+    # (phi(x_i) - phi(x_j)) - (x_i'grad(x_j) - x_j'grad(x_j)) both
+    # differences vanish exactly at i == j, so d(x_j, x_j) is 0.
+    return (phi - phi_p) - (_xgrad(const, g_base, row_sum, dots) - s2_p)
 
 
 def _ranges(starts, lens):
@@ -283,7 +293,7 @@ def _thresholds(spec, pivots, new_pivot, cols=None):
 # N=4000: 0.60-0.65 -> 1.17-1.24 s.
 DENSE_DIM_CAP = 4096
 STAT_CHUNK = 1 << 16  # sparse statistic entries per chunk of block pairs
-KEY_TABLE = 1 << 21  # (group, column) keys numbered by a table up to this many
+KEY_TABLE = 1 << 21  # (group, column) keys are matrix columns up to this many
 DENSE_CHUNK = 1 << 21  # dense values per chunk of merged scopes or parents
 
 
@@ -308,51 +318,76 @@ def _grow_scopes(ws, rows, ptr, m):
     The first pivot is the scope's lowest row. The next pivot is the
     farthest row (the lowest on a tie) of an anchor with two or more
     members, so no anchor gives away its only member. A row moves to the new
-    pivot when it is strictly closer to it; the new pivot always moves.
-    Every scope takes one step at a time, until it has its m anchors. A
-    step takes its divergences from one sparse product, whose matrix keeps
-    the rows of the scopes still growing only."""
+    pivot when it is strictly closer to it, except a pivot: a pivot never
+    leaves its anchor, even where rounding makes its divergence to the new
+    pivot negative, below its 0 to itself. The new pivot always moves.
+    Every scope takes one step at a time, until it has its m anchors.
+
+    The scopes are laid out by decreasing m, so the scopes still growing
+    are always a prefix of them, and their entries a prefix of the entries.
+    A step takes its divergences from one sparse product on a row prefix of
+    the level's matrix, which shares its arrays, and counts each anchor's
+    members from the rows that moved."""
     n_scopes = ptr.size - 1
-    seg = np.repeat(np.arange(n_scopes), np.diff(ptr))
-    top = int(m.max())
-    mat, g = ws.keyed_rows(rows, seg)
+    order = np.argsort(-m, kind="stable")
+    lens, m = np.diff(ptr)[order], m[order]
+    at = _offsets(lens)  # each scope's first entry, in the new layout
+    src = _ranges(ptr[order], lens)  # each entry's position in the caller's
+    rank = np.repeat(np.arange(n_scopes), lens)
+    rows = rows[src]
+    top = int(m[0])
+    mat, g = ws.keyed_rows(rows, rank)
     # an entry's row of the matrix holds its (scope, column) keys, on which
     # its gradient lies when it is a pivot
-    col, first, lens = mat.indices, mat.indptr, np.diff(mat.indptr)
+    col, first, nnz = mat.indices, mat.indptr, np.diff(mat.indptr)
+    grad = np.zeros(mat.shape[1])
+    phi, row_sum = ws.phi_row[rows], ws.row_sum[rows]
+    heads = {}  # the matrix rows of the first k scopes, by k
 
-    def div(p, piv):
-        """Divergence of each entry of cand to the pivot entry p of its
-        scope; `piv` lists the pivot entries of every scope in play."""
-        at = _ranges(first[piv], lens[piv])  # the pivots' own rows
-        grad = np.zeros(mat.shape[1])
-        grad[col[at]] = g[at]
-        return ws._finish(rows[cand], rows[p], mat @ grad)
+    def div(new, k):
+        """Divergence of each entry of the first k scopes to the pivot entry
+        new[s] of its scope."""
+        e = at[k]
+        if k not in heads:
+            shape = (e, mat.shape[1])
+            heads[k] = sp.csr_matrix((mat.data, col, first[: e + 1]), shape=shape)
+        piv = _ranges(first[new], nnz[new])  # the pivots' own rows
+        keys = col[piv]
+        grad[keys] = g[piv]
+        dots = heads[k] @ grad
+        grad[keys] = 0.0
+        terms = ws._pivot_terms(rows[new])
+        if k > 1:  # one scope's terms broadcast as they are
+            terms = [np.repeat(x, lens[:k]) for x in terms]
+        return _tail(phi[:e], row_sum[:e], dots, *terms)
 
     pivots = np.full((n_scopes, top), -1, dtype=np.int64)
-    pivots[:, 0] = ptr[:-1]
-    owner = np.zeros(rows.size, dtype=np.int64)
-    cand = np.arange(rows.size)
-    d = div(ptr[:-1][seg], ptr[:-1])
+    pivots[:, 0] = at[:-1]
+    slot = rank * top  # each entry's anchor, as scope * top + anchor
+    count = np.zeros(n_scopes * top, dtype=np.int64)
+    count[slot[at[:-1]]] = lens
+    is_pivot = np.zeros(rows.size, dtype=bool)
+    is_pivot[at[:-1]] = True
+    d = div(at[:-1], n_scopes)
     for t in range(1, top):
-        if t == 1 or np.any(m == t):  # drop the scopes done growing
-            keep = np.flatnonzero(m[seg[cand]] > t)
-            if keep.size < cand.size:
-                cand, mat = cand[keep], mat[keep]
-            live = np.flatnonzero(m > t)
-            part = np.repeat(np.arange(live.size), np.diff(ptr)[live])
-            starts = _offsets(np.diff(ptr)[live])[:-1]
-        dc = d[cand]
-        key = part * top + owner[cand]
-        donor = np.bincount(key, minlength=live.size * top)[key] >= 2
-        new = cand[_first_max(dc, donor, part, starts)]
-        p = new[part]
-        dn = div(p, new)
-        move = (dn < dc) | (cand == p)
-        moved = cand[move]
-        owner[moved] = t
-        d[moved] = dn[move]
-        pivots[live, t] = new
-    return owner, d, pivots
+        k = int(np.count_nonzero(m > t))
+        e = at[k]
+        dc, part = d[:e], rank[:e]
+        new = _first_max(dc, count[slot[:e]] >= 2, part, at[:k])
+        dn = div(new, k)
+        move = (dn < dc) & ~is_pivot[:e]
+        move[new] = True
+        moved = np.flatnonzero(move)
+        np.subtract.at(count, slot[moved], 1)
+        count[np.arange(k) * top + t] = np.bincount(part[moved], minlength=k)
+        slot[moved] = part[moved] * top + t
+        d[moved] = dn[moved]
+        is_pivot[new] = True
+        pivots[:k, t] = new
+    owner, dist = np.empty_like(slot), np.empty_like(d)
+    owner[src], dist[src] = slot - rank * top, d
+    pivots[order] = np.where(pivots >= 0, src[pivots], -1)
+    return owner, dist, pivots
 
 
 def _grow(ws, scope, m):

@@ -354,6 +354,14 @@ def _method_operator(family, kind, data, args, seed):
     return base, time.perf_counter() - t0
 
 
+def _health(op):
+    """The optimizer's flag and residual of an operator, as a CSV tail and a
+    printed tail. The exact operator has no optimizer: it reads 1 and 0."""
+    params = getattr(op, "params", None)
+    ok, res = (True, 0.0) if params is None else (params.converged, params.residual)
+    return f"{int(ok)},{res:.6g}", f"converged={int(ok)} residual={res:.3g}"
+
+
 def _load_experiment_data(args):
     if args.input:
         if not args.labels:
@@ -388,7 +396,10 @@ def cmd_experiment(args):
 
     if args.scaling_rows:
         rows_list = sorted(args.scaling_rows)
-        lines = ["method,n_rows,build_seconds,propagate_seconds,total_seconds"]
+        lines = [
+            "method,n_rows,build_seconds,propagate_seconds,total_seconds,"
+            "converged,residual"
+        ]
         times = {m: [] for m in methods}
         for n in rows_list:
             data, labels = _synthesize(args, n, [args.seed, n])
@@ -401,12 +412,13 @@ def cmd_experiment(args):
                 prop_s = time.perf_counter() - t0
                 total = build_s + prop_s
                 times[(family, kind)].append(total)
+                csv, shown = _health(op)
                 lines.append(
-                    f"{family}:{kind},{n},{build_s:.6f},{prop_s:.6f},{total:.6f}"
+                    f"{family}:{kind},{n},{build_s:.6f},{prop_s:.6f},{total:.6f},{csv}"
                 )
                 print(
                     f"{family}:{kind} N={n} build={build_s:.2f}s "
-                    f"propagate={prop_s:.2f}s iterations={its} accuracy={acc:.4f}"
+                    f"propagate={prop_s:.2f}s iterations={its} accuracy={acc:.4f} {shown}"
                 )
         (out / "scaling.csv").write_text("\n".join(lines) + "\n")
         logn = np.log(np.asarray(rows_list, dtype=float))
@@ -418,25 +430,21 @@ def cmd_experiment(args):
 
     data, labels = _load_experiment_data(args)
     fractions = sorted(args.fractions)
-    operators = {}
-    build_seconds = {}
-    for family, kind in methods:
-        operators[(family, kind)], build_seconds[(family, kind)] = _method_operator(
-            family, kind, data, args, args.seed
-        )
+    fits = {m: _method_operator(*m, data, args, args.seed) for m in methods}
     lines = [
-        "method,fraction,trials,mean_accuracy,ci95,mean_seconds,build_seconds"
+        "method,fraction,trials,mean_accuracy,ci95,mean_seconds,build_seconds,"
+        "converged,residual"
     ]
     for fraction in fractions:
         for family, kind in methods:
+            op, build_s = fits[(family, kind)]
+            csv, shown = _health(op)
             accs, secs, its = [], [], []
             for trial in range(args.trials):
                 rng = np.random.default_rng([args.seed, trial])
                 labeled = stratified_subset(data.ids, labels, fraction, rng)
                 t0 = time.perf_counter()
-                *_, acc, it = run_propagation(
-                    operators[(family, kind)], data.ids, labels, labeled, config
-                )
+                *_, acc, it = run_propagation(op, data.ids, labels, labeled, config)
                 secs.append(time.perf_counter() - t0)
                 accs.append(acc)
                 its.append(it)
@@ -445,12 +453,11 @@ def cmd_experiment(args):
             ci = 1.96 * sd / np.sqrt(len(accs))
             lines.append(
                 f"{family}:{kind},{fraction:.10g},{args.trials},"
-                f"{mean:.10g},{ci:.10g},{np.mean(secs):.6f},"
-                f"{build_seconds[(family, kind)]:.6f}"
+                f"{mean:.10g},{ci:.10g},{np.mean(secs):.6f},{build_s:.6f},{csv}"
             )
             print(
-                f"{family}:{kind} fraction={fraction:g} "
-                f"accuracy={mean:.4f} +- {ci:.4f} iterations={min(its)}-{max(its)}"
+                f"{family}:{kind} fraction={fraction:g} accuracy={mean:.4f} +- {ci:.4f} "
+                f"iterations={min(its)}-{max(its)} {shown}"
             )
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     print(f"sweep table written to {out / 'sweep.csv'}")

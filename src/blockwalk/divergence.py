@@ -47,8 +47,9 @@ __all__ = [
 KINDS = ("sq-euclidean", "mahalanobis", "gid", "kl", "itakura-saito", "logistic")
 
 # Kinds whose domain requires (near-)positive coordinates and that therefore
-# interact with count smoothing.
-COUNT_KINDS = ("gid", "kl", "itakura-saito")
+# take count smoothing by default. kl is not one: its rows must lie on the
+# simplex, which any offset leaves.
+COUNT_KINDS = ("gid", "itakura-saito")
 
 
 class DomainError(ValueError):

@@ -352,7 +352,8 @@ def reference_grow(ws, scope, m, use_pruning):
     """Anchor growing on per-anchor member lists, a second route to _grow's
     anchors. Each list stays sorted by nonincreasing divergence (ties to
     the lowest row), pruning cuts it at its no-steal limit, and the pivots'
-    dense rows are re-indexed as their column union grows."""
+    dense rows are re-indexed as their column union grows. A pivot never
+    leaves its anchor but as the next pivot."""
     n = scope.size
     if m < 1 or m > n:
         raise ValueError(f"anchor count m={m} must be in 1..{n}")
@@ -369,6 +370,8 @@ def reference_grow(ws, scope, m, use_pruning):
     pivot_rows[0] = first
     in_cols = np.zeros(ws.dim, dtype=bool)
     in_cols[cols] = True
+    is_pivot = np.zeros(ws.data.n_rows, dtype=bool)
+    is_pivot[first] = True
     while len(anchors) < m:
         # the farthest member over all anchors with two or more members
         # becomes the next pivot (a singleton donor would empty); ties
@@ -414,7 +417,7 @@ def reference_grow(ws, scope, m, use_pruning):
                 continue
             dn = dn_all[pos : pos + cut]
             pos += cut
-            take = dn < a.dists[:cut]
+            take = (dn < a.dists[:cut]) & ~is_pivot[a.members[:cut]]
             if k == donor_i:
                 take[0] = True  # the chosen pivot always moves
             if take.any():
@@ -424,6 +427,7 @@ def reference_grow(ws, scope, m, use_pruning):
                 keep[:cut] = ~take
                 a.members = a.members[keep]
                 a.dists = a.dists[keep]
+        is_pivot[new_row] = True
         rows = np.concatenate(stolen_rows)
         dd = np.concatenate(stolen_d)
         rows, dd = _sorted_by_dist(rows, dd)

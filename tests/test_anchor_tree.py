@@ -671,25 +671,45 @@ class TestLevelBatching:
         for _ in range(4):
             sizes = rng.integers(2, 17, 8)
             scopes = np.split(rng.permutation(90)[: sizes.sum()], np.cumsum(sizes)[:-1])
-            scopes = [np.sort(sc) for sc in scopes]
-            ptr = np.r_[0, np.cumsum(sizes)]
             m = np.array([rng.integers(1, n + 1) for n in sizes])
-            flat = np.concatenate(scopes)
-            owner, dist, pivots = _grow_scopes(ws, flat, ptr, m)
-            for use_pruning in (True, False):
-                for s, scope in enumerate(scopes):
-                    want = reference_grow(ws, scope, int(m[s]), use_pruning)
-                    got = slice(ptr[s], ptr[s + 1])
-                    assert flat[pivots[s, : m[s]]].tolist() == [a.pivot_row for a in want]
-                    order = np.lexsort((flat[got], -dist[got], owner[got]))
-                    bounds = np.cumsum([a.size for a in want])[:-1]
-                    for a, mem, dis in zip(
-                        want,
-                        np.split(flat[got][order], bounds),
-                        np.split(dist[got][order], bounds),
-                    ):
-                        assert np.array_equal(mem, a.members)
-                        assert dis.tobytes() == a.dists.tobytes()
+            self.assert_scopes_grow_as_one_each(ws, [np.sort(sc) for sc in scopes], m)
+
+    def test_scopes_stop_at_different_steps(self):
+        # scopes handed over by increasing anchor count, with ties, one
+        # anchor and as many anchors as rows: the grower lays them out by
+        # decreasing count, so that the scopes still growing at a step are a
+        # prefix; each must still come out as the reference grows it alone
+        rng = np.random.default_rng(8)
+        sizes = np.array([6, 9, 9, 12, 5, 14, 8, 10, 7, 11, 3])
+        m = np.array([1, 2, 2, 3, 5, 6, 6, 7, 7, 11, 3])
+        x = rng.poisson(1.5, (sizes.sum(), 6)).astype(float)
+        for i, j in rng.integers(0, sizes.sum(), (12, 2)):
+            x[j] = x[i]
+        ws = _Workspace(smooth(dense_to_data(x), 0.5), make_spec("gid", 6, epsilon=0.5))
+        scopes = np.split(np.arange(sizes.sum()), np.cumsum(sizes)[:-1])
+        self.assert_scopes_grow_as_one_each(ws, scopes, m)
+        self.assert_scopes_grow_as_one_each(ws, scopes[::-1], m[::-1])
+
+    @staticmethod
+    def assert_scopes_grow_as_one_each(ws, scopes, m):
+        ptr = np.r_[0, np.cumsum([sc.size for sc in scopes])]
+        flat = np.concatenate(scopes)
+        owner, dist, pivots = _grow_scopes(ws, flat, ptr, m)
+        assert np.all(pivots[np.arange(pivots.shape[1]) >= m[:, None]] == -1)
+        for use_pruning in (True, False):
+            for s, scope in enumerate(scopes):
+                want = reference_grow(ws, scope, int(m[s]), use_pruning)
+                got = slice(ptr[s], ptr[s + 1])
+                assert flat[pivots[s, : m[s]]].tolist() == [a.pivot_row for a in want]
+                order = np.lexsort((flat[got], -dist[got], owner[got]))
+                bounds = np.cumsum([a.size for a in want])[:-1]
+                for a, mem, dis in zip(
+                    want,
+                    np.split(flat[got][order], bounds),
+                    np.split(dist[got][order], bounds),
+                ):
+                    assert np.array_equal(mem, a.members)
+                    assert dis.tobytes() == a.dists.tobytes()
 
     @pytest.mark.parametrize("kind", ["gid", "sq-euclidean"])
     def test_merges_match_the_heap(self, kind):
@@ -777,6 +797,23 @@ class TestDuplicateRows:
             tree = build_cluster_tree(data, spec)
             assert tree.n_nodes == 2 * n - 1
             assert_same_tree(tree, reference_cluster_tree(data, spec, use_pruning))
+
+    @pytest.mark.parametrize("seed", [0, 13, 33, 51, 190, 232, 244, 261, 269, 294])
+    def test_pivot_never_leaves_its_anchor(self, seed):
+        # two rows with a 1e200 coordinate lose precision: a divergence to a
+        # new pivot reads negative, so a current pivot's own row (at 0) is
+        # "strictly closer" to it; moving it would leave its anchor empty
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(20, 401)), int(rng.integers(3, 41))
+        x = rng.poisson(2, (n, d)).astype(float)
+        x[rng.choice(n, 2, replace=False), rng.integers(0, d, 2)] = 1e200
+        data = smooth(dense_to_data(x), 0.5)
+        spec = DivergenceSpec("itakura-saito", d, epsilon=0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tree = build_cluster_tree(data, spec)
+            assert tree.n_nodes == 2 * n - 1
+            for use_pruning in (True, False):
+                assert_same_tree(tree, reference_cluster_tree(data, spec, use_pruning))
 
 
 class TestWideVocabulary:

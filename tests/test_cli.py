@@ -189,7 +189,10 @@ class TestExperiment:
         )
         assert rc == 0
         lines = (out / "sweep.csv").read_text().splitlines()
-        assert lines[0].startswith("method,fraction,trials,mean_accuracy,ci95")
+        assert lines[0] == (
+            "method,fraction,trials,mean_accuracy,ci95,mean_seconds,"
+            "build_seconds,converged,residual"
+        )
         rows = [ln.split(",") for ln in lines[1:]]
         assert len(rows) == 4
         fractions = [float(r[1]) for r in rows]
@@ -198,6 +201,11 @@ class TestExperiment:
             assert 0.0 <= float(r[3]) <= 1.0
             assert float(r[4]) >= 0.0
             assert int(r[2]) == 5
+            assert r[7] == "1"
+            if r[0] == "exact:gid":
+                assert r[8] == "0"  # the exact operator has no residual
+            else:
+                assert 0.0 <= float(r[8]) <= 1e-10
 
     def test_ci_formula(self, synth_dir, tmp_path):
         # recompute the per-trial accuracies through the library and check
@@ -237,8 +245,43 @@ class TestExperiment:
         )
         assert rc == 0
         lines = (out / "scaling.csv").read_text().splitlines()
-        assert lines[0] == "method,n_rows,build_seconds,propagate_seconds,total_seconds"
+        assert lines[0] == (
+            "method,n_rows,build_seconds,propagate_seconds,total_seconds,"
+            "converged,residual"
+        )
         assert len(lines) == 5  # 2 methods x 2 sizes
+        assert all(ln.split(",")[5] == "1" for ln in lines[1:])
+
+    @pytest.mark.parametrize("mode", ["sweep", "scaling"])
+    def test_unconverged_method_flagged(self, synth_dir, tmp_path, capsys, monkeypatch, mode):
+        # one tree pass leaves the rows overshooting: the bvdt rows and
+        # printed lines must say so, the exact ones read converged
+        from blockwalk import cli
+
+        real = cli.optimize_q
+        monkeypatch.setattr(
+            cli, "optimize_q", lambda *a, **k: real(*a, **{**k, "max_sweeps": 1})
+        )
+        out = tmp_path / "e"
+        if mode == "sweep":
+            args = ("--input", synth_dir / "data.bow", "--labels",
+                    synth_dir / "labels.csv", "--fractions", 0.1, "--trials", 2)
+        else:
+            args = ("--scaling-rows", "60,120", "--dim", 20, "--classes", 2,
+                    "--mean-length", 30)
+        with pytest.warns(RuntimeWarning, match="residual"):
+            rc = run("experiment", "--methods", "bvdt:gid,exact:gid", *args,
+                     "--out", out)
+        assert rc == 0
+        lines = (out / f"{mode}.csv").read_text().splitlines()
+        rows = {ln.split(",")[0]: ln.split(",") for ln in lines[1:]}
+        assert rows["bvdt:gid"][-2] == "0" and float(rows["bvdt:gid"][-1]) > 1e-10
+        assert rows["exact:gid"][-2:] == ["1", "0"]
+        printed = capsys.readouterr().out.splitlines()
+        bvdt = [ln for ln in printed if ln.startswith("bvdt:gid ") and "=" in ln]
+        exact = [ln for ln in printed if ln.startswith("exact:gid ") and "=" in ln]
+        assert bvdt and all("converged=0 residual=" in ln for ln in bvdt)
+        assert exact and all("converged=1 residual=0" in ln for ln in exact)
 
     def test_mean_length_count_checked(self, tmp_path, capsys):
         rc = run(
@@ -317,19 +360,26 @@ class TestRejectedInputs:
         assert rc == 1
         assert "mahalanobis in method 'bvdt:mahalanobis'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["kl", "logistic"])
-    def test_kinds_for_dense_csv_fit(self, tmp_path, kind):
-        # rows on the simplex with every value in (0, 1), left unsmoothed,
-        # suit both kinds
+    @staticmethod
+    def fit_simplex_rows(tmp_path, *flags):
+        # rows on the simplex with every value in (0, 1), as dense-csv
         x = np.random.default_rng(4).uniform(0.1, 1.0, (30, 4))
         x /= x.sum(axis=1, keepdims=True)
         csv = tmp_path / "rows.csv"
         csv.write_text("".join(",".join(map(repr, r)) + "\n" for r in x.tolist()))
-        rc = run(
-            "approximate", "--input", csv, "--format", "dense-csv",
-            "--divergence", kind, "--epsilon", 0, "--out", tmp_path / "m.npz",
+        return run(
+            "approximate", "--input", csv, "--format", "dense-csv", *flags,
+            "--out", tmp_path / "m.npz",
         )
-        assert rc == 0
+
+    @pytest.mark.parametrize("kind", ["kl", "logistic"])
+    def test_kinds_for_dense_csv_fit(self, tmp_path, kind):
+        # simplex rows left unsmoothed suit both kinds
+        assert self.fit_simplex_rows(tmp_path, "--divergence", kind, "--epsilon", 0) == 0
+
+    def test_kl_fits_at_its_default_offset(self, tmp_path):
+        # any offset leaves the simplex, so kl's default offset is 0
+        assert self.fit_simplex_rows(tmp_path, "--divergence", "kl") == 0
 
 
 class TestConfigFile:

@@ -155,6 +155,32 @@ class TestRefine:
             assert np.array_equal(got.b, want.b), rounds
         assert got.n_blocks == 40 * 39  # stopped at the finest
 
+    def test_auto_refine_of_leaf_pairs_keeps_the_partition(self, rng):
+        # two points: the coarsest partition is already the finest, so no
+        # round splits and the partition comes back with its own label
+        tree = gid_tree(rng, 2)
+        p = coarsest_partition(tree)
+        assert auto_refine(p, tree, 5) is p
+
+    def test_auto_refine_matches_reference_at_tied_products(self):
+        # copied rows and small trees: many blocks share |A||B|, also at the
+        # rounds-th largest, where only the (a, b) order decides which split;
+        # rounds run to the finest partition and past it
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            n = int(rng.integers(2, 30))
+            x = rng.poisson(1.0, (n, 3)).astype(float)
+            for i, j in rng.integers(0, n, (n // 3, 2)):
+                x[j] = x[i]
+            spec = DivergenceSpec("gid", 3, epsilon=0.5)
+            tree = build_cluster_tree(smooth(dense_to_data(x), 0.5), spec)
+            p = coarsest_partition(tree)
+            for rounds in (1, int(rng.integers(1, n * n)), n * (n - 1), 10 * n * n):
+                got = auto_refine(p, tree, rounds)
+                want = reference_auto_refine(p, tree, rounds)
+                assert np.array_equal(got.a, want.a), (n, rounds)
+                assert np.array_equal(got.b, want.b), (n, rounds)
+
 
 class TestValidate:
     def test_missing_block_reported(self, rng):
