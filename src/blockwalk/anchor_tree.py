@@ -11,6 +11,11 @@ each row's anchor and its divergence to that anchor's pivot in two arrays;
 a step evaluates the divergences of a level's rows to their scopes' new
 pivots in one sparse product, whatever the sizes of their scopes.
 
+Every greedy merge ranks costs in one order: ascending, a NaN cost as
++inf, ties to the lowest pair (i, j). Up to DENSE_DIM_CAP columns one
+batched merge on dense rows serves the build and agglomerate_anchors;
+wider pivots merge on an OffsetVec heap.
+
 The paper's no-steal bound, behind steal_threshold, generalizes the
 Euclidean halfway rule: a row whose divergence to its current pivot is at
 or below the threshold of that pivot and a new one cannot be closer to the
@@ -34,7 +39,6 @@ the row-by-node ancestor indicator that every up (subtree sum) and down
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -459,6 +463,10 @@ class AggloTree:
 
 
 def _agglomerate_items(spec, sizes, pivots):
+    """Greedy merge of k items on OffsetVec pivots, the route of pivots
+    wider than DENSE_DIM_CAP: a heap of (cost, i, j) keys, a NaN cost
+    ranking as +inf, pops the cheapest live pair, ties to the lowest (i, j).
+    Each merge records its cost as computed."""
     k = len(sizes)
     sizes = list(int(s) for s in sizes)
     pivots = list(pivots)
@@ -467,8 +475,6 @@ def _agglomerate_items(spec, sizes, pivots):
     merges = []
     if k == 1:
         return AggloTree(sizes, pivots, left, right, 0, merges)
-    if pivots[0].dim <= DENSE_DIM_CAP:
-        return _agglomerate_dense(spec, sizes, pivots)
     phis = [ov_phi(spec, p) for p in pivots]
 
     def pair_cost(i, j):
@@ -476,17 +482,20 @@ def _agglomerate_items(spec, sizes, pivots):
         c = OffsetVec.combine(pivots[i], sizes[i] / nt, pivots[j], sizes[j] / nt)
         return sizes[i] * phis[i] + sizes[j] * phis[j] - nt * ov_phi(spec, c), c
 
+    def key(i, j):
+        cost, _ = pair_cost(i, j)
+        return (np.inf if cost != cost else cost, min(i, j), max(i, j))
+
     alive = set(range(k))
     heap = []
     for i in range(k):
         for j in range(i + 1, k):
-            cost, _ = pair_cost(i, j)
-            heapq.heappush(heap, (cost, i, j))
+            heapq.heappush(heap, key(i, j))
     while len(alive) > 1:
-        cost, i, j = heapq.heappop(heap)
+        _, i, j = heapq.heappop(heap)
         if i not in alive or j not in alive:
             continue
-        _, c = pair_cost(i, j)
+        cost, c = pair_cost(i, j)
         t = len(sizes)
         sizes.append(sizes[i] + sizes[j])
         pivots.append(c)
@@ -497,78 +506,20 @@ def _agglomerate_items(spec, sizes, pivots):
         alive.discard(i)
         alive.discard(j)
         for u in alive:
-            c2, _ = pair_cost(t, u)
-            heapq.heappush(heap, (c2, min(t, u), max(t, u)))
+            heapq.heappush(heap, key(t, u))
         alive.add(t)
     return AggloTree(sizes, pivots, left, right, len(sizes) - 1, merges)
 
 
-def _agglomerate_dense(spec, sizes, pivots):
-    """Same greedy merge, with costs evaluated on dense pivot rows."""
-    tree = _greedy_merge(spec, sizes, np.stack([p.to_dense() for p in pivots]))
-    tree.pivots = list(pivots) + [OffsetVec.from_dense(r) for r in tree.pivots]
-    return tree
-
-
-def _greedy_merge(spec, sizes, rows):
-    """Greedy agglomeration of k items with dense pivot rows (k, d): merge
-    the cheapest live pair, ties to the lowest (i, j). The returned tree's
-    `pivots` holds the dense rows of the merged items only."""
-    k = len(sizes)
-    total = 2 * k - 1
-    sizes = [int(s) for s in sizes]
-    left, right, merges = [-1] * k, [-1] * k, []
-    rows = np.concatenate([rows, np.empty((k - 1, rows.shape[1]))])
-    if k == 1:
-        return AggloTree(sizes, [], left, right, 0, merges)
-
-    phis = np.empty(total)
-    phis[:k] = _phi_terms(spec, rows[:k]).sum(axis=1)
-    size_f = np.array(sizes + [0] * (k - 1), dtype=np.float64)
-
-    # every initial pair at once, in chunks of about 2**20 coordinates
-    pairs = np.array(list(itertools.combinations(range(k), 2)))
-    step = max(1, (1 << 20) // rows.shape[1])
-    heap = []
-    for lo in range(0, len(pairs), step):
-        i, j = pairs[lo : lo + step, 0], pairs[lo : lo + step, 1]
-        costs = _merge_costs(spec, size_f, phis, rows, i, j)
-        for entry in zip(costs.tolist(), i.tolist(), j.tolist()):
-            heapq.heappush(heap, entry)
-    alive = set(range(k))
-    while len(alive) > 1:
-        cost, i, j = heapq.heappop(heap)
-        if i not in alive or j not in alive:
-            continue
-        t = len(sizes)
-        nt = sizes[i] + sizes[j]
-        rows[t] = (sizes[i] * rows[i] + sizes[j] * rows[j]) / nt
-        sizes.append(nt)
-        size_f[t] = nt
-        phis[t] = _phi_terms(spec, rows[t][None, :]).sum()
-        left.append(i)
-        right.append(j)
-        merges.append((i, j, float(cost)))
-        alive.discard(i)
-        alive.discard(j)
-        others = sorted(alive)
-        if others:
-            ts = np.full(len(others), t)
-            cc = _merge_costs(spec, size_f, phis, rows, ts, np.array(others))
-            for u, c in zip(others, cc.tolist()):
-                heapq.heappush(heap, (c, min(t, u), max(t, u)))
-        alive.add(t)
-    return AggloTree(sizes, list(rows[k:]), left, right, total - 1, merges)
-
-
 def _greedy_merge_scopes(spec, sizes, m, rows, first):
-    """_greedy_merge over many scopes at once: scope s merges its m[s] items
+    """Greedy merges of many scopes at once: scope s merges its m[s] items
     of sizes sizes[s] (padded to the widest scope) and dense pivot rows
-    rows[first[s]:first[s] + m[s]]. Returns the merged (left, right) items
+    rows[first[s]:first[s] + m[s]], each step the cheapest live pair (see
+    _merge_sorted for the order). Returns the merged (left, right) items
     per scope in merge order, with item M + k (M = sizes.shape[1]) the k-th
-    merged one; costs, means and ties are _greedy_merge's, bit for bit.
-    Scopes merge a chunk at a time, the most items first, and a chunk ends
-    where the item count halves, so that little of it is padding."""
+    merged one. Scopes merge a chunk at a time, the most items first, and a
+    chunk ends where the item count halves, so that little of it is
+    padding."""
     n_scopes, top = sizes.shape
     left = np.zeros((n_scopes, top - 1), dtype=np.int64)
     right = np.zeros_like(left)
@@ -592,9 +543,10 @@ def _merge_sorted(spec, sizes, m, rows):
     """Greedy merges of k scopes with m[0] >= m[1] >= ... items (sizes and
     dense pivot rows padded to c = m[0]); item c + i is the i-th merge.
     Each step takes the cheapest live pair of every scope that is still
-    merging, ties to the lowest (i, j), as the heap of _greedy_merge pops
-    it. A scope that meets a cost that is not finite, where the heap's
-    order is not a total one, is merged by _greedy_merge itself."""
+    merging: costs rank in ascending order, a NaN cost as +inf, and ties go
+    to the lowest (i, j). The cost array holds +inf at dead pairs too, so a
+    step whose pick reads +inf, where every live cost is +inf, takes the
+    scope's two lowest live items instead."""
     k, c, dim = rows.shape
     span = 2 * c - 1
     items = np.empty((k, span, dim))
@@ -614,9 +566,8 @@ def _merge_sorted(spec, sizes, m, rows):
         _merge_costs(spec, size_f, phis, flat, i[lo : lo + step], j[lo : lo + step])
         for lo in range(0, max(i.size, 1), step)
     ])
+    got[np.isnan(got)] = np.inf
     cost[s, iu[p], ju[p]] = got
-    bad = np.zeros(k, dtype=bool)
-    bad[s[~np.isfinite(got)]] = True
     alive = np.arange(span) < m[:, None]
     left = np.zeros((k, c - 1), dtype=np.int64)
     right = np.zeros_like(left)
@@ -630,6 +581,9 @@ def _merge_sorted(spec, sizes, m, rows):
         pick = np.argmin(cost[:f].reshape(f, span * span), axis=1)
         i = np.concatenate([pick // span, np.nonzero(alive[f:n])[1][::2]])
         j = np.concatenate([pick % span, np.nonzero(alive[f:n])[1][1::2]])
+        stuck = np.flatnonzero(cost[every[:f], i[:f], j[:f]] == np.inf)
+        if stuck.size:
+            i[stuck], j[stuck] = np.argsort(~alive[stuck], axis=1, kind="stable")[:, :2].T
         left[:n, step], right[:n, step] = i, j
         alive[every[:n], i] = alive[every[:n], j] = False
         t = c + step
@@ -645,21 +599,38 @@ def _merge_sorted(spec, sizes, m, rows):
             cost[every[:g], :, x] = np.inf
         s, u = np.nonzero(alive[:g, :t])
         got = _merge_costs(spec, size_f, phis, flat, first[s] + t, first[s] + u)
+        got[np.isnan(got)] = np.inf
         cost[s, u, t] = got
-        bad[s[~np.isfinite(got)]] = True
-    for s in np.flatnonzero(bad):
-        merges = _greedy_merge(spec, sizes[s, : m[s]], rows[s, : m[s]]).merges
-        for step, (i, j, _) in enumerate(merges):
-            left[s, step], right[s, step] = (x + c - m[s] if x >= m[s] else x for x in (i, j))
     return left, right
 
 
 def agglomerate_anchors(anchors, spec):
-    """Iteratively merge the anchor pair with the smallest merge cost."""
+    """Iteratively merge the anchor pair with the smallest merge cost, a NaN
+    cost ranking as +inf, ties to the lowest pair. Up to DENSE_DIM_CAP the
+    anchors merge as one scope of the build's batched merge."""
     if not anchors:
         raise ValueError("agglomerate_anchors needs at least one anchor")
-    return _agglomerate_items(
-        spec, [a.size for a in anchors], [a.pivot for a in anchors]
+    k, dim = len(anchors), anchors[0].pivot.dim
+    sizes, pivots = [a.size for a in anchors], [a.pivot for a in anchors]
+    if dim > DENSE_DIM_CAP:
+        return _agglomerate_items(spec, sizes, pivots)
+    rows = np.empty((2 * k - 1, dim))
+    rows[:k] = [p.to_dense() for p in pivots]
+    at = np.zeros(1, dtype=np.int64)
+    got = _greedy_merge_scopes(spec, np.array([sizes]), at + k, rows[:k], at)
+    lm, rm = (x[0].tolist() for x in got)
+    for t, i, j in zip(range(k, 2 * k - 1), lm, rm):  # the means the merge took
+        sizes.append(sizes[i] + sizes[j])
+        rows[t] = (sizes[i] * rows[i] + sizes[j] * rows[j]) / sizes[t]
+    phis = _phi_terms(spec, rows).sum(axis=1)
+    costs = _merge_costs(spec, np.array(sizes, dtype=np.float64), phis, rows, lm, rm)
+    return AggloTree(
+        sizes,
+        pivots + [OffsetVec.from_dense(r) for r in rows[k:]],
+        [-1] * k + lm,
+        [-1] * k + rm,
+        2 * k - 2,
+        list(zip(lm, rm, costs.tolist())),
     )
 
 

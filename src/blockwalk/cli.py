@@ -422,9 +422,12 @@ def cmd_experiment(args):
                 )
         (out / "scaling.csv").write_text("\n".join(lines) + "\n")
         logn = np.log(np.asarray(rows_list, dtype=float))
-        for (family, kind), ts in times.items():
-            slope = float(np.polyfit(logn, np.log(np.maximum(ts, 1e-9)), 1)[0])
-            print(f"{family}:{kind} log-log slope: {slope:.3f}")
+        if len(set(rows_list)) < 2:
+            print("no log-log slope fitted: a slope needs two distinct sizes")
+        else:
+            for (family, kind), ts in times.items():
+                slope = float(np.polyfit(logn, np.log(np.maximum(ts, 1e-9)), 1)[0])
+                print(f"{family}:{kind} log-log slope: {slope:.3f}")
         print(f"scaling table written to {out / 'scaling.csv'}")
         return 0
 

@@ -15,21 +15,26 @@ np.bincount (div_to_pivot) where the library takes those of a whole tree
 level from one sparse product per step. It is also the only grower that
 prunes: with use_pruning it skips the members below their anchor's
 no-steal limit (the paper's bound, _thresholds, less a rounding slack), and
-its trees must still be the library's, which evaluates every row. div_block
-gives the divergences between all rows of a scope, one div_to_pivot column
-per pivot, and pivot_rows the pivots as dense rows over their stored
-columns. The test-scale
-helpers (the dense expansion of a compressed model, per-row block lists and
-the exhaustive partition check) and the round-by-round refinement loop live
-here too, and so does the fixed-count label-spreading loop that the
-early-exit loop must reproduce bit for bit. The ingest references draw a
-synthetic corpus one row at a time (one multinomial call per row, the rows
-joined by a running indptr) and check a CSR triple one row at a time, the
-routes the batched draw and the whole-array DataMatrix check must match.
+its trees must still be the library's, which evaluates every row. Its
+anchors merge on reference_greedy_merge, a heap of (cost, i, j) keys that
+the library's batched merge must follow pair for pair, NaN costs ranking
+as +inf (above DENSE_DIM_CAP it takes the library's OffsetVec heap).
+div_block gives the divergences between all rows of a scope, one
+div_to_pivot column per pivot, and pivot_rows the pivots as dense rows
+over their stored columns. The test-scale helpers (the dense expansion of
+a compressed model, per-row block lists and the exhaustive partition
+check) and the round-by-round refinement loop live here too, and so does
+the fixed-count label-spreading loop that the early-exit loop must
+reproduce bit for bit. The ingest references draw a synthetic corpus one
+row at a time (one multinomial call per row, the rows joined by a running
+indptr) and check a CSR triple one row at a time, the routes the batched
+draw and the whole-array DataMatrix check must match.
 The per-node tree passes of the optimizer (one node at a time on Python
 floats) and the double loop over leaf pairs of the finest partition are the
 references the level passes and the array partition must match bit for bit.
 """
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,19 +42,22 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import xlogy
 
-from blockwalk import variational
+from blockwalk import anchor_tree, variational
 from blockwalk.anchor_tree import (
+    AggloTree,
     Anchor,
     ClusterTree,
     NodeStats,
     TreeStats,
     _agglomerate_items,
+    _merge_costs,
     _thresholds,
     _Workspace,
 )
 from blockwalk.dataset import DataMatrix, LabelSet
 from blockwalk.divergence import (
     _grad_terms,
+    _phi_terms,
     _scalar_base,
     ov_phi,
     pairwise_divergences,
@@ -435,6 +443,59 @@ def reference_grow(ws, scope, m, use_pruning):
     return anchors
 
 
+def reference_greedy_merge(spec, sizes, rows):
+    """Greedy agglomeration of k items with dense pivot rows (k, d) on a
+    heap: merge the cheapest live pair, a NaN cost ranking as +inf, ties to
+    the lowest (i, j), the order of the library's batched merge. The
+    returned tree's `pivots` holds the dense rows of the merged items only,
+    and its `merges` the ranked costs."""
+    k = len(sizes)
+    total = 2 * k - 1
+    sizes = [int(s) for s in sizes]
+    left, right, merges = [-1] * k, [-1] * k, []
+    rows = np.concatenate([rows, np.empty((k - 1, rows.shape[1]))])
+    if k == 1:
+        return AggloTree(sizes, [], left, right, 0, merges)
+
+    phis = np.empty(total)
+    phis[:k] = _phi_terms(spec, rows[:k]).sum(axis=1)
+    size_f = np.array(sizes + [0] * (k - 1), dtype=np.float64)
+
+    def push(costs, i, j):
+        for c, a, b in zip(costs.tolist(), i.tolist(), j.tolist()):
+            heapq.heappush(heap, (math.inf if c != c else c, min(a, b), max(a, b)))
+
+    # every initial pair at once, in chunks of about 2**20 coordinates
+    pairs = np.array(list(itertools.combinations(range(k), 2)))
+    step = max(1, (1 << 20) // rows.shape[1])
+    heap = []
+    for lo in range(0, len(pairs), step):
+        i, j = pairs[lo : lo + step, 0], pairs[lo : lo + step, 1]
+        push(_merge_costs(spec, size_f, phis, rows, i, j), i, j)
+    alive = set(range(k))
+    while len(alive) > 1:
+        cost, i, j = heapq.heappop(heap)
+        if i not in alive or j not in alive:
+            continue
+        t = len(sizes)
+        nt = sizes[i] + sizes[j]
+        rows[t] = (sizes[i] * rows[i] + sizes[j] * rows[j]) / nt
+        sizes.append(nt)
+        size_f[t] = nt
+        phis[t] = _phi_terms(spec, rows[t][None, :]).sum()
+        left.append(i)
+        right.append(j)
+        merges.append((i, j, float(cost)))
+        alive.discard(i)
+        alive.discard(j)
+        others = np.array(sorted(alive), dtype=np.int64)
+        if others.size:
+            ts = np.full(others.size, t)
+            push(_merge_costs(spec, size_f, phis, rows, ts, others), ts, others)
+        alive.add(t)
+    return AggloTree(sizes, list(rows[k:]), left, right, total - 1, merges)
+
+
 def inorder_leaves(agglo):
     """The input items of an AggloTree, left to right."""
     out, stack = [], [agglo.root]
@@ -450,9 +511,11 @@ def inorder_leaves(agglo):
 
 def reference_cluster_tree(data, spec, use_pruning=True):
     """Grow-and-agglomerate recursively down to singleton leaves, with
-    reference_grow and _agglomerate_items on every scope and node
-    statistics summed one add_stats at a time. build_cluster_tree must match it exactly:
-    structure arrays, statistics and raised errors."""
+    reference_grow on every scope, reference_greedy_merge on its anchors up
+    to DENSE_DIM_CAP (the library's OffsetVec heap, _agglomerate_items,
+    above it) and node statistics summed one add_stats at a time.
+    build_cluster_tree must match it exactly: structure arrays, statistics
+    and raised errors."""
     ws = _Workspace(data, spec)
     n_rows = data.n_rows
     left, right, size, start, end = [], [], [], [], []
@@ -475,7 +538,11 @@ def reference_cluster_tree(data, spec, use_pruning=True):
         anchors = reference_grow(ws, scope, m, use_pruning)
         sizes = [a.size for a in anchors]
         means = [ws.mean_of_rows(a.members) for a in anchors]
-        local = _agglomerate_items(spec, sizes, means)
+        if spec.dim <= anchor_tree.DENSE_DIM_CAP:
+            dense = np.stack([mean.to_dense() for mean in means])
+            local = reference_greedy_merge(spec, sizes, dense)
+        else:
+            local = _agglomerate_items(spec, sizes, means)
         node_of = {}
         cur = offset
         for ai in inorder_leaves(local):

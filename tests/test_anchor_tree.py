@@ -7,7 +7,6 @@ from blockwalk.anchor_tree import (
     Anchor,
     _ceil_sqrt,
     _first_max,
-    _greedy_merge,
     _greedy_merge_scopes,
     _grow,
     _grow_scopes,
@@ -52,6 +51,7 @@ from oracles import (
     ov_xdotgrad,
     pivot_rows,
     reference_cluster_tree,
+    reference_greedy_merge,
     reference_grow,
     row_kernel,
 )
@@ -228,8 +228,12 @@ class TestAgglomeration:
         with pytest.raises(ValueError):
             agglomerate_anchors([], DivergenceSpec("sq-euclidean", 2))
 
-    def test_matches_greedy_oracle(self, rng):
-        # recompute-all-pairs greedy gives the same merge sequence
+    def test_matches_greedy_oracle(self, rng, monkeypatch):
+        # recompute-all-pairs greedy gives the same merge sequence, the heap
+        # oracle the same costs and means bit for bit, and the OffsetVec heap
+        # above the dense cap the same tree
+        import blockwalk.anchor_tree as at
+
         spec = DivergenceSpec("gid", 3)
         pts = sample_in_domain("gid", rng, 6, 3)
         anchors = [singleton_anchor(p, i) for i, p in enumerate(pts)]
@@ -254,6 +258,20 @@ class TestAgglomeration:
             merges.append((i, j))
             alive = [a for a in alive if a not in (i, j)] + [len(items) - 1]
         assert [(m[0], m[1]) for m in got.merges] == merges
+        heap = reference_greedy_merge(spec, [1] * 6, pts)
+        assert got.merges == heap.merges
+        assert got.sizes == heap.sizes
+        assert (got.left, got.right, got.root) == (heap.left, heap.right, heap.root)
+        dense = np.stack([p.to_dense() for p in got.pivots[6:]])
+        assert dense.tobytes() == np.stack(heap.pivots).tobytes()
+        monkeypatch.setattr(at, "DENSE_DIM_CAP", 0)
+        wide = agglomerate_anchors(anchors, spec)
+        assert [m[:2] for m in wide.merges] == [m[:2] for m in got.merges]
+        np.testing.assert_allclose(
+            [m[2] for m in wide.merges], [m[2] for m in got.merges], rtol=1e-12
+        )
+        for a, b in zip(wide.pivots, got.pivots):
+            np.testing.assert_allclose(a.to_dense(), b.to_dense(), rtol=1e-12)
 
     def test_merge_cost_nonnegative(self, rng):
         for kind in ALL_KINDS:
@@ -714,8 +732,10 @@ class TestLevelBatching:
     @pytest.mark.parametrize("kind", ["gid", "sq-euclidean"])
     def test_merges_match_the_heap(self, kind):
         # scopes of 2-12 items, many with copied rows and sizes (tied costs),
-        # some with 1e200 coordinates (costs overflow to inf and NaN)
+        # some with huge coordinates: a NaN cost ranks as +inf, and a live
+        # +inf pair must win over the dead pairs below it
         rng = np.random.default_rng(11)
+        huge = 1e200 if kind == "sq-euclidean" else 1e306  # phi overflows
         for d in (1, 4, 30):
             spec = make_spec(kind, d, epsilon=0.5)
             n_scopes, top = 40, 12
@@ -725,20 +745,30 @@ class TestLevelBatching:
             for s in range(0, n_scopes, 3):
                 rows[s, 1::2] = rows[s, 0]
                 sizes[s] = 2
+            rows[5, 1, 0] = rows[9, 0, 0] = huge  # NaN costs, some live pairs
+            rows[7, :, 0], m[7] = huge, top  # every live cost NaN, every step
             if kind == "sq-euclidean":
-                rows[5, 1, 0] = rows[9, 0, 0] = 1e200
+                # two size-2 items at +-1.3e154 cost +inf together, and the
+                # other pairs are finite; a NaN item joins them at the end
+                rows[10, [1, 2], 0], sizes[10, [1, 2]] = [1.3e154, -1.3e154], 2
+                rows[10, 4, 0], m[10] = huge, 8
             means = np.concatenate([rows[s, : m[s]] for s in range(n_scopes)])
             first = np.r_[0, np.cumsum(m)[:-1]]
             with np.errstate(over="ignore", invalid="ignore"):
+                assert math.isnan(merge_cost(spec, 1, rows[7, 0], 1, rows[7, 1]))
+                if kind == "sq-euclidean":
+                    assert merge_cost(spec, 2, rows[10, 1], 2, rows[10, 2]) == math.inf
                 left, right = _greedy_merge_scopes(spec, sizes, m, means, first)
                 for s in range(n_scopes):
-                    tree = _greedy_merge(spec, sizes[s, : m[s]], rows[s, : m[s]])
+                    tree = reference_greedy_merge(spec, sizes[s, : m[s]], rows[s, : m[s]])
                     want = [
                         [x + top - m[s] if x >= m[s] else x for x in (i, j)]
                         for i, j, _ in tree.merges
                     ]
                     got = np.stack([left[s], right[s]], axis=1)[: m[s] - 1]
                     assert got.tolist() == want, s
+                    if s == 10 and kind == "sq-euclidean":
+                        assert [c for *_, c in tree.merges].count(math.inf) >= 2
 
     def test_first_max_follows_argmax(self):
         # the first donor with the largest value, NaN before everything

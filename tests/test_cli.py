@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -251,6 +252,24 @@ class TestExperiment:
         )
         assert len(lines) == 5  # 2 methods x 2 sizes
         assert all(ln.split(",")[5] == "1" for ln in lines[1:])
+
+    @pytest.mark.parametrize("sizes", ["60", "60,60"])
+    def test_scaling_rows_one_distinct_size(self, tmp_path, capsys, sizes):
+        # one distinct size fits no slope: no polyfit warning, one line
+        # saying so, and the table still written
+        out = tmp_path / "scal"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run(
+                "experiment", "--methods", "bvdt:gid", "--scaling-rows", sizes,
+                "--dim", 20, "--classes", 2, "--mean-length", 30, "--out", out,
+            )
+        assert rc == 0
+        printed = capsys.readouterr().out
+        assert "slope:" not in printed
+        assert "a slope needs two distinct sizes" in printed
+        lines = (out / "scaling.csv").read_text().splitlines()
+        assert len(lines) == 1 + len(sizes.split(","))
 
     @pytest.mark.parametrize("mode", ["sweep", "scaling"])
     def test_unconverged_method_flagged(self, synth_dir, tmp_path, capsys, monkeypatch, mode):

@@ -1,11 +1,14 @@
 """Property tests over random small count corpora with forced duplicate rows:
 the invariants the model rests on (tiling, unit row sums, the bound below
 the exact log-likelihood, the decoupled block sums, the save/load round
-trip)."""
+trip), and over every kind the CLI fits: a valid model or a named error."""
+import warnings
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockwalk import cli
 from blockwalk.anchor_tree import build_cluster_tree
 from blockwalk.dataset import DataMatrix, smooth
 from blockwalk.divergence import DomainError, _check_domain
@@ -160,3 +163,60 @@ def test_smoothed_domain_is_the_dense_rule(corpus):
     except DomainError:
         tree_ok = False
     assert tree_ok == dense_ok
+
+
+# every kind `approximate --divergence` accepts
+APPROXIMATE_KINDS = next(
+    a.choices for a in cli.build_parser()[1]["approximate"]._actions if a.dest == "divergence"
+)
+HUGE = [1e12, 1e100, 1e200, 1e300]  # merge costs and block sums overflow
+
+
+@st.composite
+def cli_inputs(draw):
+    """(data, kind, epsilon, partition mode), the rows in the kind's own
+    domain and with copied rows: counts up to 1e300 for gid, itakura-saito
+    and sq-euclidean at the CLI's default offset; kl's rows those counts
+    normalized and logistic's values in (0, 1), both at offset 0."""
+    kind = draw(st.sampled_from(APPROXIMATE_KINDS))
+    n = draw(st.integers(2, 24))
+    d = draw(st.integers(1, 6))
+    stored = st.lists(st.booleans(), min_size=d, max_size=d)
+    if kind in ("kl", "logistic") and draw(st.booleans()):
+        stored = st.just([True] * d)  # at offset 0 an implicit zero is outside
+    if kind == "logistic":
+        value = st.sampled_from([1e-300, 0.1, 0.5, 0.97, 1.0 - 1e-16])
+    else:
+        value = st.integers(1, 4).map(float) | st.sampled_from(HUGE)
+    rows = []
+    for _ in range(n):
+        idx = np.flatnonzero(draw(stored))
+        rows.append((idx, np.array([draw(value) for _ in idx])))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for src, dst in draw(st.lists(pair, max_size=n)):
+        rows[dst] = rows[src]
+    if kind == "kl":
+        rows = [(idx, val / val.sum()) if idx.size else (idx, val) for idx, val in rows]
+    epsilon = 0.0 if kind in ("kl", "logistic") else None
+    refine = st.integers(0, 3 * n).map("refine:{}".format)
+    mode = draw(st.sampled_from(["coarsest", "finest"]) | refine)
+    return DataMatrix.from_rows(rows, d), kind, epsilon, mode
+
+
+@settings(PROPERTY, max_examples=200)
+@given(cli_inputs())
+def test_cli_build_gives_a_valid_model_or_a_named_error(inputs):
+    """cli.build_model on any accepted input: a ValueError (DomainError
+    included), or a model whose partition tiles and whose convergence flag
+    is its measured residual against the optimizer's tolerance."""
+    data, kind, epsilon, mode = inputs
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            spec, _ = cli.make_divergence_spec(kind, data, epsilon=epsilon)
+            model, _, _, _ = cli.build_model(data, spec, mode)
+        except ValueError:
+            return
+    assert validate_partition(model.partition, model.tree)
+    params = model.params
+    assert params.converged == (params.residual <= 1e-10)
