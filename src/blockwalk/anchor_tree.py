@@ -33,8 +33,9 @@ divergence sums into O(1) evaluations. The vector statistics keep the
 offset+sparse decomposition of the smoothed data. A tree holds them as flat
 arrays in one TreeStats: s1, s2, the baselines of s3 and s4 per node, and
 one CSR support shared by the sparse parts of s3 and s4. The tree also owns
-the row-by-node ancestor indicator that every up (subtree sum) and down
-(root path) pass over the tree goes through.
+the row-by-node ancestor indicator that every subtree or root-path sum goes
+through (the statistics, the operator, the constraint residuals); only the
+optimizer's logaddexp passes walk tree.levels.
 """
 from __future__ import annotations
 
@@ -298,7 +299,7 @@ def _thresholds(spec, pivots, new_pivot, cols=None):
 DENSE_DIM_CAP = 4096
 STAT_CHUNK = 1 << 16  # sparse statistic entries per chunk of block pairs
 KEY_TABLE = 1 << 21  # (group, column) keys are matrix columns up to this many
-DENSE_CHUNK = 1 << 21  # dense values per chunk of merged scopes or parents
+DENSE_CHUNK = 1 << 21  # dense values per chunk of merged scopes
 
 
 def _first_max(d, donor, part, starts):
@@ -706,9 +707,10 @@ class ClusterTree:
     Nodes are indexed so children precede parents; each node's members form a
     contiguous range of `perm`. The pivot of a node is its member mean.
     `levels` holds the node ids of each depth in ascending order, root
-    first: top-down passes walk it forward, bottom-up passes in reverse.
-    `stats` is the tree's TreeStats. `data` is optional: a deserialized tree
-    keeps its statistics but not the rows they were built from.
+    first, for the optimizer's logaddexp passes (down forward, up in
+    reverse). `stats` is the tree's TreeStats. `data` is optional: a
+    deserialized tree keeps its statistics but not the rows they were built
+    from.
     """
 
     def __init__(self, data, spec, left, right, size, start, end, perm, stats):
@@ -910,72 +912,19 @@ def _merge_scopes(ws, members, group, gsize, m):
 
 
 def _node_stats(ws, tree):
-    """TreeStats of every node, one level of tree.levels at a time from the
-    deepest.
-
-    Leaves take their row's values; a parent's sums are left + right, and
-    its sparse parts take the union of the children's supports, adding the
-    two values on shared coordinates, as OffsetVec.add does. Each level's
-    sparse entries form one chunk, in which the next level up finds its
-    children; the chunks are written into the node-ordered arrays at the end.
-    """
-    n = tree.n_nodes
-    s1, s2, b3, b4 = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
-    nnz = np.zeros(n, dtype=np.int64)
-    at = np.zeros(n, dtype=np.int64)  # a node's first entry in its level's chunk
-    chunks = []  # (nodes, idx, v3, v4) per level, deepest first
-    for nodes in reversed(tree.levels):
-        is_leaf = tree.left[nodes] < 0
-        leaves, inner = nodes[is_leaf], nodes[~is_leaf]
-        rows = tree.perm[tree.start[leaves]]
-        s1[leaves], s2[leaves] = ws.phi_row[rows], ws.s2_row[rows]
-        b3[leaves], b4[leaves] = ws.eps, ws.g_base_row[rows]
-        flat, nnz[leaves] = ws._gather(rows)
-        parts = [(ws.csr.indices[flat], ws.csr.data[flat], ws.g_val[flat])]
-        if inner.size:
-            lc, rc = tree.left[inner], tree.right[inner]
-            for arr in (s1, s2, b3, b4):
-                arr[inner] = arr[lc] + arr[rc]
-            _, c_idx, c3, c4 = chunks[-1]  # the children sit one level down
-            step = max(1, DENSE_CHUNK // ws.dim)
-            for lo in range(0, inner.size, step):
-                sel = inner[lo : lo + step]
-                *merged, nnz[sel] = _merge_supports(
-                    ws.dim, tree.left[sel], tree.right[sel], nnz, at, c_idx, c3, c4
-                )
-                parts.append(merged)
-        nodes = np.concatenate([leaves, inner])
-        at[nodes] = np.cumsum(nnz[nodes]) - nnz[nodes]
-        chunks.append((nodes, *(np.concatenate(p) for p in zip(*parts))))
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(nnz, out=ptr[1:])
-    idx = np.empty(ptr[-1], dtype=np.int64)
-    v3, v4 = np.empty(ptr[-1]), np.empty(ptr[-1])
-    while chunks:
-        nodes, c_idx, c3, c4 = chunks.pop()
-        dst = _ranges(ptr[nodes], nnz[nodes])
-        idx[dst], v3[dst], v4[dst] = c_idx, c3, c4
-    return TreeStats(ws.dim, s1, s2, b3, b4, ptr, idx, v3, v4)
-
-
-def _merge_supports(dim, lc, rc, nnz, at, c_idx, c3, c4):
-    """The sparse parts of the parents of children lc[k] and rc[k], whose
-    entries sit at at[child] in (c_idx, c3, c4): the union of the two
-    supports, in column order, with the left value + the right value on a
-    shared column and the one child's value elsewhere. Returns the parents'
-    entries and their counts."""
-    k = lc.size
-    seen = np.zeros(k * dim, dtype=bool)
-    v3, v4 = np.empty(k * dim), np.empty(k * dim)
-    for right, kids in enumerate((lc, rc)):
-        pos = _ranges(at[kids], nnz[kids])
-        key = np.repeat(np.arange(k) * dim, nnz[kids]) + c_idx[pos]  # (parent, column)
-        if right:  # the right child's entries on the left child's columns
-            shared = seen[key]
-            v3[key[shared]] += c3[pos[shared]]
-            v4[key[shared]] += c4[pos[shared]]
-            key, pos = key[~shared], pos[~shared]
-        v3[key], v4[key] = c3[pos], c4[pos]
-        seen[key] = True
-    key = np.flatnonzero(seen)
-    return key % dim, v3[key], v4[key], np.count_nonzero(seen.reshape(k, dim), axis=1)
+    """TreeStats of every node as subtree sums up @ x, `up` the node-by-row
+    indicator tree.ancestors.T: each node adds its rows in ascending row
+    order from 0. One product with complex rows, stored values as the real
+    part and gradient values as the imaginary one, puts s3 and s4 on one
+    support: scipy drops an entry that sums to exactly 0, which a gradient
+    sum can (log 1 = 0 in a full gid row) but a real part, a sum of positive
+    values, cannot. Both parts are the plain sums while every gradient is
+    finite; at +-inf the real part is NaN (complex 1*a - 0*inf)."""
+    up, csr = tree.ancestors.T.tocsr(), ws.csr
+    rows = sp.csr_matrix((csr.data + 1j * ws.g_val, csr.indices, csr.indptr), csr.shape)
+    sums = up @ rows
+    sums.sort_indices()
+    ptr, idx = (x.astype(np.int64) for x in (sums.indptr, sums.indices))
+    s1, s2, b4 = (up @ x for x in (ws.phi_row, ws.s2_row, ws.g_base_row))
+    v3, v4 = sums.data.real.copy(), sums.data.imag.copy()
+    return TreeStats(ws.dim, s1, s2, ws.eps * tree.size, b4, ptr, idx, v3, v4)

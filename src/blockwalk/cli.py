@@ -73,7 +73,8 @@ def default_sigma(data, seed, pairs=1000):
     j[j >= i] += 1
     xi = np.asarray(data.csr()[i].todense())
     xj = np.asarray(data.csr()[j].todense())
-    med = float(np.median(np.linalg.norm(xi - xj, axis=1)))
+    with np.errstate(over="ignore"):  # an overflow is named by the caller
+        med = float(np.median(np.linalg.norm(xi - xj, axis=1)))
     return med if med > 0 else 1.0
 
 
@@ -90,6 +91,8 @@ def make_divergence_spec(kind, data, sigma=None, epsilon=None, seed=0):
         if sigma is None:
             sigma = default_sigma(data, seed)
             notes["sigma_policy"] = "median-random-pairs"
+            if not np.isfinite(sigma):
+                raise ValueError("the median policy's bandwidth overflows; give --sigma")
         notes["sigma"] = sigma
     spec = DivergenceSpec(
         kind, data.n_cols, sigma=sigma if sigma is not None else 1.0, epsilon=epsilon

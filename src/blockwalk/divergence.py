@@ -75,8 +75,8 @@ class DivergenceSpec:
             raise ValueError(f"unknown divergence kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        if self.kind == "sq-euclidean" and not self.sigma > 0:
-            raise ValueError("sigma must be > 0 for sq-euclidean")
+        if self.kind == "sq-euclidean" and not 0 < self.sigma < np.inf:
+            raise ValueError("sigma must be > 0 and finite for sq-euclidean")
         if self.kind == "mahalanobis":
             if self.covariance_diag is None:
                 raise ValueError("mahalanobis requires covariance_diag")

@@ -12,6 +12,7 @@ support, which the archive stores under both names.
 from __future__ import annotations
 
 import json
+import zipfile
 
 import numpy as np
 
@@ -92,63 +93,109 @@ def save_model(path, model, report, ids, extras=None):
         np.savez(fh, **arrays)
 
 
+def _check_arrays(path, z, meta):
+    """Refuse an archive whose arrays are missing or do not fit together,
+    before any is used: each array as long as what it counts, children
+    before their parents, and every id and member range in range."""
+
+    def need(ok, fault):
+        if not ok:
+            raise ValueError(f"{path}: {fault}")
+
+    groups = [  # arrays of one length each: rows, nodes, offsets, entries, blocks
+        ["tree_perm"],
+        ["tree_left", "tree_right", "tree_size", "tree_start", "tree_end"]
+        + ["stat_s1", "stat_s2", "stat_s3_base", "stat_s4_base"],
+        ["stat_s3_ptr", "stat_s4_ptr"],
+        ["stat_s3_idx", "stat_s3_val", "stat_s4_idx", "stat_s4_val"],
+        ["block_a", "block_b", "q", "log_q", "d_ab"],
+    ]
+    for name in sum(groups, []):
+        need(name in z, f"missing array {name!r}")
+    n, ptr = z["tree_perm"].size, z["stat_s3_ptr"]
+    need(np.all(np.diff(ptr, prepend=0) >= 0), "stat_s3_ptr: offsets out of order")
+    wants = (len(meta["ids"]), 2 * n - 1, 2 * n, ptr[-1:].sum(), z["block_a"].size)
+    for names, want in zip(groups, wants):
+        for name in names:
+            got = z[name].size
+            need(z[name].shape == (want,), f"{name} has {got} entries, expected {want}")
+    inner, node = z["tree_left"] >= 0, np.arange(2 * n - 1)
+    for name in ("tree_left", "tree_right"):
+        ok = np.where(inner, (z[name] >= 0) & (z[name] < node), z[name] == -1)
+        need(ok.all(), f"{name}: child ids out of range")
+    start, size, end = z["tree_start"], z["tree_size"], z["tree_end"]
+    ok = (start >= 0) & (size >= 1) & (end == start + size) & (end <= n)
+    need(ok.all(), "tree_start, tree_size, tree_end: member ranges outside the rows")
+    ids = ("tree_perm", n), ("block_a", 2 * n - 1), ("block_b", 2 * n - 1)
+    for name, hi in (*ids, ("stat_s3_idx", meta["spec"]["dim"])):
+        ok = z[name].min(initial=0) >= 0 and z[name].max(initial=-1) < hi
+        need(ok, f"{name}: ids out of range")
+
+
 def load_model(path):
-    """Load a serialized model; returns (TransitionModel, BoundReport, meta)."""
-    with np.load(path) as z:
-        meta = json.loads(bytes(z["meta"]).decode("utf-8"))
-        if meta.get("format") != FORMAT_NAME:
-            raise ValueError(f"{path}: not a {FORMAT_NAME} file")
-        if meta.get("version") != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported version {meta.get('version')}")
-        sp = meta["spec"]
-        spec = DivergenceSpec(
-            sp["kind"],
-            sp["dim"],
-            sigma=sp["sigma"],
-            covariance_diag=z["covariance_diag"] if sp["has_covariance"] else None,
-            epsilon=sp["epsilon"],
-        )
-        ptr, idx = z["stat_s3_ptr"], z["stat_s3_idx"]
-        if not (
-            np.array_equal(ptr, z["stat_s4_ptr"]) and np.array_equal(idx, z["stat_s4_idx"])
-        ):
-            raise ValueError(f"{path}: s3 and s4 statistics have different supports")
-        stats = TreeStats(
-            sp["dim"],
-            z["stat_s1"],
-            z["stat_s2"],
-            z["stat_s3_base"],
-            z["stat_s4_base"],
-            ptr,
-            idx,
-            z["stat_s3_val"],
-            z["stat_s4_val"],
-        )
-        tree = ClusterTree(
-            None,
-            spec,
-            z["tree_left"],
-            z["tree_right"],
-            z["tree_size"],
-            z["tree_start"],
-            z["tree_end"],
-            z["tree_perm"],
-            stats,
-        )
-        partition = BlockPartition(z["block_a"], z["block_b"], meta["partition_label"])
-        params = BlockParams(
-            values=z["q"],
-            log_values=z["log_q"],
-            converged=meta["optimizer"]["converged"],
-            residual=meta["optimizer"]["residual"],
-            sweeps=meta["optimizer"]["sweeps"],
-        )
-        report = BoundReport(
-            ell=meta["bound"]["ell"],
-            constant=meta["bound"]["constant"],
-            d_ab=z["d_ab"],
-            entropy_term=meta["bound"]["entropy_term"],
-        )
+    """Load a serialized model; returns (TransitionModel, BoundReport, meta).
+    A file that is no readable archive, or whose arrays are missing or do
+    not fit together, raises a ValueError naming it."""
+    try:
+        with np.load(path) as archive:
+            z = {name: archive[name] for name in archive.files}
+    except (zipfile.BadZipFile, EOFError) as exc:
+        raise ValueError(f"{path}: not a readable model archive ({exc})") from None
+    meta = json.loads(bytes(z.get("meta", b"{}")).decode("utf-8"))
+    if meta.get("format") != FORMAT_NAME:
+        raise ValueError(f"{path}: not a {FORMAT_NAME} file")
+    if meta.get("version") != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported version {meta.get('version')}")
+    _check_arrays(path, z, meta)
+    sp = meta["spec"]
+    spec = DivergenceSpec(
+        sp["kind"],
+        sp["dim"],
+        sigma=sp["sigma"],
+        covariance_diag=z["covariance_diag"] if sp["has_covariance"] else None,
+        epsilon=sp["epsilon"],
+    )
+    ptr, idx = z["stat_s3_ptr"], z["stat_s3_idx"]
+    if not (
+        np.array_equal(ptr, z["stat_s4_ptr"]) and np.array_equal(idx, z["stat_s4_idx"])
+    ):
+        raise ValueError(f"{path}: s3 and s4 statistics have different supports")
+    stats = TreeStats(
+        sp["dim"],
+        z["stat_s1"],
+        z["stat_s2"],
+        z["stat_s3_base"],
+        z["stat_s4_base"],
+        ptr,
+        idx,
+        z["stat_s3_val"],
+        z["stat_s4_val"],
+    )
+    tree = ClusterTree(
+        None,
+        spec,
+        z["tree_left"],
+        z["tree_right"],
+        z["tree_size"],
+        z["tree_start"],
+        z["tree_end"],
+        z["tree_perm"],
+        stats,
+    )
+    partition = BlockPartition(z["block_a"], z["block_b"], meta["partition_label"])
+    params = BlockParams(
+        values=z["q"],
+        log_values=z["log_q"],
+        converged=meta["optimizer"]["converged"],
+        residual=meta["optimizer"]["residual"],
+        sweeps=meta["optimizer"]["sweeps"],
+    )
+    report = BoundReport(
+        ell=meta["bound"]["ell"],
+        constant=meta["bound"]["constant"],
+        d_ab=z["d_ab"],
+        entropy_term=meta["bound"]["entropy_term"],
+    )
     return TransitionModel(tree, partition, params, spec), report, meta
 
 

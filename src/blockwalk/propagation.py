@@ -2,7 +2,7 @@
 
 The blocked operator applies the compressed transition model as A (Q (A' v)),
 where A is the tree's sparse row-by-node ancestor indicator
-(`ClusterTree.ancestors`, the same matrix the optimizer's passes use): A' v
+(`ClusterTree.ancestors`, the matrix of the node statistics too): A' v
 holds the subtree sums of v, Q holds each block's parameter at (row side,
 column side), and A adds up, for every row, the contributions of the nodes
 on its root path. A product costs O(#blocks + sum of leaf depths). The dense

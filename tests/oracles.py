@@ -18,7 +18,11 @@ no-steal limit (the paper's bound, _thresholds, less a rounding slack), and
 its trees must still be the library's, which evaluates every row. Its
 anchors merge on reference_greedy_merge, a heap of (cost, i, j) keys that
 the library's batched merge must follow pair for pair, NaN costs ranking
-as +inf (above DENSE_DIM_CAP it takes the library's OffsetVec heap).
+as +inf (above DENSE_DIM_CAP it takes the library's OffsetVec heap). Its
+node statistics come from subtree_stats, which adds each node's rows one
+at a time in ascending row order on Python floats and dense columns, the
+order the library's one complex sparse product through the ancestor
+indicator keeps, so the two agree bit for bit.
 div_block gives the divergences between all rows of a scope, one
 div_to_pivot column per pivot, and pivot_rows the pivots as dense rows
 over their stored columns. The test-scale helpers (the dense expansion of
@@ -265,9 +269,27 @@ def closed_form_propagation(p_matrix, y0, alpha):
     return (1.0 - alpha) * np.linalg.solve(np.eye(n) - alpha * p_matrix, y0)
 
 
-def add_stats(x, y):
-    """Statistics of the union of two disjoint subtrees, x the left one."""
-    return NodeStats(x.s1 + y.s1, x.s2 + y.s2, x.s3.add(y.s3), x.s4.add(y.s4))
+def subtree_stats(ws, rows):
+    """NodeStats of a subtree with the given rows, adding one row at a time
+    in ascending row order from 0 on Python floats and dense columns; the
+    support is every column a row stores."""
+    s1 = s2 = b3 = b4 = 0.0
+    v3, v4 = np.zeros(ws.dim), np.zeros(ws.dim)
+    seen = np.zeros(ws.dim, dtype=bool)
+    for r in np.sort(rows):
+        x = ws.row_ov(r)
+        g = ov_grad(ws.spec, x)
+        s1 += float(ws.phi_row[r])
+        s2 += float(ws.s2_row[r])
+        b3 += x.base
+        b4 += g.base
+        v3[x.idx] += x.val
+        v4[g.idx] += g.val
+        seen[x.idx] = True
+    idx = np.flatnonzero(seen)
+    return NodeStats(
+        s1, s2, OffsetVec(ws.dim, b3, idx, v3[idx]), OffsetVec(ws.dim, b4, idx, v4[idx])
+    )
 
 
 def tree_stats(dim, stats):
@@ -513,7 +535,7 @@ def reference_cluster_tree(data, spec, use_pruning=True):
     """Grow-and-agglomerate recursively down to singleton leaves, with
     reference_grow on every scope, reference_greedy_merge on its anchors up
     to DENSE_DIM_CAP (the library's OffsetVec heap, _agglomerate_items,
-    above it) and node statistics summed one add_stats at a time.
+    above it) and node statistics from subtree_stats.
     build_cluster_tree must match it exactly: structure arrays, statistics
     and raised errors."""
     ws = _Workspace(data, spec)
@@ -563,17 +585,7 @@ def reference_cluster_tree(data, spec, use_pruning=True):
     start = np.asarray(start, dtype=np.int64)
     end = np.asarray(end, dtype=np.int64)
 
-    stats = [None] * left.size
-    for nid in range(left.size):
-        if left[nid] < 0:
-            row = int(perm[start[nid]])
-            s3 = ws.row_ov(row)
-            stats[nid] = NodeStats(
-                float(ws.phi_row[row]), float(ws.s2_row[row]), s3, ov_grad(spec, s3)
-            )
-        else:
-            stats[nid] = add_stats(stats[left[nid]], stats[right[nid]])
-
+    stats = [subtree_stats(ws, perm[a:b]) for a, b in zip(start, end)]
     return ClusterTree(
         data, spec, left, right, size, start, end, perm, tree_stats(data.dim, stats)
     )

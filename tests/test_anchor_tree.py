@@ -18,7 +18,7 @@ from blockwalk.anchor_tree import (
     merge_cost,
     steal_threshold,
 )
-from blockwalk.cli import make_divergence_spec
+from blockwalk.cli import build_model, make_divergence_spec
 from blockwalk.dataset import (
     DataMatrix,
     SyntheticSpec,
@@ -527,22 +527,64 @@ def assert_same_tree(got, want):
             assert np.array_equal(u.idx, v.idx) and np.array_equal(u.val, v.val), nid
 
 
+def reference_corpus(case, rng, trial):
+    """Raw rows and spec of one trial of test_matches_reference_builder.
+    Beyond three kinds at offset 0.5, the cases hold the inputs on which
+    one sum of s3 and s4 could lose an entry: full gid rows at offset 0
+    holding 1s, whose gradients log 1 are 0; full gid rows with a column of
+    0.5s and 2s, whose gradients cancel; and sq-euclidean at sigma=1e-155,
+    whose gradients overflow to inf."""
+    n = int(rng.integers(2, 65))
+    raw = counts_with_duplicate_pairs(rng, n, 8, 1 + trial % 3)
+    if case == "overflow":
+        return raw, make_spec("sq-euclidean", 8, sigma=1e-155)
+    if case not in ("unit-full-rows", "cancelling-column"):
+        return raw, make_spec(case, 8, epsilon=0.5)
+    dense = raw.to_dense()
+    if case == "unit-full-rows":
+        dense += 1.0  # every count of 0 is a 1
+    else:
+        dense[:, 0] = rng.choice([0.5, 2.0], n)
+        dense[:, 1:] += 1.5
+    return dense_to_data(dense), make_spec("gid", 8)
+
+
 class TestSmallScopeBaseCase:
     """Small scopes, down to two rows, grow by the same sparse products as
     the large ones; the trees must be those of the reference builder."""
 
-    @pytest.mark.parametrize("kind", ["gid", "sq-euclidean", "itakura-saito"])
-    def test_matches_reference_builder(self, kind):
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "gid",
+            "sq-euclidean",
+            "itakura-saito",
+            "unit-full-rows",
+            "cancelling-column",
+            "overflow",
+        ],
+    )
+    def test_matches_reference_builder(self, case):
         rng = np.random.default_rng(2024)
         for trial in range(40):
-            n = int(rng.integers(2, 65))
-            data = smooth(counts_with_duplicate_pairs(rng, n, 8, 1 + trial % 3), 0.5)
-            spec = make_spec(kind, 8, epsilon=0.5)
+            raw, spec = reference_corpus(case, rng, trial)
+            data = smooth(raw, spec.epsilon)
             use_pruning = trial % 4 != 3
-            assert_same_tree(
-                build_cluster_tree(data, spec),
-                reference_cluster_tree(data, spec, use_pruning),
-            )
+            if case != "overflow":
+                assert_same_tree(
+                    build_cluster_tree(data, spec),
+                    reference_cluster_tree(data, spec, use_pruning),
+                )
+                continue
+            # inf gradients leave the complex sums' real parts NaN: the tree
+            # is the reference's and the fit stops with a named error
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = build_cluster_tree(data, spec)
+                want = reference_cluster_tree(data, spec, use_pruning)
+                for name in ("perm", "left", "right", "size", "start", "end"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name))
+                with pytest.raises(ValueError, match="non-finite block divergence sum"):
+                    build_model(raw, spec, "coarsest")
 
     @pytest.mark.parametrize("kind", ["gid", "sq-euclidean"])
     def test_identical_pair_keeps_tie_break(self, kind):

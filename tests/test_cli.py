@@ -341,6 +341,42 @@ class TestRejectedInputs:
         assert rc == 1
         assert "sigma must be > 0" in capsys.readouterr().err
 
+    def test_infinite_sigma_named(self, synth_dir, tmp_path, capsys):
+        rc = run(
+            "approximate", "--input", synth_dir / "data.bow", "--divergence",
+            "sq-euclidean", "--sigma", "inf", "--out", tmp_path / "m.npz",
+        )
+        assert rc == 1
+        assert "sigma must be > 0 and finite" in capsys.readouterr().err
+
+    def test_overflowing_median_sigma_named(self, tmp_path, capsys):
+        # every pair distance of 1e300 coordinates overflows to inf
+        rows = [[1e300, 0.0], [0.0, 1e300], [1e300, 1e300], [3e300, 1.0]]
+        path = tmp_path / "big.csv"
+        path.write_text("".join(f"{a!r},{b!r}\n" for a, b in rows))
+        with pytest.raises(ValueError, match="median.*overflow.*--sigma"):
+            make_divergence_spec("sq-euclidean", load_bow(path, "dense-csv"))
+        rc = run(
+            "approximate", "--input", path, "--format", "dense-csv",
+            "--divergence", "sq-euclidean", "--out", tmp_path / "m.npz",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--sigma" in err
+
+    def test_malformed_model_named(self, synth_dir, tmp_path, capsys):
+        model = tmp_path / "m.npz"
+        run("approximate", "--input", synth_dir / "data.bow", "--divergence",
+            "gid", "--out", model)
+        model.write_bytes(model.read_bytes()[: model.stat().st_size // 2])
+        rc = run(
+            "propagate", "--model", model, "--labels", synth_dir / "labels.csv",
+            "--out", tmp_path / "p",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(model) in err
+
     def test_negative_refine_rounds_named(self, synth_dir, tmp_path, capsys):
         rc = run(
             "approximate", "--input", synth_dir / "data.bow", "--divergence",

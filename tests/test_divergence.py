@@ -24,6 +24,13 @@ GID2 = DivergenceSpec("gid", 2)
 SE2 = DivergenceSpec("sq-euclidean", 2, sigma=1.0)
 
 
+class TestSpec:
+    @pytest.mark.parametrize("sigma", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+    def test_bandwidth_finite_and_positive(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be > 0 and finite"):
+            DivergenceSpec("sq-euclidean", 2, sigma=sigma)
+
+
 class TestPhi:
     def test_gid_example(self):
         assert phi(GID2, [1.0, 2.0]) == pytest.approx(-1.613706, abs=1e-6)

@@ -91,3 +91,71 @@ class TestRoundTrip:
         loaded, _, _ = load_model(path)
         with pytest.raises(ValueError, match="reevaluate_bound"):
             lower_bound(loaded.params, loaded.partition, loaded.tree, loaded.spec)
+
+
+def _drop(name):
+    def edit(arrays):
+        del arrays[name]
+    return edit
+
+
+def _set(name, at, value):
+    def edit(arrays):
+        arrays[name][at] = value
+    return edit
+
+
+def _cut(name):
+    def edit(arrays):
+        arrays[name] = arrays[name][:-1]
+    return edit
+
+
+# (name, edit of the saved arrays, part of the error) for a model of 30 rows,
+# 59 nodes, 58 blocks and 6 columns
+MALFORMED = [
+    ("no-q", _drop("q"), "missing array 'q'"),
+    ("no-meta", _drop("meta"), "not a blockwalk-model file"),
+    ("left-past-nodes", _set("tree_left", -1, 10**6), "tree_left: child ids"),
+    ("right-below-leaf", _set("tree_right", -1, -7), "tree_right: child ids"),
+    ("root-its-own-child", _set("tree_left", -1, 58), "tree_left: child ids"),
+    ("block-past-nodes", _set("block_a", 0, 59), "block_a: ids out of range"),
+    ("negative-block", _set("block_b", 3, -1), "block_b: ids out of range"),
+    ("perm-past-rows", _set("tree_perm", 0, 30), "tree_perm: ids out of range"),
+    ("negative-start", _set("tree_start", 0, -2), "member ranges outside"),
+    ("column-past-dim", _set("stat_s3_idx", 0, 6), "stat_s3_idx: ids out of range"),
+    ("short-s1", _cut("stat_s1"), "stat_s1 has 58 entries, expected 59"),
+    ("short-q", _cut("q"), "q has 57 entries, expected 58"),
+    ("short-perm", _cut("tree_perm"), "tree_perm has 29 entries, expected 30"),
+    ("short-values", _cut("stat_s3_val"), "stat_s3_val has"),
+    ("ids-past-perm", _set("tree_size", 0, 2), "member ranges outside"),
+    ("unordered-offsets", _set("stat_s3_ptr", 1, -1), "stat_s3_ptr: offsets"),
+]
+
+
+class TestMalformedArchive:
+    """load_model refuses an archive whose arrays do not fit together with a
+    ValueError naming the file and the fault, before any of them is used."""
+
+    @pytest.mark.parametrize(
+        "edit, fault", [pytest.param(e, f, id=name) for name, e, f in MALFORMED]
+    )
+    def test_named_error(self, fitted, tmp_path, edit, fault):
+        model, report, ids = fitted
+        path = tmp_path / "m.npz"
+        save_model(path, model, report, ids)
+        with np.load(path) as z:
+            arrays = dict(z)
+        edit(arrays)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}: ") and fault in str(err.value)
+
+    def test_truncated_file(self, fitted, tmp_path):
+        model, report, ids = fitted
+        path = tmp_path / "m.npz"
+        save_model(path, model, report, ids)
+        path.write_bytes(path.read_bytes()[:1000])
+        with pytest.raises(ValueError, match="not a readable"):
+            load_model(path)
