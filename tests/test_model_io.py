@@ -128,7 +128,7 @@ MALFORMED = [
     ("short-q", _cut("q"), "q has 57 entries, expected 58"),
     ("short-perm", _cut("tree_perm"), "tree_perm has 29 entries, expected 30"),
     ("short-values", _cut("stat_s3_val"), "stat_s3_val has"),
-    ("ids-past-perm", _set("tree_size", 0, 2), "member ranges outside"),
+    ("size-off-range", _set("tree_size", 0, 2), "member ranges outside"),
     ("unordered-offsets", _set("stat_s3_ptr", 1, -1), "stat_s3_ptr: offsets"),
 ]
 
