@@ -335,17 +335,42 @@ def total_carrier(data, spec, total_phi):
     return 0.0
 
 
-def pairwise_divergences(spec, X, Y):
-    """Matrix of d(x_i, y_j) for dense row stacks X (n,d) and Y (m,d)."""
-    X = np.asarray(X, dtype=np.float64)
+# Rows per block of the dense N x N baselines, which hold one block of
+# pairwise divergences beside their output at a time.
+ROW_BLOCK = 512
+
+
+def _divergences_to(spec, Y):
+    """Divergences to the centers Y, one block of rows at a time.
+
+    Y's strict domain check, generator sums, gradient and y'grad(y) are
+    taken here, once. Returns fill(X, out=None), which writes d(x_i, y_j)
+    for the rows X into out (len(X), len(Y)), or into a new array, as
+    ((px - py) + yg) - X @ G.T and returns it. fill does not check X:
+    pairwise_divergences does, and the dense baselines pass rows of Y
+    itself.
+    """
     Y = np.asarray(Y, dtype=np.float64)
-    _check_domain(spec, X, strict=False, name="X")
     _check_domain(spec, Y, strict=True, name="Y")
-    px = _phi_terms(spec, X).sum(axis=1)
     py = _phi_terms(spec, Y).sum(axis=1)
     G = _grad_terms(spec, Y)
     yg = np.einsum("ij,ij->i", Y, G)
-    return px[:, None] - py[None, :] + yg[None, :] - X @ G.T
+
+    def fill(X, out=None):
+        px = _phi_terms(spec, X).sum(axis=1)
+        out = np.subtract(px[:, None], py, out=out)
+        out += yg
+        out -= X @ G.T
+        return out
+
+    return fill
+
+
+def pairwise_divergences(spec, X, Y):
+    """Matrix of d(x_i, y_j) for dense row stacks X (n,d) and Y (m,d)."""
+    X = np.asarray(X, dtype=np.float64)
+    _check_domain(spec, X, strict=False, name="X")
+    return _divergences_to(spec, Y)(X)
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,27 @@ def save_model(path, model, report, ids, extras=None):
         np.savez(fh, **arrays)
 
 
+# Header keys load_model reads, with the entries it reads of each record.
+HEADER_KEYS = {
+    "spec": ("kind", "dim", "sigma", "epsilon", "has_covariance"),
+    "partition_label": (),
+    "bound": ("ell", "constant", "entropy_term"),
+    "optimizer": ("converged", "residual", "sweeps"),
+    "ids": (),
+}
+
+
+def _check_header(path, meta):
+    """Refuse a header (meta) that lacks a key load_model reads, naming it;
+    an entry of a record is named `record.entry`."""
+    for key, entries in HEADER_KEYS.items():
+        if key not in meta:
+            raise ValueError(f"{path}: header lacks '{key}'")
+        for entry in entries:
+            if not isinstance(meta[key], dict) or entry not in meta[key]:
+                raise ValueError(f"{path}: header lacks '{key}.{entry}'")
+
+
 def _check_arrays(path, z, meta):
     """Refuse an archive whose arrays are missing or do not fit together,
     before any is used: each array as long as what it counts, children
@@ -134,18 +155,23 @@ def _check_arrays(path, z, meta):
 
 def load_model(path):
     """Load a serialized model; returns (TransitionModel, BoundReport, meta).
-    A file that is no readable archive, or whose arrays are missing or do
-    not fit together, raises a ValueError naming it."""
+    A file that is no readable archive, whose header is not a JSON record
+    or lacks a key, or whose arrays are missing or do not fit together,
+    raises a ValueError naming it."""
     try:
         with np.load(path) as archive:
             z = {name: archive[name] for name in archive.files}
     except (zipfile.BadZipFile, EOFError) as exc:
         raise ValueError(f"{path}: not a readable model archive ({exc})") from None
-    meta = json.loads(bytes(z.get("meta", b"{}")).decode("utf-8"))
-    if meta.get("format") != FORMAT_NAME:
+    try:
+        meta = json.loads(bytes(z.get("meta", b"{}")).decode("utf-8"))
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise ValueError(f"{path}: header is not JSON ({exc})") from None
+    if not isinstance(meta, dict) or meta.get("format") != FORMAT_NAME:
         raise ValueError(f"{path}: not a {FORMAT_NAME} file")
     if meta.get("version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported version {meta.get('version')}")
+    _check_header(path, meta)
     _check_arrays(path, z, meta)
     sp = meta["spec"]
     spec = DivergenceSpec(

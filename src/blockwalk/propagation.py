@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .divergence import pairwise_divergences
+from .divergence import ROW_BLOCK, _divergences_to
 
 __all__ = [
     "TransitionModel",
@@ -83,27 +83,29 @@ class DenseBaseline:
         return self.p @ v
 
 
-def dense_transition_matrix(data, spec, cap=8192, keep_w=False, block_rows=512):
+def dense_transition_matrix(data, spec, cap=8192, keep_w=False, block_rows=ROW_BLOCK):
     """Exact row-softmax transition matrix with log-sum-exp stabilization;
-    the similarity matrix w is filled only when keep_w is set."""
+    the similarity matrix w is filled only when keep_w is set. Each block of
+    rows is computed in place in p: the divergences, the zero diagonal (as
+    +inf), the shift by the row minimum, exp and the row normalization."""
     n = data.n_rows
     if n < 2:
         raise ValueError("transition matrix needs at least 2 points")
     if n > cap:
         raise ValueError(f"dense transition matrix refused for N={n} > cap={cap}")
     dense = data.to_dense()
+    fill = _divergences_to(spec, dense)
     p = np.empty((n, n))
     w = np.empty((n, n)) if keep_w else None
     for lo in range(0, n, block_rows):
         hi = min(lo + block_rows, n)
-        d_blk = pairwise_divergences(spec, dense[lo:hi], dense)
-        for r in range(lo, hi):
-            d_blk[r - lo, r] = np.inf
+        blk = fill(dense[lo:hi], p[lo:hi])
+        blk[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
         if keep_w:
-            w[lo:hi] = np.exp(-d_blk)
-        m = d_blk.min(axis=1, keepdims=True)
-        e = np.exp(m - d_blk)  # note: -d - (-min d)
-        p[lo:hi] = e / e.sum(axis=1, keepdims=True)
+            np.exp(np.negative(blk, out=w[lo:hi]), out=w[lo:hi])
+        np.subtract(blk.min(axis=1, keepdims=True), blk, out=blk)  # -d - (-min d)
+        np.exp(blk, out=blk)
+        blk /= blk.sum(axis=1, keepdims=True)
     return DenseBaseline(w=w, p=p)
 
 

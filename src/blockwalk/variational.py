@@ -39,7 +39,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .divergence import carrier_rows, pairwise_divergences, phi_rows, total_carrier
+from .divergence import (
+    ROW_BLOCK,
+    _divergences_to,
+    carrier_rows,
+    phi_rows,
+    total_carrier,
+)
 
 __all__ = [
     "BlockParams",
@@ -89,16 +95,23 @@ def constant_term(tree):
 
 
 def exact_loglik(data, spec, cap=8192):
-    """Dense kernel-density log-likelihood; test scale only."""
+    """Dense kernel-density log-likelihood; test scale only. The divergences
+    are taken one block of ROW_BLOCK rows at a time, each row's logsumexp
+    from its block, so no N x N matrix is held."""
     n = data.n_rows
     if n < 2:
         raise ValueError("exact log-likelihood needs at least 2 points")
     if n > cap:
         raise ValueError(f"exact log-likelihood refused for N={n} > cap={cap}")
     dense = data.to_dense()
-    D = pairwise_divergences(spec, dense, dense)
-    np.fill_diagonal(D, np.inf)
-    lse = logsumexp(-D, axis=1)
+    fill = _divergences_to(spec, dense)
+    buf = np.empty((min(ROW_BLOCK, n), n))
+    lse = np.empty(n)
+    for lo in range(0, n, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, n)
+        blk = fill(dense[lo:hi], buf[: hi - lo])
+        blk[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        lse[lo:hi] = logsumexp(np.negative(blk, out=blk), axis=1)
     extra = phi_rows(spec, dense) + carrier_rows(spec, dense)
     return float(np.sum(lse + extra) - n * np.log(n - 1))
 

@@ -36,6 +36,11 @@ draw and the whole-array DataMatrix check must match.
 The per-node tree passes of the optimizer (one node at a time on Python
 floats) and the double loop over leaf pairs of the finest partition are the
 references the level passes and the array partition must match bit for bit.
+So are the dense baselines' references: pairwise divergences in one
+expression, a transition matrix whose every row block recomputes the
+centers' terms and takes its softmax on new arrays, and an exact
+log-likelihood from the whole N x N matrix, which the in-place row-block
+routes must reproduce byte for byte.
 """
 import heapq
 import itertools
@@ -44,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import xlogy
+from scipy.special import logsumexp, xlogy
 
 from blockwalk import anchor_tree, variational
 from blockwalk.anchor_tree import (
@@ -63,8 +68,10 @@ from blockwalk.divergence import (
     _grad_terms,
     _phi_terms,
     _scalar_base,
+    carrier_rows,
     ov_phi,
     pairwise_divergences,
+    phi_rows,
 )
 from blockwalk.partition import Block, BlockPartition, refine_partition
 from blockwalk.propagation import DenseBaseline, TransitionModel
@@ -261,6 +268,49 @@ def reference_propagate(op, y0, config):
     for _ in range(config.iterations):
         y = alpha * _apply_operator(op, y) + (1.0 - alpha) * y0
     return y
+
+
+def reference_pairwise_divergences(spec, X, Y):
+    """d(x_i, y_j) in one expression, px - py + yg - X G', each of Y's
+    terms taken afresh on every call."""
+    px = _phi_terms(spec, X).sum(axis=1)
+    py = _phi_terms(spec, Y).sum(axis=1)
+    G = _grad_terms(spec, Y)
+    yg = np.einsum("ij,ij->i", Y, G)
+    return px[:, None] - py[None, :] + yg[None, :] - X @ G.T
+
+
+def reference_dense_transition(data, spec, block_rows, keep_w=False):
+    """(p, w) of the exact transition matrix, each block of rows from its
+    own pairwise divergences, its diagonal set one row at a time and its
+    softmax taken on new arrays; w is None unless keep_w."""
+    n = data.n_rows
+    dense = data.to_dense()
+    p = np.empty((n, n))
+    w = np.empty((n, n)) if keep_w else None
+    for lo in range(0, n, block_rows):
+        hi = min(lo + block_rows, n)
+        d_blk = reference_pairwise_divergences(spec, dense[lo:hi], dense)
+        for r in range(lo, hi):
+            d_blk[r - lo, r] = np.inf
+        if keep_w:
+            w[lo:hi] = np.exp(-d_blk)
+        m = d_blk.min(axis=1, keepdims=True)
+        e = np.exp(m - d_blk)
+        p[lo:hi] = e / e.sum(axis=1, keepdims=True)
+    return p, w
+
+
+def reference_exact_loglik(data, spec):
+    """Kernel-density log-likelihood from the whole N x N divergence matrix
+    and one logsumexp over it."""
+    n = data.n_rows
+    dense = data.to_dense()
+    D = reference_pairwise_divergences(spec, dense, dense)
+    np.fill_diagonal(D, np.inf)
+    lse = logsumexp(-D, axis=1)
+    extra = phi_rows(spec, dense) + carrier_rows(spec, dense)
+    return float(np.sum(lse + extra) - n * np.log(n - 1))
 
 
 def closed_form_propagation(p_matrix, y0, alpha):

@@ -377,6 +377,24 @@ class TestRejectedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(model) in err
 
+    def test_header_without_key_named(self, synth_dir, tmp_path, capsys):
+        model = tmp_path / "m.npz"
+        run("approximate", "--input", synth_dir / "data.bow", "--divergence",
+            "gid", "--out", model)
+        with np.load(model) as z:
+            arrays = dict(z)
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        del meta["optimizer"]
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), np.uint8)
+        np.savez(model, **arrays)
+        rc = run(
+            "propagate", "--model", model, "--labels", synth_dir / "labels.csv",
+            "--out", tmp_path / "p",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(model) in err and "'optimizer'" in err
+
     def test_negative_refine_rounds_named(self, synth_dir, tmp_path, capsys):
         rc = run(
             "approximate", "--input", synth_dir / "data.bow", "--divergence",

@@ -17,7 +17,12 @@ from blockwalk.divergence import (
 from blockwalk.vectors import OffsetVec
 
 from conftest import ALL_KINDS, make_spec, sample_in_domain
-from oracles import ov_divergence, ov_grad, ov_xdotgrad
+from oracles import (
+    ov_divergence,
+    ov_grad,
+    ov_xdotgrad,
+    reference_pairwise_divergences,
+)
 
 
 GID2 = DivergenceSpec("gid", 2)
@@ -183,6 +188,15 @@ class TestBregmanDivergence:
                     s = s / s.sum() * mu.sum()
             at_s = sum(bregman_divergence(spec, x, s) for x in X)
             assert at_mean <= at_s + 1e-9
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("n, m", [(7, 6), (1, 9), (40, 33)])
+    def test_pairwise_same_bits_as_one_expression(self, rng, kind, n, m):
+        spec = make_spec(kind, 5, rng)
+        X = sample_in_domain(kind, rng, n, 5)
+        Y = sample_in_domain(kind, rng, m, 5)
+        got = pairwise_divergences(spec, X, Y)
+        assert got.tobytes() == reference_pairwise_divergences(spec, X, Y).tobytes()
 
     def test_pairwise_matches_pointwise(self, rng):
         for kind in ALL_KINDS:

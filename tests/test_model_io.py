@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -159,3 +160,63 @@ class TestMalformedArchive:
         path.write_bytes(path.read_bytes()[:1000])
         with pytest.raises(ValueError, match="not a readable"):
             load_model(path)
+
+
+def _without(arrays, key):
+    """Save the header (meta) with `key` removed; a dotted key names an
+    entry of a nested record."""
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    *outer, last = key.split(".")
+    rec = meta
+    for name in outer:
+        rec = rec[name]
+    del rec[last]
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+
+
+HEADER_KEYS = [
+    "spec", "bound", "optimizer", "ids", "partition_label",
+    "spec.kind", "spec.dim", "spec.has_covariance", "bound.ell",
+    "optimizer.converged",
+]
+
+
+class TestMalformedHeader:
+    """A header that lacks a key load_model reads is a ValueError naming the
+    file and the key, not a KeyError."""
+
+    @pytest.mark.parametrize("key", HEADER_KEYS)
+    def test_missing_key_named(self, fitted, tmp_path, key):
+        model, report, ids = fitted
+        path = tmp_path / "m.npz"
+        save_model(path, model, report, ids)
+        with np.load(path) as z:
+            arrays = dict(z)
+        _without(arrays, key)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: header lacks {key!r}"
+
+    @pytest.mark.parametrize(
+        "meta, fault",
+        [
+            (b"{not json", "header is not JSON"),
+            (b"[1, 2]", "not a blockwalk-model file"),
+            (None, "header lacks 'spec.kind'"),  # spec is a number
+        ],
+    )
+    def test_unreadable_header_named(self, fitted, tmp_path, meta, fault):
+        model, report, ids = fitted
+        path = tmp_path / "m.npz"
+        save_model(path, model, report, ids)
+        with np.load(path) as z:
+            arrays = dict(z)
+        if meta is None:
+            header = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+            meta = json.dumps({**header, "spec": 5}).encode("utf-8")
+        arrays["meta"] = np.frombuffer(meta, dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}: ") and fault in str(err.value)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from blockwalk.anchor_tree import build_cluster_tree
 from blockwalk.dataset import LabelSet, smooth
-from blockwalk.divergence import DivergenceSpec, pairwise_divergences
+from blockwalk.divergence import KINDS, DivergenceSpec, pairwise_divergences
 from blockwalk.partition import auto_refine, coarsest_partition, finest_partition
 from blockwalk.propagation import (
     PropagationConfig,
@@ -18,8 +20,13 @@ from blockwalk.propagation import (
 )
 from blockwalk.variational import optimize_q
 
-from conftest import smoothed_counts
-from oracles import closed_form_propagation, dense_q_matrix, reference_propagate
+from conftest import make_spec, sample_in_domain, smoothed_counts
+from oracles import (
+    closed_form_propagation,
+    dense_q_matrix,
+    reference_dense_transition,
+    reference_propagate,
+)
 from test_anchor_tree import dense_to_data
 
 
@@ -102,6 +109,17 @@ class TestBlockedMatvec:
             np.testing.assert_array_equal(np.diag(q), 0.0)
 
 
+# every kind `exact:<kind>` accepts
+EXACT_KINDS = [k for k in KINDS if k != "mahalanobis"]
+
+
+def kind_data(kind, rng, n, d=4):
+    """(smoothed data, spec) of n dense rows inside the domain of `kind`;
+    the stored values must be positive, so sq-euclidean rows are folded."""
+    x = np.abs(sample_in_domain(kind, rng, n, d))
+    return smooth(dense_to_data(x), 0.0), make_spec(kind, d)
+
+
 class TestDenseTransitionMatrix:
     def test_two_points(self):
         data = smooth(dense_to_data(np.array([[0.0, 1.0], [1.0, 0.0]])), 0.5)
@@ -151,6 +169,52 @@ class TestDenseTransitionMatrix:
         d = pairwise_divergences(spec, data.to_dense(), data.to_dense())
         np.fill_diagonal(d, np.inf)
         np.testing.assert_allclose(kept.w, np.exp(-d), rtol=1e-12)
+
+
+class TestDenseAgainstReference:
+    """Each row block is computed in place in p, with the centers' terms
+    taken once: p and w must be the reference's byte for byte, the
+    reference recomputing those terms per block on new arrays."""
+
+    @pytest.mark.parametrize("kind", EXACT_KINDS)
+    @pytest.mark.parametrize(
+        "n, block_rows", [(2, 1), (2, 512), (25, 1), (25, 7), (25, 25), (25, 64)]
+    )
+    def test_same_bits(self, rng, kind, n, block_rows):
+        data, spec = kind_data(kind, rng, n)
+        for keep_w in (False, True):
+            got = dense_transition_matrix(data, spec, keep_w=keep_w, block_rows=block_rows)
+            p, w = reference_dense_transition(data, spec, block_rows, keep_w=keep_w)
+            assert_same_bits(got.p, p)
+            if keep_w:
+                assert_same_bits(got.w, w)
+            else:
+                assert got.w is None
+
+    def test_count_data_same_bits(self, rng):
+        data = smoothed_counts(rng, 40, 6)
+        spec = DivergenceSpec("gid", 6, epsilon=0.5)
+        got = dense_transition_matrix(data, spec, keep_w=True, block_rows=16)
+        p, w = reference_dense_transition(data, spec, 16, keep_w=True)
+        assert_same_bits(got.p, p)
+        assert_same_bits(got.w, w)
+
+    @pytest.mark.parametrize("keep_w", [False, True])
+    def test_peak_memory_one_output_and_few_blocks(self, rng, keep_w):
+        # Traced peak above the N x N output(s): about 1.3 row blocks in
+        # place against about 5.3 when each block's softmax takes new arrays.
+        n, block_rows = 400, 50
+        data = smoothed_counts(rng, n, 5)
+        spec = DivergenceSpec("gid", 5, epsilon=0.5)
+        tracemalloc.start()
+        try:
+            base = dense_transition_matrix(data, spec, keep_w=keep_w, block_rows=block_rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = (2 if keep_w else 1) * n * n * 8
+        assert base.p.shape == (n, n)
+        assert peak <= outputs + 3 * block_rows * n * 8
 
 
 class TestPropagation:

@@ -36,10 +36,12 @@ from oracles import (
     brute_block_sums,
     euclidean_block_divergence_sum,
     projected_ascent_q,
+    reference_exact_loglik,
     reference_optimize_q,
 )
 from test_anchor_tree import dense_to_data
 from test_properties import PROPERTY
+from test_propagation import EXACT_KINDS, kind_data
 
 
 def euclid_tree(points_1d):
@@ -427,6 +429,26 @@ class TestExactLoglik:
         total += float(np.sum(phi_rows(spec, dense) + carrier_rows(spec, dense)))
         total -= 32 * np.log(31)
         assert exact_loglik(data, spec) == pytest.approx(total, abs=1e-10)
+
+    @pytest.mark.parametrize("kind", EXACT_KINDS)
+    @pytest.mark.parametrize("n, block", [(2, 512), (25, 2), (25, 7), (25, 25)])
+    def test_row_blocks_match_whole_matrix(self, rng, monkeypatch, kind, n, block):
+        # each row's logsumexp from its block: the same float as from the
+        # whole N x N matrix. Blocks of one row are left out here: BLAS can
+        # round a one-row product otherwise than a whole product this small
+        # (seen at N = 25).
+        monkeypatch.setattr(variational, "ROW_BLOCK", block)
+        data, spec = kind_data(kind, rng, n)
+        assert exact_loglik(data, spec) == reference_exact_loglik(data, spec)
+
+    @pytest.mark.parametrize("kind", EXACT_KINDS)
+    @pytest.mark.parametrize("n", [513, 1100])
+    def test_default_blocks_match_whole_matrix(self, rng, kind, n):
+        # blocks of the default height: N = 513 leaves a last block of one
+        # row, N = 1100 takes three blocks
+        data, spec = kind_data(kind, rng, n, d=17)
+        assert variational.ROW_BLOCK < n
+        assert exact_loglik(data, spec) == reference_exact_loglik(data, spec)
 
     def test_requires_two_points(self):
         data = smooth(dense_to_data(np.array([[1.0]])), 0.0)
