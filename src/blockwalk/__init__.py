@@ -13,8 +13,6 @@ from .anchor_tree import (
     agglomerate_anchors,
     build_cluster_tree,
     grow_anchors,
-    merge_cost,
-    steal_threshold,
 )
 from .dataset import (
     DataMatrix,
@@ -33,18 +31,11 @@ from .divergence import (
     DomainError,
     bregman_divergence,
     grad_phi,
-    grad_phi_inv,
     pairwise_divergences,
     phi,
 )
 from .model_io import load_model, save_model
-from .partition import (
-    Block,
-    BlockPartition,
-    coarsest_partition,
-    finest_partition,
-    refine_partition,
-)
+from .partition import BlockPartition, coarsest_partition, finest_partition
 from .propagation import (
     DenseBaseline,
     PropagationConfig,
@@ -64,7 +55,6 @@ from .variational import (
 
 __all__ = [
     "Anchor",
-    "Block",
     "BlockParams",
     "BlockPartition",
     "BoundReport",
@@ -91,21 +81,17 @@ __all__ = [
     "finest_partition",
     "generate_synthetic",
     "grad_phi",
-    "grad_phi_inv",
     "grow_anchors",
     "load_bow",
     "load_labels",
     "load_model",
     "lower_bound",
-    "merge_cost",
     "optimize_q",
     "pairwise_divergences",
     "phi",
     "propagate_labels",
-    "refine_partition",
     "save_model",
     "smooth",
-    "steal_threshold",
     "write_bow",
     "write_labels",
 ]

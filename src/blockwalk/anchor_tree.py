@@ -16,16 +16,12 @@ Every greedy merge ranks costs in one order: ascending, a NaN cost as
 batched merge on dense rows serves the build and agglomerate_anchors;
 wider pivots merge on an OffsetVec heap.
 
-The paper's no-steal bound, behind steal_threshold, generalizes the
-Euclidean halfway rule: a row whose divergence to its current pivot is at
-or below the threshold of that pivot and a new one cannot be closer to the
-new one. The grower does not prune with it: a step evaluates every growing
-row of a level in one sparse product anyway, so pruning would only skip the
-arithmetic after that product, and evaluating the thresholds costs more:
-tree builds with pruning on / off took 0.36 / 0.26 s at N=8000, d=50, 0.19
-/ 0.13 s on refine-apply-n4000 and 1.05 / 0.80 s on wide-d5000 (best of 5,
-2-core host). The tests keep a pruned reference grower, whose trees must be
-the package's.
+The grower does not prune with the paper's no-steal bound: a step
+evaluates every growing row of a level in one sparse product anyway, and
+evaluating the thresholds costs more than the arithmetic they would skip
+(tree builds with pruning on / off took 0.36 / 0.26 s at N=8000, d=50,
+2-core host). The bound and a pruned reference grower, whose trees must be
+the package's, live in tests/oracles.py.
 
 Every node has four additive statistics (sum of generator values, sum of
 x'grad(x), coordinate sums, gradient sums) that later decouple per-block
@@ -46,9 +42,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .divergence import (
-    _as_vector,
-    _check_domain,
-    _grad_inv_terms,
     _grad_terms,
     _phi_terms,
     _scalar_base,
@@ -62,9 +55,7 @@ __all__ = [
     "NodeStats",
     "TreeStats",
     "ClusterTree",
-    "steal_threshold",
     "grow_anchors",
-    "merge_cost",
     "agglomerate_anchors",
     "AggloTree",
     "build_cluster_tree",
@@ -112,7 +103,7 @@ class _Workspace:
     def _row_kernels(self, t, idx):
         """Every pivot is a data row: tabulate, per row j, the pieces of
         d(., x_j) that depend on the pivot alone: the gradient, with the
-        arithmetic of ov_grad on `row_ov(j)`, and x_j'grad(x_j) as a
+        arithmetic of ov_grad on data row j, and x_j'grad(x_j) as a
         divergence evaluates it at i == j."""
         spec, lens = self.spec, self.nnz_row
         short = lens < self.dim
@@ -124,9 +115,6 @@ class _Workspace:
         own = np.bincount(np.repeat(every, lens), weights=prods, minlength=every.size)
         const, g_base = self._pivot_consts(every)
         self.s2_row = _xgrad(const, g_base, self.row_sum, own)
-
-    def row_ov(self, i):
-        return self.data.row(int(i))
 
     def _gather(self, rows):
         """Flat positions of the sparse parts of `rows` in the CSR arrays,
@@ -188,12 +176,6 @@ class _Workspace:
         """Every term of d(., x_j) that depends on pivot row j alone:
         _pivot_consts, phi(x_j) and x_j'grad(x_j)."""
         return (*self._pivot_consts(pivots), self.phi_row[pivots], self.s2_row[pivots])
-
-    def _finish(self, rows, pivots, dots):
-        """d(x_i, x_j) for rows i and pivot rows j, given the dot products
-        of row i's stored values with pivot j's gradient values."""
-        terms = self._pivot_terms(pivots)
-        return _tail(self.phi_row[rows], self.row_sum[rows], dots, *terms)
 
 
 def _xgrad(const, g_base, row_sum, dots):
@@ -258,37 +240,6 @@ class Anchor:
     @property
     def size(self):
         return int(self.members.size)
-
-
-def steal_threshold(spec, p_curr, p_new):
-    """No-steal bound between two pivots.
-
-    Returns (threshold, minimizer): any point with divergence to p_curr at or
-    below the threshold is provably at least as close to p_curr as to p_new.
-    """
-    p_curr, p_new = (_as_vector(spec, p) for p in (p_curr, p_new))
-    for p in (p_curr, p_new):
-        _check_domain(spec, p, strict=True)
-    thr, y = _thresholds(spec, p_curr[None, :], p_new)
-    return float(thr[0]), y[0]
-
-
-def _thresholds(spec, pivots, new_pivot, cols=None):
-    """No-steal thresholds of every row of `pivots` against `new_pivot`,
-    with their minimizers.
-
-    Row k's bound is (d(y, p_k) + d(y, p_new)) / 2 at y = grad^-1((grad p_k
-    + grad p_new) / 2). The pivots are dense rows over the columns `cols`
-    (every column when None); a column left out must hold the same value in
-    every pivot, where y equals it and both divergences vanish.
-    """
-    g = _grad_terms(spec, pivots, cols)
-    g_new = _grad_terms(spec, new_pivot, cols)
-    y = _grad_inv_terms(spec, 0.5 * (g + g_new), cols)
-    phi_y = _phi_terms(spec, y, cols)
-    da = phi_y - _phi_terms(spec, pivots, cols) - (y - pivots) * g
-    db = phi_y - _phi_terms(spec, new_pivot, cols) - (y - new_pivot) * g_new
-    return 0.5 * (da + db).sum(axis=-1), y
 
 
 # Agglomeration merges dense pivot rows up to this width and OffsetVec
@@ -419,7 +370,7 @@ def grow_anchors(data, spec, m):
     ws = _Workspace(data, spec)
     pivots, members, dists = _grow(ws, np.arange(data.n_rows, dtype=np.int64), m)
     return [
-        Anchor(ws.row_ov(p), int(p), mem, dis)
+        Anchor(ws.data.row(int(p)), int(p), mem, dis)
         for p, mem, dis in zip(pivots, members, dists)
     ]
 
@@ -438,17 +389,6 @@ def _merge_costs(spec, sizes, phis, rows, i, j):
     nt = si + sj
     c = (si[:, None] * rows[i] + sj[:, None] * rows[j]) / nt[:, None]
     return si * phis[i] + sj * phis[j] - nt * _phi_terms(spec, c).sum(axis=1)
-
-
-def merge_cost(spec, size_a, pivot_a, size_b, pivot_b):
-    """Cost of replacing two clusters by their size-weighted union."""
-    rows = np.stack([
-        p.to_dense() if isinstance(p, OffsetVec) else np.asarray(p, dtype=np.float64)
-        for p in (pivot_a, pivot_b)
-    ])
-    sizes = np.array([size_a, size_b], dtype=np.float64)
-    phis = _phi_terms(spec, rows).sum(axis=1)
-    return float(_merge_costs(spec, sizes, phis, rows, [0], [1])[0])
 
 
 @dataclass
@@ -682,8 +622,9 @@ class TreeStats:
         )
 
     def dot34(self, a, b):
-        """s3 of node a[k] dotted with s4 of node b[k], for every k, in
-        OffsetVec.dot's four terms."""
+        """s3 of node a[k] dotted with s4 of node b[k], for every k, as four
+        terms: base times base, each base times the other's value sum, and
+        the shared coordinates' values."""
         shape = (len(self), self.dim)
         s3 = sp.csr_matrix((self.v3, self.idx, self.ptr), shape=shape)
         s4 = sp.csr_matrix((self.v4, self.idx, self.ptr), shape=shape)
@@ -705,12 +646,11 @@ class ClusterTree:
     """Binary hierarchy over the rows; leaves are singletons.
 
     Nodes are indexed so children precede parents; each node's members form a
-    contiguous range of `perm`. The pivot of a node is its member mean.
-    `levels` holds the node ids of each depth in ascending order, root
-    first, for the optimizer's logaddexp passes (down forward, up in
-    reverse). `stats` is the tree's TreeStats. `data` is optional: a
-    deserialized tree keeps its statistics but not the rows they were built
-    from.
+    contiguous range of `perm`. `levels` holds the node ids of each depth in
+    ascending order, root first, for the optimizer's logaddexp passes (down
+    forward, up in reverse). `stats` is the tree's TreeStats. `data` is
+    optional: a deserialized tree keeps its statistics but not the rows they
+    were built from.
     """
 
     def __init__(self, data, spec, left, right, size, start, end, perm, stats):
@@ -751,22 +691,6 @@ class ClusterTree:
             (np.ones(indptr[-1]), perm[_ranges(start, size)], indptr),
             shape=(self.n_points, self.n_nodes),
         ).tocsr()
-
-    def is_leaf(self, nid):
-        return self.left[nid] < 0
-
-    def subtree_rows(self, nid):
-        return self.perm[self.start[nid] : self.end[nid]]
-
-    def pivot(self, nid):
-        s3 = self.stats[nid].s3
-        n = self.size[nid]
-        return OffsetVec(s3.dim, s3.base / n, s3.idx, s3.val / n)
-
-    def bregman_information(self, nid):
-        """Mean divergence of a node's members to the node mean."""
-        n = self.size[nid]
-        return self.stats[nid].s1 / n - ov_phi(self.spec, self.pivot(nid))
 
 
 def build_cluster_tree(data, spec):

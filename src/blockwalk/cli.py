@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -66,8 +67,10 @@ def _str_list(text):
 
 def default_sigma(data, seed, pairs=1000):
     """Bandwidth policy: median Euclidean distance over seeded random pairs."""
-    rng = np.random.default_rng([int(seed), SIGMA_STREAM])
     n = data.n_rows
+    if n < 2:  # no pair of distinct rows to draw
+        raise ValueError(f"the median bandwidth policy needs 2 rows, not {n} row; give --sigma")
+    rng = np.random.default_rng([int(seed), SIGMA_STREAM])
     i = rng.integers(0, n, pairs)
     j = rng.integers(0, n - 1, pairs)
     j[j >= i] += 1
@@ -100,8 +103,24 @@ def make_divergence_spec(kind, data, sigma=None, epsilon=None, seed=0):
     return spec, notes
 
 
+class _PartitionModeError(ValueError, argparse.ArgumentTypeError):
+    """A malformed partition mode: a ValueError to callers of build_model,
+    and to argparse an error whose message it prints after the option."""
+
+
+def _partition_mode(text):
+    """A partition mode, checked: `coarsest`, `finest` or `refine:<k>` with
+    an integer k. Returns it as given."""
+    if re.fullmatch(r"coarsest|finest|refine:[+-]?[0-9]+", text):
+        return text
+    raise _PartitionModeError(
+        f"partition mode {text!r} is not coarsest, finest or refine:<k> with an integer k"
+    )
+
+
 def build_model(data, spec, partition_mode, max_finest_n=2048):
     """Tree, partition, optimized parameters; returns model + report + timings."""
+    _partition_mode(partition_mode)  # a malformed mode fails before the tree
     timings = {}
     smoothed = smooth(data, spec.epsilon)
     t0 = time.perf_counter()
@@ -112,11 +131,9 @@ def build_model(data, spec, partition_mode, max_finest_n=2048):
         part = coarsest_partition(tree)
     elif partition_mode == "finest":
         part = finest_partition(tree, cap=max_finest_n)
-    elif partition_mode.startswith("refine:"):
+    else:
         rounds = int(partition_mode.split(":", 1)[1])
         part = auto_refine(coarsest_partition(tree), tree, rounds)
-    else:
-        raise ValueError(f"unknown partition mode {partition_mode!r}")
     timings["partition_seconds"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     params = optimize_q(tree, part, spec, smoothed)
@@ -496,7 +513,7 @@ def build_parser():
     fit.add_argument("--format", choices=("uci-bow", "dense-csv"), default="uci-bow")
     fit.add_argument("--sigma", type=float)
     fit.add_argument("--epsilon", type=float)
-    fit.add_argument("--partition", default="coarsest")
+    fit.add_argument("--partition", type=_partition_mode, default="coarsest")
     fit.add_argument("--max-exact-n", type=int, default=DEFAULT_MAX_EXACT_N)
 
     spread = argparse.ArgumentParser(add_help=False)

@@ -1,8 +1,8 @@
 """Bregman divergence bundle.
 
 Each divergence kind is defined by its strictly convex generator applied
-coordinatewise: the generator value, its gradient, the gradient inverse, and
-the induced divergence d(x, y) = phi(x) - phi(y) - (x - y)' grad(y). The first
+coordinatewise: the generator value, its gradient, and the induced
+divergence d(x, y) = phi(x) - phi(y) - (x - y)' grad(y). The first
 argument of a divergence is always the datapoint, the second the kernel
 center. One-dimensional textbook definitions (logistic, itakura-saito,
 relative entropy) are summed over coordinates.
@@ -15,9 +15,9 @@ Every data layout shares one domain rule and one carrier per kind. The rule
 is `_outside`: `_check_domain` applies it to a vector or a stack of rows,
 and `check_smoothed` to a smoothed sparse matrix, on its stored values plus
 the offset and on the offset at its implicit coordinates. The carrier is
-`carrier_rows` (`log_carrier` is its one-row case, `total_carrier` its sum
-over a smoothed matrix); the Gaussian kinds take their log normalizer from
-`_normalizer`. The tree and the bound branch on no kind.
+`carrier_rows` (`total_carrier` is its sum over a smoothed matrix); the
+Gaussian kinds take their log normalizer from `_normalizer`. The tree and
+the bound branch on no kind.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit, gammaln, xlogy
+from scipy.special import gammaln, xlogy
 
 __all__ = [
     "KINDS",
@@ -34,9 +34,7 @@ __all__ = [
     "DomainError",
     "phi",
     "grad_phi",
-    "grad_phi_inv",
     "bregman_divergence",
-    "log_carrier",
     "check_smoothed",
     "total_carrier",
     "phi_rows",
@@ -214,30 +212,6 @@ def _grad_terms(spec, t, idx=None):
     return np.log(t) - np.log1p(-t)  # logistic
 
 
-def _grad_inv_terms(spec, u, idx=None):
-    kind = spec.kind
-    if kind == "sq-euclidean":
-        return spec.sigma**2 * u
-    if kind == "mahalanobis":
-        cov = spec.covariance_diag if idx is None else spec.covariance_diag[idx]
-        return 0.5 * cov * u
-    if kind in ("gid", "kl"):
-        return np.exp(u)
-    if kind == "itakura-saito":
-        return -1.0 / u
-    return expit(u)  # logistic
-
-
-def _check_grad_range(spec, u, name="u"):
-    if spec.kind == "itakura-saito":
-        bad = u >= 0
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            raise DomainError(
-                f"itakura-saito gradient range is negative; {name}[{j}] = {u[j]}", j
-            )
-
-
 # ---------------------------------------------------------------------------
 # Public pointwise API
 # ---------------------------------------------------------------------------
@@ -257,13 +231,6 @@ def grad_phi(spec, x):
     return _grad_terms(spec, x)
 
 
-def grad_phi_inv(spec, u):
-    """Unique x with grad_phi(x) = u; rejects u outside the gradient range."""
-    u = _as_vector(spec, u, name="u")
-    _check_grad_range(spec, u)
-    return _grad_inv_terms(spec, u)
-
-
 def bregman_divergence(spec, x, y):
     """d(x, y) = phi(x) - phi(y) - (x - y)' grad(y); x datapoint, y center."""
     x = _as_vector(spec, x)
@@ -274,17 +241,6 @@ def bregman_divergence(spec, x, y):
     return float(
         np.sum(_phi_terms(spec, x)) - np.sum(_phi_terms(spec, y)) - np.dot(x - y, g)
     )
-
-
-def log_carrier(spec, x):
-    """Log base measure of the matching exponential family at x.
-
-    Combined with phi this supplies the per-point additive constant of the
-    kernel-density likelihood: counts get -sum log(x_j!), Gaussian kinds fold
-    the normalizer (constant in phi + carrier), the rest carry 1.
-    """
-    x = _as_vector(spec, x)
-    return float(carrier_rows(spec, x[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +267,10 @@ def _normalizer(spec):
 
 
 def carrier_rows(spec, X):
-    """Log carrier of every row of X (see log_carrier)."""
+    """Log base measure of the matching exponential family at every row of
+    X. Combined with phi this supplies the per-point additive constant of
+    the kernel-density likelihood: counts get -sum log(x_j!), Gaussian kinds
+    fold the normalizer (constant in phi + carrier), the rest carry 1."""
     X = np.asarray(X, dtype=np.float64)
     if spec.kind in ("gid", "kl"):
         return -gammaln(X + 1.0).sum(axis=1)

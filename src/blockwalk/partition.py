@@ -9,24 +9,14 @@ any block keeps validity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "Block",
     "BlockPartition",
     "coarsest_partition",
     "finest_partition",
-    "refine_partition",
     "auto_refine",
 ]
-
-
-@dataclass(frozen=True)
-class Block:
-    a: int  # row-side subtree
-    b: int  # column-side subtree
 
 
 class BlockPartition:
@@ -42,15 +32,6 @@ class BlockPartition:
     @property
     def n_blocks(self):
         return int(self.a.size)
-
-    def blocks(self):
-        return [Block(int(x), int(y)) for x, y in zip(self.a, self.b)]
-
-    def index_of(self, block):
-        hits = np.nonzero((self.a == block.a) & (self.b == block.b))[0]
-        if hits.size == 0:
-            raise ValueError(f"block ({block.a}, {block.b}) not in partition")
-        return int(hits[0])
 
     def __repr__(self):
         return f"BlockPartition({self.label}, {self.n_blocks} blocks)"
@@ -79,33 +60,11 @@ def finest_partition(tree, cap=2048):
     return BlockPartition(a[off], b[off], label="finest")
 
 
-def refine_partition(p, block, tree, side=None):
-    """Split one block along a non-leaf side; block count grows by one."""
-    k = p.index_of(block)
-    a, b = int(p.a[k]), int(p.b[k])
-    if side is None:
-        side = "a" if not tree.is_leaf(a) else "b"
-    if side == "a":
-        if tree.is_leaf(a):
-            raise ValueError("cannot refine: chosen A side is a leaf")
-        repl = [(int(tree.left[a]), b), (int(tree.right[a]), b)]
-    elif side == "b":
-        if tree.is_leaf(b):
-            raise ValueError("cannot refine: chosen B side is a leaf")
-        repl = [(a, int(tree.left[b])), (a, int(tree.right[b]))]
-    else:
-        raise ValueError("side must be 'a', 'b' or None")
-    new_a = np.concatenate([p.a[:k], [r[0] for r in repl], p.a[k + 1 :]])
-    new_b = np.concatenate([p.b[:k], [r[1] for r in repl], p.b[k + 1 :]])
-    return BlockPartition(new_a, new_b, label="refined")
-
-
 def auto_refine(p, tree, rounds):
     """Refinement policy: split the block with the largest |A|*|B| (ties to
     the lowest node ids), on its larger side (ties to the A side), `rounds`
     times or until only leaf pairs are left. A split block is replaced in
-    place by its two halves, A-side or B-side children in order, as
-    refine_partition does.
+    place by its two halves, A-side or B-side children in order.
 
     Each half has a smaller |A||B| than its block, so the blocks split are
     the first `rounds` in the order (-|A||B|, a, b) of all the blocks that

@@ -143,14 +143,18 @@ class BoundReport:
     entropy_term: float
 
 
-def optimize_q(tree, partition, spec=None, data=None, tol=1e-10, max_sweeps=10_000):
+# the largest constraint residual a converged fit may leave
+RESIDUAL_TOL = 1e-10
+
+
+def optimize_q(tree, partition, spec=None, data=None, max_sweeps=10_000):
     """Maximize the bound under the per-datapoint sum-to-one constraints.
 
     The program is solved exactly by one up and one down pass over the tree
     (see the module docstring). `max_sweeps` bounds the tree passes: below 2
     the down pass is skipped and every node keeps the whole path budget, so
     the rows overshoot. Convergence is measured, not assumed: it is declared
-    when every datapoint's constraint residual is within `tol`, and
+    when every datapoint's constraint residual is within RESIDUAL_TOL, and
     non-convergence is flagged on the result and warned about.
     """
     a, n_nodes = partition.a, tree.n_nodes
@@ -174,7 +178,7 @@ def optimize_q(tree, partition, spec=None, data=None, tol=1e-10, max_sweeps=10_0
     )
     res = constraint_residuals(tree, partition, params)
     params.residual = float(np.max(np.abs(res)))
-    params.converged = params.residual <= tol
+    params.converged = params.residual <= RESIDUAL_TOL
     if not params.converged:
         warnings.warn(
             f"optimizer stopped after {sweeps} sweeps with residual "

@@ -2,9 +2,9 @@
 
 An OffsetVec represents a dense d-vector as a scalar baseline plus sparse
 corrections: value `base` on every coordinate except those in `idx`, where it
-is `base + val[k]`. Sums, dots and linear combinations never materialize the
-dense vector, which keeps per-cluster statistics cheap when d is large
-(bag-of-words vocabularies) while staying exact.
+is `base + val[k]`. Linear combinations never materialize the dense vector,
+which keeps wide pivots cheap when d is large (bag-of-words vocabularies)
+while staying exact.
 """
 from __future__ import annotations
 
@@ -33,14 +33,13 @@ def merge_add(idx_a, val_a, idx_b, val_b):
 class OffsetVec:
     """Dense vector `base` everywhere except `idx`, where it is `base + val`."""
 
-    __slots__ = ("dim", "base", "idx", "val", "_val_sum")
+    __slots__ = ("dim", "base", "idx", "val")
 
     def __init__(self, dim, base, idx, val):
         self.dim = int(dim)
         self.base = float(base)
         self.idx = np.asarray(idx, dtype=np.int64)
         self.val = np.asarray(val, dtype=np.float64)
-        self._val_sum = None
 
     @classmethod
     def from_dense(cls, x):
@@ -51,46 +50,10 @@ class OffsetVec:
     def nnz(self):
         return self.idx.size
 
-    @property
-    def full_support(self):
-        return self.idx.size == self.dim
-
-    @property
-    def val_sum(self):
-        if self._val_sum is None:
-            self._val_sum = float(self.val.sum())
-        return self._val_sum
-
-    def sum(self):
-        return self.base * self.dim + self.val_sum
-
-    def dot(self, other):
-        """Inner product with another OffsetVec of the same dimension.
-
-        Exact: sum_j (a.base + a_j)(b.base + b_j) expands into four terms,
-        the cross terms needing only value sums and the sparse-sparse match.
-        """
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch in OffsetVec.dot")
-        out = self.base * other.base * self.dim
-        out += self.base * other.val_sum
-        out += other.base * self.val_sum
-        out += _sparse_dot(self.idx, self.val, other.idx, other.val)
-        return out
-
     def to_dense(self):
         x = np.full(self.dim, self.base)
         x[self.idx] += self.val
         return x
-
-    def scaled(self, c):
-        return OffsetVec(self.dim, self.base * c, self.idx, self.val * c)
-
-    def add(self, other):
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch in OffsetVec.add")
-        idx, val = merge_add(self.idx, self.val, other.idx, other.val)
-        return OffsetVec(self.dim, self.base + other.base, idx, val)
 
     @staticmethod
     def combine(a, wa, b, wb):
@@ -103,13 +66,3 @@ class OffsetVec:
     def __repr__(self):
         return f"OffsetVec(dim={self.dim}, base={self.base}, nnz={self.nnz})"
 
-
-def _sparse_dot(idx_a, val_a, idx_b, val_b):
-    if len(idx_a) == 0 or len(idx_b) == 0:
-        return 0.0
-    if len(idx_b) < len(idx_a):
-        idx_a, val_a, idx_b, val_b = idx_b, val_b, idx_a, val_a
-    pos = np.searchsorted(idx_b, idx_a)
-    pos_c = np.minimum(pos, len(idx_b) - 1)
-    hit = idx_b[pos_c] == idx_a
-    return float(np.dot(val_a[hit], val_b[pos_c[hit]]))

@@ -5,17 +5,19 @@ from dense brute-force double sums, and the block parameters come from a
 plain projected-gradient ascent on the concave objective over the explicit
 constraint matrix. They exist to certify the decoupled statistics and the
 exact two-pass optimizer against a second route. The OffsetVec divergence
-helpers (ov_grad, ov_xdotgrad, ov_divergence) check the tree workspace's
-per-row kernels and the dataset's smoothing, and the sq-euclidean block
-sum from coordinate sums and squared norms checks the general one. The
+helpers (ov_grad, ov_xdotgrad, ov_dot, ov_divergence) check the tree
+workspace's per-row kernels and the dataset's smoothing, and the
+sq-euclidean block sum from coordinate sums and squared norms checks the
+general one. The no-steal bound, merge_cost, single-block refinement and
+the tree helpers below them are here because no program path runs them. The
 reference tree builder grows every scope with reference_grow, which keeps
 per-anchor sorted member lists where the library keeps two arrays over the
 scope, and which evaluates the divergences to one pivot at a time with
 np.bincount (div_to_pivot) where the library takes those of a whole tree
 level from one sparse product per step. It is also the only grower that
 prunes: with use_pruning it skips the members below their anchor's
-no-steal limit (the paper's bound, _thresholds, less a rounding slack), and
-its trees must still be the library's, which evaluates every row. Its
+no-steal limit (steal_thresholds less a rounding slack), and its trees
+must still be the library's, which evaluates every row. Its
 anchors merge on reference_greedy_merge, a heap of (cost, i, j) keys that
 the library's batched merge must follow pair for pair, NaN costs ranking
 as +inf (above DENSE_DIM_CAP it takes the library's OffsetVec heap). Its
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import logsumexp, xlogy
+from scipy.special import expit, logsumexp, xlogy
 
 from blockwalk import anchor_tree, variational
 from blockwalk.anchor_tree import (
@@ -60,11 +62,14 @@ from blockwalk.anchor_tree import (
     TreeStats,
     _agglomerate_items,
     _merge_costs,
-    _thresholds,
+    _tail,
     _Workspace,
 )
 from blockwalk.dataset import DataMatrix, LabelSet
 from blockwalk.divergence import (
+    DomainError,
+    _as_vector,
+    _check_domain,
     _grad_terms,
     _phi_terms,
     _scalar_base,
@@ -73,7 +78,7 @@ from blockwalk.divergence import (
     pairwise_divergences,
     phi_rows,
 )
-from blockwalk.partition import Block, BlockPartition, refine_partition
+from blockwalk.partition import BlockPartition
 from blockwalk.propagation import DenseBaseline, TransitionModel
 from blockwalk.vectors import OffsetVec
 
@@ -107,7 +112,140 @@ def ov_grad(spec, v):
 def ov_divergence(spec, x, y):
     """d(x, y) for OffsetVec arguments."""
     g = ov_grad(spec, y)
-    return ov_phi(spec, x) - ov_phi(spec, y) - x.dot(g) + ov_xdotgrad(spec, y)
+    return ov_phi(spec, x) - ov_phi(spec, y) - ov_dot(x, g) + ov_xdotgrad(spec, y)
+
+
+def ov_dot(a, b):
+    """Inner product of two OffsetVecs of one dimension, exactly: the sum
+    over j of (a.base + a_j)(b.base + b_j) expands into four terms, the
+    cross terms needing only value sums and the sparse-sparse match."""
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch in ov_dot")
+    out = a.base * b.base * a.dim
+    out += a.base * float(b.val.sum())
+    out += b.base * float(a.val.sum())
+    idx_a, val_a, idx_b, val_b = a.idx, a.val, b.idx, b.val
+    if len(idx_a) == 0 or len(idx_b) == 0:
+        return out
+    if len(idx_b) < len(idx_a):
+        idx_a, val_a, idx_b, val_b = idx_b, val_b, idx_a, val_a
+    pos = np.minimum(np.searchsorted(idx_b, idx_a), len(idx_b) - 1)
+    hit = idx_b[pos] == idx_a
+    return out + float(np.dot(val_a[hit], val_b[pos[hit]]))
+
+
+def is_leaf(tree, nid):
+    return tree.left[nid] < 0
+
+
+def subtree_rows(tree, nid):
+    return tree.perm[tree.start[nid] : tree.end[nid]]
+
+
+def node_pivot(tree, nid):
+    """A node's member mean, from its coordinate sums."""
+    s3 = tree.stats[nid].s3
+    n = tree.size[nid]
+    return OffsetVec(s3.dim, s3.base / n, s3.idx, s3.val / n)
+
+
+def bregman_information(tree, nid):
+    """Mean divergence of a node's members to the node mean."""
+    n = tree.size[nid]
+    return tree.stats[nid].s1 / n - ov_phi(tree.spec, node_pivot(tree, nid))
+
+
+def grad_inv_terms(spec, u, idx=None):
+    """The generator's gradient inverse, coordinatewise."""
+    kind = spec.kind
+    if kind == "sq-euclidean":
+        return spec.sigma**2 * u
+    if kind == "mahalanobis":
+        cov = spec.covariance_diag if idx is None else spec.covariance_diag[idx]
+        return 0.5 * cov * u
+    if kind in ("gid", "kl"):
+        return np.exp(u)
+    if kind == "itakura-saito":
+        return -1.0 / u
+    return expit(u)  # logistic
+
+
+def grad_phi_inv(spec, u):
+    """Unique x with grad_phi(x) = u; rejects u outside the gradient range,
+    which is negative for itakura-saito."""
+    u = _as_vector(spec, u, name="u")
+    if spec.kind == "itakura-saito" and np.any(u >= 0):
+        j = int(np.argmax(u >= 0))
+        raise DomainError(f"itakura-saito gradient range is negative; u[{j}] = {u[j]}", j)
+    return grad_inv_terms(spec, u)
+
+
+def steal_threshold(spec, p_curr, p_new):
+    """The paper's no-steal bound between two pivots.
+
+    Returns (threshold, minimizer): any point with divergence to p_curr at or
+    below the threshold is provably at least as close to p_curr as to p_new.
+    """
+    p_curr, p_new = (_as_vector(spec, p) for p in (p_curr, p_new))
+    for p in (p_curr, p_new):
+        _check_domain(spec, p, strict=True)
+    thr, y = steal_thresholds(spec, p_curr[None, :], p_new)
+    return float(thr[0]), y[0]
+
+
+def steal_thresholds(spec, pivots, new_pivot, cols=None):
+    """No-steal thresholds of every row of `pivots` against `new_pivot`,
+    with their minimizers.
+
+    Row k's bound is (d(y, p_k) + d(y, p_new)) / 2 at y = grad^-1((grad p_k
+    + grad p_new) / 2). The pivots are dense rows over the columns `cols`
+    (every column when None); a column left out must hold the same value in
+    every pivot, where y equals it and both divergences vanish.
+    """
+    g = _grad_terms(spec, pivots, cols)
+    g_new = _grad_terms(spec, new_pivot, cols)
+    y = grad_inv_terms(spec, 0.5 * (g + g_new), cols)
+    phi_y = _phi_terms(spec, y, cols)
+    da = phi_y - _phi_terms(spec, pivots, cols) - (y - pivots) * g
+    db = phi_y - _phi_terms(spec, new_pivot, cols) - (y - new_pivot) * g_new
+    return 0.5 * (da + db).sum(axis=-1), y
+
+
+def merge_cost(spec, size_a, pivot_a, size_b, pivot_b):
+    """Cost of replacing two clusters by their size-weighted union, by the
+    library's merge-cost arithmetic."""
+    rows = np.array([pivot_a, pivot_b], dtype=np.float64)
+    sizes = np.array([size_a, size_b], dtype=np.float64)
+    phis = _phi_terms(spec, rows).sum(axis=1)
+    return float(_merge_costs(spec, sizes, phis, rows, [0], [1])[0])
+
+
+@dataclass(frozen=True)
+class Block:
+    a: int  # row-side subtree
+    b: int  # column-side subtree
+
+
+def blocks(p):
+    """The blocks of a partition, in order."""
+    return [Block(int(x), int(y)) for x, y in zip(p.a, p.b)]
+
+
+def refine_partition(p, block, tree, side=None):
+    """Split one block along a non-leaf side, in place of the block; the
+    block count grows by one. Without a side, the A side unless a leaf."""
+    k = int(np.flatnonzero((p.a == block.a) & (p.b == block.b))[0])
+    a, b = int(p.a[k]), int(p.b[k])
+    if side is None:
+        side = "a" if not is_leaf(tree, a) else "b"
+    node = a if side == "a" else b
+    if is_leaf(tree, node):
+        raise ValueError(f"cannot refine: chosen {side.upper()} side is a leaf")
+    kids = [int(tree.left[node]), int(tree.right[node])]
+    repl = [(c, b) for c in kids] if side == "a" else [(a, c) for c in kids]
+    new_a = np.concatenate([p.a[:k], [r[0] for r in repl], p.a[k + 1 :]])
+    new_b = np.concatenate([p.b[:k], [r[1] for r in repl], p.b[k + 1 :]])
+    return BlockPartition(new_a, new_b, label="refined")
 
 
 def euclidean_block_divergence_sum(stats_a, stats_b, size_a, size_b, spec):
@@ -119,7 +257,7 @@ def euclidean_block_divergence_sum(stats_a, stats_b, size_a, size_b, spec):
     s2 = spec.sigma**2
     ta = s2 * stats_a.s2  # sum of |x|^2 over A
     tb = s2 * stats_b.s2
-    return (size_a * tb + size_b * ta - 2.0 * stats_a.s3.dot(stats_b.s3)) / (2.0 * s2)
+    return (size_a * tb + size_b * ta - 2.0 * ov_dot(stats_a.s3, stats_b.s3)) / (2.0 * s2)
 
 
 def brute_block_sums(tree, partition, spec, data):
@@ -127,8 +265,8 @@ def brute_block_sums(tree, partition, spec, data):
     dense = data.to_dense()
     out = np.empty(partition.n_blocks)
     for k in range(partition.n_blocks):
-        ra = tree.subtree_rows(int(partition.a[k]))
-        rb = tree.subtree_rows(int(partition.b[k]))
+        ra = subtree_rows(tree, int(partition.a[k]))
+        rb = subtree_rows(tree, int(partition.b[k]))
         out[k] = pairwise_divergences(spec, dense[ra], dense[rb]).sum()
     return out
 
@@ -151,7 +289,7 @@ def projected_ascent_q(tree, partition, spec, data, max_iters=500, grad_tol=1e-1
     ncells = na * nb
     m = np.zeros((n, nblocks))
     for k in range(nblocks):
-        m[tree.subtree_rows(int(partition.a[k])), k] = nb[k]
+        m[subtree_rows(tree, int(partition.a[k])), k] = nb[k]
 
     def value(q):
         return float(-dvec @ q - np.sum(ncells * q * np.log(q)))
@@ -240,7 +378,7 @@ def reference_optimize_q(tree, partition, max_sweeps=10_000):
 def reference_finest_partition(tree):
     """All ordered leaf pairs, leaves in the order of their rows in perm, by a
     double loop over the leaves."""
-    leaves = [nid for nid in range(tree.n_nodes) if tree.is_leaf(nid)]
+    leaves = [nid for nid in range(tree.n_nodes) if is_leaf(tree, nid)]
     leaves.sort(key=lambda nid: tree.start[nid])
     a, b = [], []
     for x in leaves:
@@ -327,7 +465,7 @@ def subtree_stats(ws, rows):
     v3, v4 = np.zeros(ws.dim), np.zeros(ws.dim)
     seen = np.zeros(ws.dim, dtype=bool)
     for r in np.sort(rows):
-        x = ws.row_ov(r)
+        x = ws.data.row(int(r))
         g = ov_grad(ws.spec, x)
         s1 += float(ws.phi_row[r])
         s2 += float(ws.s2_row[r])
@@ -378,7 +516,7 @@ def div_to_pivot(ws, rows, kernel):
     seg = np.repeat(np.arange(rows.size), lens)
     prod = ws.csr.data[flat] * gdense[ws.csr.indices[flat]]
     dots = np.bincount(seg, weights=prod, minlength=rows.size)
-    return ws._finish(rows, j, dots)
+    return _tail(ws.phi_row[rows], ws.row_sum[rows], dots, *ws._pivot_terms(j))
 
 
 def div_block(ws, rows):
@@ -418,7 +556,7 @@ def _no_steal_limits(ws, cur_rows, cur, new_rows, new, cols):
     threshold in exact arithmetic and rounding alone decides whether it
     moves, so it is evaluated as an unpruned build evaluates it. The
     arrays may carry leading axes that broadcast against each other."""
-    thr, _ = _thresholds(ws.spec, cur, new, cols)
+    thr, _ = steal_thresholds(ws.spec, cur, new, cols)
     mag = np.abs(ws.phi_row) + np.abs(ws.s2_row)
     return thr - TIE_SLACK * (mag[cur_rows] + mag[new_rows])
 
@@ -440,7 +578,7 @@ def reference_grow(ws, scope, m, use_pruning):
     first = int(scope.min())
     d0 = div_to_pivot(ws, scope, row_kernel(ws, first))
     members, dists = _sorted_by_dist(scope.copy(), d0)
-    pivot = ws.row_ov(first)
+    pivot = ws.data.row(first)
     anchors = [Anchor(pivot, first, members, dists)]
     # the pivots as dense rows over the sorted union of their stored columns
     cols = pivot.idx
@@ -461,7 +599,7 @@ def reference_grow(ws, scope, m, use_pruning):
             key=lambda k: (-anchors[k].radius, anchors[k].members[0]),
         )
         new_row = int(anchors[donor_i].members[0])
-        new_pivot = ws.row_ov(new_row)
+        new_pivot = ws.data.row(new_row)
         if use_pruning:
             top = len(anchors)  # the new pivot's row
             if not in_cols[new_pivot.idx].all():  # re-index the pivot rows
@@ -649,8 +787,8 @@ def dense_q_matrix(model, cap=4096):
     tree, part = model.tree, model.partition
     q = np.zeros((n, n))
     for k in range(part.n_blocks):
-        ra = tree.subtree_rows(int(part.a[k]))
-        rb = tree.subtree_rows(int(part.b[k]))
+        ra = subtree_rows(tree, int(part.a[k]))
+        rb = subtree_rows(tree, int(part.b[k]))
         q[np.ix_(ra, rb)] = model.params.values[k]
     return q
 
@@ -659,7 +797,7 @@ def row_block_lists(p, tree):
     """Per-row lists of covering block indices (test-scale helper)."""
     out = [[] for _ in range(tree.n_points)]
     for k in range(p.n_blocks):
-        for r in tree.subtree_rows(int(p.a[k])):
+        for r in subtree_rows(tree, int(p.a[k])):
             out[r].append(k)
     return out
 
@@ -689,8 +827,8 @@ def validate_partition(p, tree, cap=4096):
             )
     cover = np.zeros((n, n), dtype=np.int32)
     for k in range(p.n_blocks):
-        ra = tree.subtree_rows(int(p.a[k]))
-        rb = tree.subtree_rows(int(p.b[k]))
+        ra = subtree_rows(tree, int(p.a[k]))
+        rb = subtree_rows(tree, int(p.b[k]))
         cover[np.ix_(ra, rb)] += 1
     off = ~np.eye(n, dtype=bool)
     if np.any(cover[off] != 1):
@@ -713,15 +851,15 @@ def reference_auto_refine(p, tree, rounds):
         chosen = None
         for k in order:
             a, b = int(p.a[k]), int(p.b[k])
-            if not (tree.is_leaf(a) and tree.is_leaf(b)):
+            if not (is_leaf(tree, a) and is_leaf(tree, b)):
                 chosen = k
                 break
         if chosen is None:
             break  # already the finest
         a, b = int(p.a[chosen]), int(p.b[chosen])
-        if tree.is_leaf(a):
+        if is_leaf(tree, a):
             side = "b"
-        elif tree.is_leaf(b):
+        elif is_leaf(tree, b):
             side = "a"
         else:
             side = "a" if tree.size[a] >= tree.size[b] else "b"

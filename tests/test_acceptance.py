@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from blockwalk.anchor_tree import build_cluster_tree, steal_threshold
+from blockwalk.anchor_tree import build_cluster_tree
 from blockwalk.cli import build_model, make_divergence_spec, run_propagation, stratified_subset
 from blockwalk.dataset import SyntheticSpec, block_topic_alphas, generate_synthetic, smooth
 from blockwalk.divergence import DivergenceSpec, bregman_divergence, pairwise_divergences
@@ -34,6 +34,8 @@ from oracles import (
     euclidean_block_divergence_sum,
     projected_ascent_q,
     reference_cluster_tree,
+    steal_threshold,
+    subtree_rows,
 )
 
 
@@ -78,8 +80,8 @@ def test_criterion_01_decoupling_oracle(decoupling_runs):
             fast = block_divergence_sums(tree, part)
             full = pairwise_divergences(spec, dense, dense)
             for k in range(part.n_blocks):
-                ra = tree.subtree_rows(int(part.a[k]))
-                rb = tree.subtree_rows(int(part.b[k]))
+                ra = subtree_rows(tree, int(part.a[k]))
+                rb = subtree_rows(tree, int(part.b[k]))
                 brute = float(full[np.ix_(ra, rb)].sum())
                 rel = abs(fast[k] - brute) / max(1.0, abs(brute))
                 worst = max(worst, rel)

@@ -10,13 +10,10 @@ from blockwalk.anchor_tree import (
     _greedy_merge_scopes,
     _grow,
     _grow_scopes,
-    _thresholds,
     _Workspace,
     agglomerate_anchors,
     build_cluster_tree,
     grow_anchors,
-    merge_cost,
-    steal_threshold,
 )
 from blockwalk.cli import build_model, make_divergence_spec
 from blockwalk.dataset import (
@@ -45,8 +42,12 @@ from conftest import (
     smoothed_counts,
 )
 from oracles import (
+    bregman_information,
     div_block,
     div_to_pivot,
+    is_leaf,
+    merge_cost,
+    node_pivot,
     ov_grad,
     ov_xdotgrad,
     pivot_rows,
@@ -54,6 +55,9 @@ from oracles import (
     reference_greedy_merge,
     reference_grow,
     row_kernel,
+    steal_threshold,
+    steal_thresholds,
+    subtree_rows,
 )
 
 
@@ -296,7 +300,7 @@ class TestClusterTree:
         spec = DivergenceSpec("gid", 3, epsilon=0.5)
         tree = build_cluster_tree(data, spec)
         assert tree.n_nodes == 7
-        leaves = [n for n in range(7) if tree.is_leaf(n)]
+        leaves = [n for n in range(7) if is_leaf(tree, n)]
         assert len(leaves) == 4
         assert sorted(tree.perm) == [0, 1, 2, 3]
 
@@ -312,14 +316,14 @@ class TestClusterTree:
         spec = DivergenceSpec("gid", 5, epsilon=0.5)
         tree = build_cluster_tree(data, spec)
         for nid in range(tree.n_nodes):
-            if tree.is_leaf(nid):
+            if is_leaf(tree, nid):
                 continue
             l, r = tree.left[nid], tree.right[nid]
-            rows = set(tree.subtree_rows(nid))
-            lrows = set(tree.subtree_rows(l))
-            rrows = set(tree.subtree_rows(r))
+            rows = set(subtree_rows(tree, nid))
+            lrows = set(subtree_rows(tree, l))
+            rrows = set(subtree_rows(tree, r))
             assert lrows | rrows == rows and not (lrows & rrows)
-        assert set(tree.subtree_rows(tree.root)) == set(range(20))
+        assert set(subtree_rows(tree, tree.root)) == set(range(20))
 
     def test_root_s3_is_data_sum(self, rng):
         data = smoothed_counts(rng, 15, 6)
@@ -337,9 +341,9 @@ class TestClusterTree:
         tree = build_cluster_tree(data, spec)
         dense = data.to_dense()
         for nid in range(tree.n_nodes):
-            rows = tree.subtree_rows(nid)
+            rows = subtree_rows(tree, nid)
             np.testing.assert_allclose(
-                tree.pivot(nid).to_dense(), dense[rows].mean(axis=0), rtol=1e-10
+                node_pivot(tree, nid).to_dense(), dense[rows].mean(axis=0), rtol=1e-10
             )
 
     def test_pruning_invariance_full_tree(self, rng):
@@ -438,7 +442,7 @@ class TestNodeStats:
         spec = DivergenceSpec("gid", 5, epsilon=0.5)
         tree = build_cluster_tree(data, spec)
         for nid in range(tree.n_nodes):
-            if tree.is_leaf(nid):
+            if is_leaf(tree, nid):
                 continue
             a = tree.stats[tree.left[nid]]
             b = tree.stats[tree.right[nid]]
@@ -460,7 +464,7 @@ class TestNodeStats:
         dense = data.to_dense()
         pick = rng.choice(tree.n_nodes, size=10, replace=False)
         for nid in pick:
-            rows = tree.subtree_rows(nid)
+            rows = subtree_rows(tree, nid)
             st = tree.stats[nid]
             s1 = sum(phi(spec, dense[r]) for r in rows)
             s2 = sum(float(dense[r] @ grad_phi(spec, dense[r])) for r in rows)
@@ -477,21 +481,21 @@ class TestBregmanInformation:
         data = smooth(dense_to_data(np.array([[1.0], [3.0]])), 0.0)
         spec = DivergenceSpec("sq-euclidean", 1, sigma=1.0)
         tree = build_cluster_tree(data, spec)
-        assert tree.bregman_information(tree.root) == pytest.approx(0.5)
+        assert bregman_information(tree, tree.root) == pytest.approx(0.5)
 
     def test_singleton_zero(self, rng):
         data = smoothed_counts(rng, 5, 3)
         spec = DivergenceSpec("gid", 3, epsilon=0.5)
         tree = build_cluster_tree(data, spec)
         for nid in range(tree.n_nodes):
-            if tree.is_leaf(nid):
-                assert abs(tree.bregman_information(nid)) <= 1e-12
+            if is_leaf(tree, nid):
+                assert abs(bregman_information(tree, nid)) <= 1e-12
 
     def test_duplicated_point_zero(self):
         data = smooth(dense_to_data(np.array([[2.0, 3.0], [2.0, 3.0]])), 0.0)
         spec = DivergenceSpec("gid", 2)
         tree = build_cluster_tree(data, spec)
-        assert abs(tree.bregman_information(tree.root)) <= 1e-12
+        assert abs(bregman_information(tree, tree.root)) <= 1e-12
 
     def test_matches_mean_divergence(self, rng):
         data = smoothed_counts(rng, 22, 4)
@@ -499,10 +503,10 @@ class TestBregmanInformation:
         tree = build_cluster_tree(data, spec)
         dense = data.to_dense()
         for nid in rng.choice(tree.n_nodes, size=8, replace=False):
-            rows = tree.subtree_rows(nid)
+            rows = subtree_rows(tree, nid)
             mu = dense[rows].mean(axis=0)
             want = np.mean([bregman_divergence(spec, dense[r], mu) for r in rows])
-            assert tree.bregman_information(nid) == pytest.approx(
+            assert bregman_information(tree, nid) == pytest.approx(
                 want, rel=1e-9, abs=1e-12
             )
 
@@ -626,7 +630,7 @@ class TestSmallScopeBaseCase:
             gdense[g.idx] = g.val
             row, kernel_dense = row_kernel(ws, j)
             assert row == j
-            assert (ws.g_base_row[j], ws.g_val_sum[j]) == (g.base, g.val_sum)
+            assert (ws.g_base_row[j], ws.g_val_sum[j]) == (g.base, float(g.val.sum()))
             assert ws.phi_row[j] == ov_phi(ws.spec, pivot)
             assert ws.s2_row[j] == pytest.approx(ov_xdotgrad(ws.spec, pivot), rel=1e-12)
             assert np.array_equal(kernel_dense, gdense)
@@ -906,7 +910,7 @@ class TestWideVocabulary:
         data, spec = self.corpus(kind, 12, d, seed=d)
         rows = np.array([0, 3, 7, 11])
         cols, piv = pivot_rows(_Workspace(data, spec), rows)
-        got, _ = _thresholds(spec, piv[:-1], piv[-1], cols)
+        got, _ = steal_thresholds(spec, piv[:-1], piv[-1], cols)
         dense = data.to_dense()
         want = [steal_threshold(spec, dense[r], dense[rows[-1]])[0] for r in rows[:-1]]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)

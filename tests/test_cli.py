@@ -364,6 +364,37 @@ class TestRejectedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--sigma" in err
 
+    def test_median_sigma_on_one_row_named(self, tmp_path, capsys):
+        # the median policy draws pairs of distinct rows, which one row lacks
+        path = tmp_path / "one.csv"
+        path.write_text("1.0,2.0\n")
+        rc = run(
+            "approximate", "--input", path, "--format", "dense-csv",
+            "--divergence", "sq-euclidean", "--out", tmp_path / "m.npz",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "1 row" in err and "--sigma" in err
+
+    @pytest.mark.parametrize("mode", ["refine:abc", "refine:", "refine:1.5", "bogus"])
+    def test_malformed_partition_named_before_loading(self, tmp_path, capsys, mode):
+        # the input does not exist: a usage error must come before any load
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "approximate", "--input", tmp_path / "absent.bow", "--divergence",
+                "gid", "--partition", mode, "--out", tmp_path / "m.npz",
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--partition" in err and repr(mode) in err and "refine:<k>" in err
+
+    @pytest.mark.parametrize("mode", ["refine:abc", "refine:", "refine:1.5"])
+    def test_malformed_partition_fails_before_the_tree(self, synth_dir, monkeypatch, mode):
+        monkeypatch.setattr("blockwalk.cli.build_cluster_tree", None)  # never called
+        data = load_bow(synth_dir / "data.bow")
+        with pytest.raises(ValueError, match="partition mode"):
+            build_model(data, make_divergence_spec("gid", data)[0], mode)
+
     def test_malformed_model_named(self, synth_dir, tmp_path, capsys):
         model = tmp_path / "m.npz"
         run("approximate", "--input", synth_dir / "data.bow", "--divergence",
@@ -468,7 +499,8 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "command, key, value",
         [("propagate", "alpha", "abc"), ("approximate", "format", "csv"),
-         ("experiment", "scaling-rows", "10,x")],
+         ("experiment", "scaling-rows", "10,x"), ("approximate", "partition", "refine:abc"),
+         ("approximate", "partition", "refine:"), ("experiment", "partition", "refine:1.5")],
     )
     def test_malformed_value(self, tmp_path, capsys, command, key, value):
         cfg = tmp_path / "run.cfg"

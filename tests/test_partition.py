@@ -4,19 +4,18 @@ import pytest
 from blockwalk.anchor_tree import build_cluster_tree
 from blockwalk.dataset import smooth
 from blockwalk.divergence import DivergenceSpec
-from blockwalk.partition import (
-    Block,
-    auto_refine,
-    coarsest_partition,
-    finest_partition,
-    refine_partition,
-)
+from blockwalk.partition import auto_refine, coarsest_partition, finest_partition
 
 from conftest import random_count_matrix
 from oracles import (
+    Block,
+    blocks,
+    is_leaf,
     reference_auto_refine,
     reference_finest_partition,
+    refine_partition,
     row_block_lists,
+    subtree_rows,
     validate_partition,
 )
 from test_anchor_tree import dense_to_data
@@ -43,12 +42,12 @@ class TestCoarsest:
         assert p.n_blocks == 6
         # the two internal siblings appear as a block pair enforcing the
         # shared parameter across their 2x2 transition submatrix
-        internal = [n for n in range(tree.n_nodes) if not tree.is_leaf(n) and n != tree.root]
+        internal = [n for n in range(tree.n_nodes) if not is_leaf(tree, n) and n != tree.root]
         assert len(internal) == 2
         pairs = set(zip(p.a.tolist(), p.b.tolist()))
         assert (internal[0], internal[1]) in pairs
         assert (internal[1], internal[0]) in pairs
-        left_rows = set(tree.subtree_rows(internal[0]))
+        left_rows = set(subtree_rows(tree, internal[0]))
         assert left_rows in ({0, 1}, {2, 3})
 
     def test_two_points(self, rng):
@@ -99,7 +98,7 @@ class TestRefine:
     def test_split_a_side(self, paired_line_tree):
         tree = paired_line_tree
         p = coarsest_partition(tree)
-        internal = [n for n in range(tree.n_nodes) if not tree.is_leaf(n) and n != tree.root]
+        internal = [n for n in range(tree.n_nodes) if not is_leaf(tree, n) and n != tree.root]
         blk = Block(internal[0], internal[1])
         q = refine_partition(p, blk, tree, side="a")
         assert q.n_blocks == p.n_blocks + 1
@@ -113,7 +112,7 @@ class TestRefine:
         tree = gid_tree(rng, 2)
         p = coarsest_partition(tree)
         with pytest.raises(ValueError, match="cannot refine"):
-            refine_partition(p, p.blocks()[0], tree)
+            refine_partition(p, blocks(p)[0], tree)
 
     def test_chain_to_finest(self, rng):
         for n in (4, 9, 16):
@@ -121,8 +120,8 @@ class TestRefine:
             p = coarsest_partition(tree)
             while True:
                 target = None
-                for blk in p.blocks():
-                    if not (tree.is_leaf(blk.a) and tree.is_leaf(blk.b)):
+                for blk in blocks(p):
+                    if not (is_leaf(tree, blk.a) and is_leaf(tree, blk.b)):
                         target = blk
                         break
                 if target is None:
@@ -216,9 +215,9 @@ class TestValidate:
             tree = gid_tree(rng, n)
             for p in (coarsest_partition(tree), finest_partition(tree)):
                 cover = np.zeros((n, n), dtype=int)
-                for blk in p.blocks():
-                    ra = tree.subtree_rows(blk.a)
-                    rb = tree.subtree_rows(blk.b)
+                for blk in blocks(p):
+                    ra = subtree_rows(tree, blk.a)
+                    rb = subtree_rows(tree, blk.b)
                     cover[np.ix_(ra, rb)] += 1
                 off = ~np.eye(n, dtype=bool)
                 assert np.all(cover[off] == 1)
@@ -231,5 +230,5 @@ class TestValidate:
         for i, blocks in enumerate(lists):
             cols = []
             for k in blocks:
-                cols.extend(tree.subtree_rows(int(p.b[k])))
+                cols.extend(subtree_rows(tree, int(p.b[k])))
             assert sorted(cols) == [j for j in range(10) if j != i]

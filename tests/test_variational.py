@@ -15,7 +15,7 @@ from blockwalk.dataset import (
     generate_synthetic,
     smooth,
 )
-from blockwalk.divergence import DivergenceSpec, phi, log_carrier
+from blockwalk.divergence import DivergenceSpec, carrier_rows, phi
 from blockwalk.partition import (
     BlockPartition,
     auto_refine,
@@ -35,9 +35,12 @@ from conftest import make_spec, smoothed_counts
 from oracles import (
     brute_block_sums,
     euclidean_block_divergence_sum,
+    is_leaf,
+    ov_dot,
     projected_ascent_q,
     reference_exact_loglik,
     reference_optimize_q,
+    subtree_rows,
 )
 from test_anchor_tree import dense_to_data
 from test_properties import PROPERTY
@@ -64,7 +67,7 @@ class TestBlockDivergenceSum:
         tree, spec, _ = euclid_tree([0.0, 1.0, 3.0])
         pair_node = None
         for nid in range(tree.n_nodes):
-            if not tree.is_leaf(nid) and set(tree.subtree_rows(nid)) == {0, 1}:
+            if not is_leaf(tree, nid) and set(subtree_rows(tree, nid)) == {0, 1}:
                 pair_node = nid
         assert pair_node is not None
         leaf3 = int(tree.leaf_of_row[2])
@@ -101,7 +104,7 @@ class TestBlockDivergenceSum:
             want.append(
                 tree.size[b] * sa.s1
                 + tree.size[a] * (sb.s2 - sb.s1)
-                - sa.s3.dot(sb.s4)
+                - ov_dot(sa.s3, sb.s4)
             )
         np.testing.assert_allclose(
             block_divergence_sums(tree, part), want, rtol=1e-12, atol=1e-9
@@ -142,7 +145,7 @@ class TestOptimizeQ:
         pair_node = next(
             nid
             for nid in range(tree.n_nodes)
-            if not tree.is_leaf(nid) and nid != tree.root
+            if not is_leaf(tree, nid) and nid != tree.root
         )
         leaf_far = int(tree.leaf_of_row[2])
         k = next(
@@ -403,7 +406,7 @@ class TestExactLoglik:
     def test_two_identical_points(self):
         data = smooth(dense_to_data(np.array([[2.0, 1.0], [2.0, 1.0]])), 0.0)
         spec = DivergenceSpec("gid", 2)
-        want = 2 * (phi(spec, [2.0, 1.0]) + log_carrier(spec, np.array([2.0, 1.0])))
+        want = 2 * (phi(spec, [2.0, 1.0]) + carrier_rows(spec, np.array([2.0, 1.0])[None])[0])
         assert exact_loglik(data, spec) == pytest.approx(want, rel=1e-12)
 
     def test_large_separation_finite(self):
