@@ -11,10 +11,11 @@ each row's anchor and its divergence to that anchor's pivot in two arrays;
 a step evaluates the divergences of a level's rows to their scopes' new
 pivots in one sparse product, whatever the sizes of their scopes.
 
-Every greedy merge ranks costs in one order: ascending, a NaN cost as
-+inf, ties to the lowest pair (i, j). Up to DENSE_DIM_CAP columns one
-batched merge on dense rows serves the build and agglomerate_anchors;
-wider pivots merge on an OffsetVec heap.
+One greedy merge serves the build and agglomerate_anchors at every
+width: a batched merge over a cost array, which ranks costs ascending, a
+NaN cost as +inf, ties to the lowest pair (i, j). The width decides only
+the layout of its items: dense rows up to DENSE_DIM_CAP columns,
+OffsetVecs above it, each with its own arithmetic for a weighted mean.
 
 The grower does not prune with the paper's no-steal bound: a step
 evaluates every growing row of a level in one sparse product anyway, and
@@ -35,7 +36,6 @@ optimizer's logaddexp passes walk tree.levels.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,28 +122,26 @@ class _Workspace:
         lens = self.nnz_row[rows]
         return _ranges(self.starts[rows], lens), lens
 
-    def mean_of_rows(self, rows):
-        flat, _ = self._gather(rows)
-        acc = np.bincount(
-            self.csr.indices[flat], weights=self.csr.data[flat], minlength=self.dim
-        )
-        nz = np.nonzero(acc)[0]
-        return OffsetVec(self.dim, self.eps, nz.astype(np.int64), acc[nz] / rows.size)
-
     def group_means(self, rows, group, n_groups):
-        """Dense member means of row groups, one row per group: `rows` lists
-        every member, `group` its group. One bincount adds each group's
-        column values in listed order, so row g equals
-        mean_of_rows(its members in that order).to_dense() bit for bit, and
-        a zero sum gives eps + 0."""
+        """Member means of row groups, one merge item per group in the
+        layout of the width (_dense_items): `rows` lists every member,
+        `group` its group. One bincount adds each group's column values in
+        listed order; a dense row is eps + sum / size on every column, an
+        OffsetVec has base eps and sum / size on the columns its members
+        store."""
         flat, lens = self._gather(rows)
-        acc = np.bincount(
-            np.repeat(group, lens) * self.dim + self.csr.indices[flat],
-            weights=self.csr.data[flat],
-            minlength=n_groups * self.dim,
-        ).reshape(n_groups, self.dim)
-        sizes = np.bincount(group, minlength=n_groups)
-        return self.eps + acc / np.maximum(sizes, 1)[:, None]
+        key = np.repeat(group, lens) * self.dim + self.csr.indices[flat]
+        sizes = np.maximum(np.bincount(group, minlength=n_groups), 1)
+        vals = self.csr.data[flat]
+        if _dense_items(self.dim):
+            acc = np.bincount(key, weights=vals, minlength=n_groups * self.dim)
+            return self.eps + acc.reshape(n_groups, self.dim) / sizes[:, None]
+        keys, at = np.unique(key, return_inverse=True)
+        g, col = np.divmod(keys, self.dim)
+        val = np.bincount(at, weights=vals) / sizes[g]
+        cut = np.searchsorted(g, np.arange(1, n_groups))
+        parts = zip(np.split(col, cut), np.split(val, cut))
+        return np.fromiter((OffsetVec(self.dim, self.eps, c, v) for c, v in parts), object)
 
     def keyed_rows(self, rows, group):
         """`rows` as a CSR matrix with one column per (group, column) pair:
@@ -242,11 +240,11 @@ class Anchor:
         return int(self.members.size)
 
 
-# Agglomeration merges dense pivot rows up to this width and OffsetVec
-# pivots above it. Best-of-3 tree builds with dense merges on each scope's
+# Merge items are dense rows up to this width and OffsetVecs above it
+# (_dense_items). Best-of-3 tree builds with dense merges on each scope's
 # stored columns at every width: N=1000 d=10000 1.31 -> 2.03 s, d=20000
-# 2.08 -> 4.09 s, N=3000 d=20000 19.1 -> 49.2 s; OffsetVec merges at d=50,
-# N=4000: 0.60-0.65 -> 1.17-1.24 s.
+# 2.08 -> 4.09 s, N=3000 d=20000 19.1 -> 49.2 s; OffsetVec items at d=50
+# (the refine-apply-n4000 corpus, N=4000): 0.095 -> 0.31 s, 2-core host.
 DENSE_DIM_CAP = 4096
 STAT_CHUNK = 1 << 16  # sparse statistic entries per chunk of block pairs
 KEY_TABLE = 1 << 21  # (group, column) keys are matrix columns up to this many
@@ -380,15 +378,41 @@ def grow_anchors(data, spec, m):
 # ---------------------------------------------------------------------------
 
 
-def _merge_costs(spec, sizes, phis, rows, i, j):
-    """Costs of merging items i[k] and j[k], given per-item sizes, generator
-    sums and dense pivot rows. Each equals na*d(pa, c) + nb*d(pb, c) with c
-    the weighted mean: the gradient terms cancel at the mean, leaving a
-    difference of generator sums."""
-    si, sj = sizes[i], sizes[j]
+def _dense_items(dim):
+    """The layout of merge items at this width: dense rows up to
+    DENSE_DIM_CAP columns, OffsetVecs in an object array above it."""
+    return dim <= DENSE_DIM_CAP
+
+
+def _means(items, size, i, j):
+    """Weighted means of items i[k] and j[k] in the items' layout: dense
+    rows as (si*a + sj*b)/nt, OffsetVecs by OffsetVec.combine with weights
+    s/nt (nt = si + sj)."""
+    si, sj = size[i], size[j]
     nt = si + sj
-    c = (si[:, None] * rows[i] + sj[:, None] * rows[j]) / nt[:, None]
-    return si * phis[i] + sj * phis[j] - nt * _phi_terms(spec, c).sum(axis=1)
+    if items.dtype != object:
+        return (si[:, None] * items[i] + sj[:, None] * items[j]) / nt[:, None]
+    pairs = zip(i.tolist(), j.tolist(), si.tolist(), sj.tolist(), nt.tolist())
+    return np.fromiter(
+        (OffsetVec.combine(items[a], x / t, items[b], y / t) for a, b, x, y, t in pairs), object
+    )
+
+
+def _phis(spec, items):
+    """Generator sum of every item: the sum of a dense row's generator
+    terms, ov_phi of an OffsetVec."""
+    if items.dtype != object:
+        return _phi_terms(spec, items).sum(axis=-1)
+    return np.array([ov_phi(spec, v) for v in items.flat]).reshape(items.shape)
+
+
+def _merge_costs(spec, items, size, phis, i, j):
+    """Costs of merging items i[k] and j[k], given per-item sizes and
+    generator sums. Each equals na*d(pa, c) + nb*d(pb, c) with c the
+    weighted mean: the gradient terms cancel at the mean, leaving a
+    difference of generator sums."""
+    si, sj = size[i], size[j]
+    return si * phis[i] + sj * phis[j] - (si + sj) * _phis(spec, _means(items, size, i, j))
 
 
 @dataclass
@@ -403,108 +427,32 @@ class AggloTree:
     merges: list  # (i, j, cost) in merge order
 
 
-def _agglomerate_items(spec, sizes, pivots):
-    """Greedy merge of k items on OffsetVec pivots, the route of pivots
-    wider than DENSE_DIM_CAP: a heap of (cost, i, j) keys, a NaN cost
-    ranking as +inf, pops the cheapest live pair, ties to the lowest (i, j).
-    Each merge records its cost as computed."""
-    k = len(sizes)
-    sizes = list(int(s) for s in sizes)
-    pivots = list(pivots)
-    left = [-1] * k
-    right = [-1] * k
-    merges = []
-    if k == 1:
-        return AggloTree(sizes, pivots, left, right, 0, merges)
-    phis = [ov_phi(spec, p) for p in pivots]
-
-    def pair_cost(i, j):
-        nt = sizes[i] + sizes[j]
-        c = OffsetVec.combine(pivots[i], sizes[i] / nt, pivots[j], sizes[j] / nt)
-        return sizes[i] * phis[i] + sizes[j] * phis[j] - nt * ov_phi(spec, c), c
-
-    def key(i, j):
-        cost, _ = pair_cost(i, j)
-        return (np.inf if cost != cost else cost, min(i, j), max(i, j))
-
-    alive = set(range(k))
-    heap = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            heapq.heappush(heap, key(i, j))
-    while len(alive) > 1:
-        _, i, j = heapq.heappop(heap)
-        if i not in alive or j not in alive:
-            continue
-        cost, c = pair_cost(i, j)
-        t = len(sizes)
-        sizes.append(sizes[i] + sizes[j])
-        pivots.append(c)
-        phis.append(ov_phi(spec, c))
-        left.append(i)
-        right.append(j)
-        merges.append((i, j, float(cost)))
-        alive.discard(i)
-        alive.discard(j)
-        for u in alive:
-            heapq.heappush(heap, key(t, u))
-        alive.add(t)
-    return AggloTree(sizes, pivots, left, right, len(sizes) - 1, merges)
-
-
-def _greedy_merge_scopes(spec, sizes, m, rows, first):
-    """Greedy merges of many scopes at once: scope s merges its m[s] items
-    of sizes sizes[s] (padded to the widest scope) and dense pivot rows
-    rows[first[s]:first[s] + m[s]], each step the cheapest live pair (see
-    _merge_sorted for the order). Returns the merged (left, right) items
-    per scope in merge order, with item M + k (M = sizes.shape[1]) the k-th
-    merged one. Scopes merge a chunk at a time, the most items first, and a
-    chunk ends where the item count halves, so that little of it is
-    padding."""
-    n_scopes, top = sizes.shape
-    left = np.zeros((n_scopes, top - 1), dtype=np.int64)
-    right = np.zeros_like(left)
-    order = np.argsort(-m, kind="stable")
-    lo = 0
-    while lo < n_scopes:
-        c = int(m[order[lo]])
-        per = (2 * c - 1) * max(2 * c - 1, rows.shape[1])  # items and costs
-        hi = min(n_scopes, lo + max(1, DENSE_CHUNK // per))
-        hi = lo + int(np.count_nonzero(2 * m[order[lo:hi]] > c))
-        s = order[lo:hi]
-        pad = np.minimum(np.arange(c), m[s, None] - 1)  # a padded item repeats one
-        got = _merge_sorted(spec, sizes[s, :c], m[s], rows[first[s, None] + pad])
-        for out, x in zip((left, right), got):
-            out[s, : c - 1] = np.where(x >= c, x + top - c, x)
-        lo = hi
-    return left, right
-
-
-def _merge_sorted(spec, sizes, m, rows):
+def _merge_sorted(spec, sizes, m, items):
     """Greedy merges of k scopes with m[0] >= m[1] >= ... items (sizes and
-    dense pivot rows padded to c = m[0]); item c + i is the i-th merge.
-    Each step takes the cheapest live pair of every scope that is still
-    merging: costs rank in ascending order, a NaN cost as +inf, and ties go
-    to the lowest (i, j). The cost array holds +inf at dead pairs too, so a
-    step whose pick reads +inf, where every live cost is +inf, takes the
-    scope's two lowest live items instead."""
-    k, c, dim = rows.shape
+    items padded to c = m[0], in either layout of _means); item c + i is
+    the i-th merge. Each step takes the cheapest live pair of every scope
+    that is still merging: costs rank in ascending order, a NaN cost as
+    +inf, and ties go to the lowest (i, j). The cost array holds +inf at
+    dead pairs too, so a step whose pick reads +inf, where every live cost
+    is +inf, takes the scope's two lowest live items instead."""
+    k, c = sizes.shape
     span = 2 * c - 1
-    items = np.empty((k, span, dim))
-    items[:, :c] = rows
-    flat = items.reshape(k * span, dim)
+    flat = np.empty((k, span) + items.shape[2:], dtype=items.dtype)
+    flat[:, :c] = items
+    flat = flat.reshape((k * span,) + items.shape[2:])
+    width = flat.shape[1] if flat.ndim == 2 else 1  # an OffsetVec is one object
     size_f = np.zeros((k, span))
     size_f[:, :c] = sizes
     size_f = size_f.ravel()
     phis = np.zeros((k, span))
-    phis[:, :c] = _phi_terms(spec, rows).sum(axis=2)
+    phis[:, :c] = _phis(spec, items)
     phis = phis.ravel()
     cost = np.full((k, span, span), np.inf)
     iu, ju = np.triu_indices(c, 1)
     s, p = np.nonzero(ju < m[:, None])
-    i, j, step = s * span + iu[p], s * span + ju[p], max(1, DENSE_CHUNK // dim)
+    i, j, step = s * span + iu[p], s * span + ju[p], max(1, DENSE_CHUNK // width)
     got = np.concatenate([  # a chunk of pairs at a time bounds the temporaries
-        _merge_costs(spec, size_f, phis, flat, i[lo : lo + step], j[lo : lo + step])
+        _merge_costs(spec, flat, size_f, phis, i[lo : lo + step], j[lo : lo + step])
         for lo in range(0, max(i.size, 1), step)
     ])
     got[np.isnan(got)] = np.inf
@@ -531,15 +479,14 @@ def _merge_sorted(spec, sizes, m, rows):
         alive[:n, t] = True
         i, j = i[:g], j[:g]
         ti, ii, jj = first[:g] + t, first[:g] + i, first[:g] + j
-        nt = size_f[ii] + size_f[jj]
-        merged = (size_f[ii][:, None] * flat[ii] + size_f[jj][:, None] * flat[jj]) / nt[:, None]
-        flat[ti], size_f[ti] = merged, nt
-        phis[ti] = _phi_terms(spec, merged).sum(axis=1)
+        merged = _means(flat, size_f, ii, jj)
+        flat[ti], size_f[ti] = merged, size_f[ii] + size_f[jj]
+        phis[ti] = _phis(spec, merged)
         for x in (i, j):
             cost[every[:g], x, :] = np.inf
             cost[every[:g], :, x] = np.inf
         s, u = np.nonzero(alive[:g, :t])
-        got = _merge_costs(spec, size_f, phis, flat, first[s] + t, first[s] + u)
+        got = _merge_costs(spec, flat, size_f, phis, first[s] + t, first[s] + u)
         got[np.isnan(got)] = np.inf
         cost[s, u, t] = got
     return left, right
@@ -547,31 +494,30 @@ def _merge_sorted(spec, sizes, m, rows):
 
 def agglomerate_anchors(anchors, spec):
     """Iteratively merge the anchor pair with the smallest merge cost, a NaN
-    cost ranking as +inf, ties to the lowest pair. Up to DENSE_DIM_CAP the
-    anchors merge as one scope of the build's batched merge."""
+    cost ranking as +inf, ties to the lowest pair: the anchors merge as one
+    scope of the build's batched merge, on their pivots in the layout of
+    their width (_dense_items)."""
     if not anchors:
         raise ValueError("agglomerate_anchors needs at least one anchor")
     k, dim = len(anchors), anchors[0].pivot.dim
     sizes, pivots = [a.size for a in anchors], [a.pivot for a in anchors]
-    if dim > DENSE_DIM_CAP:
-        return _agglomerate_items(spec, sizes, pivots)
-    rows = np.empty((2 * k - 1, dim))
-    rows[:k] = [p.to_dense() for p in pivots]
-    at = np.zeros(1, dtype=np.int64)
-    got = _greedy_merge_scopes(spec, np.array([sizes]), at + k, rows[:k], at)
-    lm, rm = (x[0].tolist() for x in got)
+    if _dense_items(dim):  # with room for the merged items
+        items = np.concatenate([[p.to_dense() for p in pivots], np.empty((k - 1, dim))])
+    else:
+        items = np.fromiter(pivots + [None] * (k - 1), object)
+    lm, rm = (x[0] for x in _merge_sorted(spec, np.array([sizes]), np.array([k]), items[None, :k]))
+    size_f = np.array(sizes + [0] * (k - 1), dtype=np.float64)
     for t, i, j in zip(range(k, 2 * k - 1), lm, rm):  # the means the merge took
-        sizes.append(sizes[i] + sizes[j])
-        rows[t] = (sizes[i] * rows[i] + sizes[j] * rows[j]) / sizes[t]
-    phis = _phi_terms(spec, rows).sum(axis=1)
-    costs = _merge_costs(spec, np.array(sizes, dtype=np.float64), phis, rows, lm, rm)
+        items[t] = _means(items, size_f, np.array([i]), np.array([j]))[0]
+        size_f[t] = size_f[i] + size_f[j]
+    costs = _merge_costs(spec, items, size_f, _phis(spec, items), lm, rm)
     return AggloTree(
-        sizes,
-        pivots + [OffsetVec.from_dense(r) for r in rows[k:]],
-        [-1] * k + lm,
-        [-1] * k + rm,
+        size_f.astype(np.int64).tolist(),
+        pivots + [v if items.dtype == object else OffsetVec.from_dense(v) for v in items[k:]],
+        [-1] * k + lm.tolist(),
+        [-1] * k + rm.tolist(),
         2 * k - 2,
-        list(zip(lm, rm, costs.tolist())),
+        list(zip(lm.tolist(), rm.tolist(), costs.tolist())),
     )
 
 
@@ -698,7 +644,7 @@ def build_cluster_tree(data, spec):
 
     The recursion runs one level at a time: every scope of a level grows its
     anchors together (_grow_scopes) and merges them together
-    (_greedy_merge_scopes); the anchors with two or more members are the
+    (_merge_scopes); the anchors with two or more members are the
     next level's scopes. Node ids, `perm` and the ranges are those of the
     scope-by-scope recursion (_place_merges)."""
     ws = _Workspace(data, spec)
@@ -798,40 +744,34 @@ def _merge_scopes(ws, members, group, gsize, m):
     """Merge trees of every scope's anchors, as (left, right) items per
     scope in merge order (anchor a is item a; with M anchors at most, the
     k-th merge is item M + k). Two anchors merge as the first and the
-    second; more merge greedily on their member means, which sum each
-    anchor's `members` in listed order."""
+    second; more merge greedily (_merge_sorted) on their member means,
+    which sum each anchor's `members` in listed order. Scopes merge a chunk
+    at a time, the most items first; a chunk ends where the item count
+    halves, so that little of it is padding, or where its items and costs
+    pass DENSE_CHUNK values."""
     n_scopes, top = gsize.shape
     lm = np.zeros((n_scopes, max(top - 1, 1)), dtype=np.int64)
     rm = np.ones_like(lm)
-    many = np.flatnonzero(m > 2)
-    if not many.size:
-        return lm, rm
-    if ws.dim <= DENSE_DIM_CAP:
-        step = max(1, DENSE_CHUNK // (top * ws.dim))
-        for lo in range(0, many.size, step):
-            sc = many[lo : lo + step]
-            first = np.full(n_scopes, -1)  # each scope's first mean
-            first[sc] = _offsets(m[sc])[:-1]
-            keep = first[group // top] >= 0
-            g = first[group[keep] // top] + group[keep] % top
-            means = ws.group_means(members[keep], g, int(m[sc].sum()))
-            lm[sc], rm[sc] = _greedy_merge_scopes(
-                ws.spec, gsize[sc], m[sc], means, first[sc]
-            )
-        return lm, rm
-    bounds = np.cumsum(gsize.ravel())[:-1]
-    groups = np.split(members, bounds)
-    for s in many:
-        local = _agglomerate_items(
-            ws.spec,
-            gsize[s, : m[s]],
-            [ws.mean_of_rows(groups[s * top + a]) for a in range(m[s])],
-        )
-        for k, t in enumerate(range(m[s], 2 * m[s] - 1)):
-            lm[s, k], rm[s, k] = (
-                x + top - m[s] if x >= m[s] else x
-                for x in (local.left[t], local.right[t])
-            )
+    order = np.argsort(-m, kind="stable")
+    order = order[m[order] > 2]
+    width = ws.dim if _dense_items(ws.dim) else 1  # an OffsetVec is one object
+    lo = 0
+    while lo < order.size:
+        c = int(m[order[lo]])
+        per = (2 * c - 1) * max(2 * c - 1, width)  # items and costs
+        hi = min(order.size, lo + max(1, DENSE_CHUNK // per))
+        hi = lo + int(np.count_nonzero(2 * m[order[lo:hi]] > c))
+        s = order[lo:hi]
+        first = np.full(n_scopes, -1)  # each scope's first mean
+        first[s] = _offsets(m[s])[:-1]
+        keep = first[group // top] >= 0
+        g = first[group[keep] // top] + group[keep] % top
+        means = ws.group_means(members[keep], g, int(m[s].sum()))
+        pad = np.minimum(np.arange(c), m[s, None] - 1)  # a padded item repeats one
+        got = _merge_sorted(ws.spec, gsize[s, :c], m[s], means[first[s, None] + pad])
+        for out, x in zip((lm, rm), got):
+            out[s, : c - 1] = np.where(x >= c, x + top - c, x)
+        lo = hi
     return lm, rm
 
 

@@ -208,6 +208,10 @@ def cmd_approximate(args):
     t_load = time.perf_counter()
     data = load_bow(args.input, args.format)
     timings = {"load_seconds": time.perf_counter() - t_load}
+    if args.exact and data.n_rows > args.max_exact_n:
+        raise ValueError(
+            f"--exact refused for N={data.n_rows} > --max-exact-n={args.max_exact_n}"
+        )
     spec, notes = make_divergence_spec(
         args.divergence, data, sigma=args.sigma, epsilon=args.epsilon, seed=args.seed
     )
@@ -238,10 +242,6 @@ def cmd_approximate(args):
         "notes": extras,
     }
     if args.exact:
-        if data.n_rows > args.max_exact_n:
-            raise ValueError(
-                f"--exact refused for N={data.n_rows} > --max-exact-n={args.max_exact_n}"
-            )
         exact = exact_loglik(smoothed, spec, cap=args.max_exact_n)
         build_report["exact_loglik"] = exact
         build_report["bound_gap"] = exact - report.ell

@@ -7,6 +7,7 @@ downstream statistics can exploit the decomposition instead of densifying.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,11 @@ class DataMatrix:
         if self.indices.size:
             if self.indices.min() < 0 or self.indices.max() >= self.n_cols:
                 raise ValueError("column index out of bounds")
+            bad = ~np.isfinite(self.values)
+            if bad.any():
+                k = int(np.argmax(bad))
+                i = int(np.searchsorted(self.indptr, k, side="right")) - 1
+                raise ValueError(f"row {i}: stored value {self.values[k]} is not finite")
             if not np.all(self.values > 0):
                 raise ValueError("stored values must be > 0 (zeros are implicit)")
             # one step per adjacent pair of entries; a step into a row's
@@ -222,6 +228,8 @@ def _load_uci_bow(path):
             raise ValueError(f"{path}:{ln}: docID {doc} outside 1..{n}")
         if not 1 <= term <= d:
             raise ValueError(f"{path}:{ln}: termID {term} outside 1..{d}")
+        if not math.isfinite(count):
+            raise ValueError(f"{path}:{ln}: count must be finite, got {count}")
         if count <= 0:
             raise ValueError(f"{path}:{ln}: count must be > 0, got {count}")
         if (doc, term) in seen:
@@ -255,6 +263,8 @@ def _load_dense_csv(path):
             vec = np.array([float(p) for p in parts])
         except ValueError:
             raise ValueError(f"{path}:{ln}: malformed line {raw!r}") from None
+        if not np.all(np.isfinite(vec)):
+            raise ValueError(f"{path}:{ln}: non-finite value")
         if np.any(vec < 0):
             raise ValueError(f"{path}:{ln}: negative value")
         nz = np.nonzero(vec)[0]

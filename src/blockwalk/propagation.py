@@ -83,11 +83,12 @@ class DenseBaseline:
         return self.p @ v
 
 
-def dense_transition_matrix(data, spec, cap=8192, keep_w=False, block_rows=ROW_BLOCK):
+def dense_transition_matrix(data, spec, cap=8192, keep_w=False):
     """Exact row-softmax transition matrix with log-sum-exp stabilization;
     the similarity matrix w is filled only when keep_w is set. Each block of
-    rows is computed in place in p: the divergences, the zero diagonal (as
-    +inf), the shift by the row minimum, exp and the row normalization."""
+    ROW_BLOCK rows is computed in place in p: the divergences, the zero
+    diagonal (as +inf), the shift by the row minimum, exp and the row
+    normalization."""
     n = data.n_rows
     if n < 2:
         raise ValueError("transition matrix needs at least 2 points")
@@ -97,8 +98,8 @@ def dense_transition_matrix(data, spec, cap=8192, keep_w=False, block_rows=ROW_B
     fill = _divergences_to(spec, dense)
     p = np.empty((n, n))
     w = np.empty((n, n)) if keep_w else None
-    for lo in range(0, n, block_rows):
-        hi = min(lo + block_rows, n)
+    for lo in range(0, n, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, n)
         blk = fill(dense[lo:hi], p[lo:hi])
         blk[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
         if keep_w:

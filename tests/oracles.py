@@ -20,11 +20,14 @@ no-steal limit (steal_thresholds less a rounding slack), and its trees
 must still be the library's, which evaluates every row. Its
 anchors merge on reference_greedy_merge, a heap of (cost, i, j) keys that
 the library's batched merge must follow pair for pair, NaN costs ranking
-as +inf (above DENSE_DIM_CAP it takes the library's OffsetVec heap). Its
-node statistics come from subtree_stats, which adds each node's rows one
-at a time in ascending row order on Python floats and dense columns, the
-order the library's one complex sparse product through the ancestor
-indicator keeps, so the two agree bit for bit.
+as +inf, at every width: it takes the library's item layouts (dense rows
+up to DENSE_DIM_CAP, OffsetVecs above it) and their per-pair arithmetic,
+and selects its pairs on its own. Each anchor's mean is mean_of_rows, one
+bincount per anchor where the library adds the anchors of many scopes in
+one. Its node statistics come from subtree_stats, which adds each node's
+rows one at a time in ascending row order on Python floats and dense
+columns, the order the library's one complex sparse product through the
+ancestor indicator keeps, so the two agree bit for bit.
 div_block gives the divergences between all rows of a scope, one
 div_to_pivot column per pivot, and pivot_rows the pivots as dense rows
 over their stored columns. The test-scale helpers (the dense expansion of
@@ -45,7 +48,6 @@ log-likelihood from the whole N x N matrix, which the in-place row-block
 routes must reproduce byte for byte.
 """
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,8 +62,9 @@ from blockwalk.anchor_tree import (
     ClusterTree,
     NodeStats,
     TreeStats,
-    _agglomerate_items,
+    _means,
     _merge_costs,
+    _phis,
     _tail,
     _Workspace,
 )
@@ -216,8 +219,8 @@ def merge_cost(spec, size_a, pivot_a, size_b, pivot_b):
     library's merge-cost arithmetic."""
     rows = np.array([pivot_a, pivot_b], dtype=np.float64)
     sizes = np.array([size_a, size_b], dtype=np.float64)
-    phis = _phi_terms(spec, rows).sum(axis=1)
-    return float(_merge_costs(spec, sizes, phis, rows, [0], [1])[0])
+    pair = np.array([0]), np.array([1])
+    return float(_merge_costs(spec, rows, sizes, _phis(spec, rows), *pair)[0])
 
 
 @dataclass(frozen=True)
@@ -653,46 +656,52 @@ def reference_grow(ws, scope, m, use_pruning):
     return anchors
 
 
-def reference_greedy_merge(spec, sizes, rows):
-    """Greedy agglomeration of k items with dense pivot rows (k, d) on a
-    heap: merge the cheapest live pair, a NaN cost ranking as +inf, ties to
-    the lowest (i, j), the order of the library's batched merge. The
-    returned tree's `pivots` holds the dense rows of the merged items only,
-    and its `merges` the ranked costs."""
+def mean_of_rows(ws, rows):
+    """The mean of `rows` as an OffsetVec at base eps: one bincount adds
+    their column values in listed order."""
+    flat = np.concatenate([np.arange(ws.starts[r], ws.starts[r] + ws.nnz_row[r]) for r in rows])
+    acc = np.bincount(ws.csr.indices[flat], weights=ws.csr.data[flat], minlength=ws.dim)
+    nz = np.nonzero(acc)[0]
+    return OffsetVec(ws.dim, ws.eps, nz.astype(np.int64), acc[nz] / rows.size)
+
+
+def reference_greedy_merge(spec, sizes, items):
+    """Greedy agglomeration of k items on a heap: merge the cheapest live
+    pair, a NaN cost ranking as +inf, ties to the lowest (i, j), the order
+    of the library's batched merge. The items are in either of the
+    library's layouts, dense pivot rows (k, d) or an object array of
+    OffsetVecs, and take its per-pair arithmetic (_means, _merge_costs).
+    The returned tree's `pivots` holds the merged items only, and its
+    `merges` the ranked costs."""
     k = len(sizes)
     total = 2 * k - 1
     sizes = [int(s) for s in sizes]
     left, right, merges = [-1] * k, [-1] * k, []
-    rows = np.concatenate([rows, np.empty((k - 1, rows.shape[1]))])
+    items = np.concatenate([items, np.empty((k - 1,) + items.shape[1:], items.dtype)])
     if k == 1:
         return AggloTree(sizes, [], left, right, 0, merges)
 
     phis = np.empty(total)
-    phis[:k] = _phi_terms(spec, rows[:k]).sum(axis=1)
+    phis[:k] = _phis(spec, items[:k])
     size_f = np.array(sizes + [0] * (k - 1), dtype=np.float64)
 
-    def push(costs, i, j):
+    def push(i, j):
+        costs = _merge_costs(spec, items, size_f, phis, i, j)
         for c, a, b in zip(costs.tolist(), i.tolist(), j.tolist()):
             heapq.heappush(heap, (math.inf if c != c else c, min(a, b), max(a, b)))
 
-    # every initial pair at once, in chunks of about 2**20 coordinates
-    pairs = np.array(list(itertools.combinations(range(k), 2)))
-    step = max(1, (1 << 20) // rows.shape[1])
     heap = []
-    for lo in range(0, len(pairs), step):
-        i, j = pairs[lo : lo + step, 0], pairs[lo : lo + step, 1]
-        push(_merge_costs(spec, size_f, phis, rows, i, j), i, j)
+    push(*np.triu_indices(k, 1))  # every initial pair at once
     alive = set(range(k))
     while len(alive) > 1:
         cost, i, j = heapq.heappop(heap)
         if i not in alive or j not in alive:
             continue
         t = len(sizes)
-        nt = sizes[i] + sizes[j]
-        rows[t] = (sizes[i] * rows[i] + sizes[j] * rows[j]) / nt
-        sizes.append(nt)
-        size_f[t] = nt
-        phis[t] = _phi_terms(spec, rows[t][None, :]).sum()
+        items[t] = _means(items, size_f, np.array([i]), np.array([j]))[0]
+        sizes.append(sizes[i] + sizes[j])
+        size_f[t] = sizes[t]
+        phis[t] = _phis(spec, items[t : t + 1])[0]
         left.append(i)
         right.append(j)
         merges.append((i, j, float(cost)))
@@ -700,10 +709,9 @@ def reference_greedy_merge(spec, sizes, rows):
         alive.discard(j)
         others = np.array(sorted(alive), dtype=np.int64)
         if others.size:
-            ts = np.full(others.size, t)
-            push(_merge_costs(spec, size_f, phis, rows, ts, others), ts, others)
+            push(np.full(others.size, t), others)
         alive.add(t)
-    return AggloTree(sizes, list(rows[k:]), left, right, total - 1, merges)
+    return AggloTree(sizes, list(items[k:]), left, right, total - 1, merges)
 
 
 def inorder_leaves(agglo):
@@ -721,9 +729,9 @@ def inorder_leaves(agglo):
 
 def reference_cluster_tree(data, spec, use_pruning=True):
     """Grow-and-agglomerate recursively down to singleton leaves, with
-    reference_grow on every scope, reference_greedy_merge on its anchors up
-    to DENSE_DIM_CAP (the library's OffsetVec heap, _agglomerate_items,
-    above it) and node statistics from subtree_stats.
+    reference_grow on every scope, reference_greedy_merge on its anchors
+    (dense rows up to DENSE_DIM_CAP, OffsetVecs above it) and node
+    statistics from subtree_stats.
     build_cluster_tree must match it exactly: structure arrays, statistics
     and raised errors."""
     ws = _Workspace(data, spec)
@@ -747,12 +755,12 @@ def reference_cluster_tree(data, spec, use_pruning=True):
         m = min(math.isqrt(n - 1) + 1, n)  # ceil(sqrt(n)), capped at n
         anchors = reference_grow(ws, scope, m, use_pruning)
         sizes = [a.size for a in anchors]
-        means = [ws.mean_of_rows(a.members) for a in anchors]
+        means = [mean_of_rows(ws, a.members) for a in anchors]
         if spec.dim <= anchor_tree.DENSE_DIM_CAP:
-            dense = np.stack([mean.to_dense() for mean in means])
-            local = reference_greedy_merge(spec, sizes, dense)
+            items = np.stack([mean.to_dense() for mean in means])
         else:
-            local = _agglomerate_items(spec, sizes, means)
+            items = np.fromiter(means, object)
+        local = reference_greedy_merge(spec, sizes, items)
         node_of = {}
         cur = offset
         for ai in inorder_leaves(local):
@@ -919,6 +927,10 @@ def reference_validate(n_rows, n_cols, indptr, indices, values, ids):
     if indices.size:
         if indices.min() < 0 or indices.max() >= n_cols:
             return "column index out of bounds"
+        for i in range(n_rows):
+            for v in values[indptr[i] : indptr[i + 1]]:
+                if not math.isfinite(v):
+                    return f"row {i}: stored value {v} is not finite"
         if not np.all(values > 0):
             return "stored values must be > 0 (zeros are implicit)"
         for i in range(n_rows):

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from blockwalk import anchor_tree
 from blockwalk.anchor_tree import (
     Anchor,
     _ceil_sqrt,
     _first_max,
-    _greedy_merge_scopes,
     _grow,
     _grow_scopes,
+    _merge_sorted,
     _Workspace,
     agglomerate_anchors,
     build_cluster_tree,
@@ -234,10 +235,9 @@ class TestAgglomeration:
 
     def test_matches_greedy_oracle(self, rng, monkeypatch):
         # recompute-all-pairs greedy gives the same merge sequence, the heap
-        # oracle the same costs and means bit for bit, and the OffsetVec heap
-        # above the dense cap the same tree
-        import blockwalk.anchor_tree as at
-
+        # oracle the same costs and means bit for bit, and the OffsetVec
+        # layout above the dense cap the same tree, with the heap oracle's
+        # costs and means on that layout bit for bit
         spec = DivergenceSpec("gid", 3)
         pts = sample_in_domain("gid", rng, 6, 3)
         anchors = [singleton_anchor(p, i) for i, p in enumerate(pts)]
@@ -268,7 +268,7 @@ class TestAgglomeration:
         assert (got.left, got.right, got.root) == (heap.left, heap.right, heap.root)
         dense = np.stack([p.to_dense() for p in got.pivots[6:]])
         assert dense.tobytes() == np.stack(heap.pivots).tobytes()
-        monkeypatch.setattr(at, "DENSE_DIM_CAP", 0)
+        monkeypatch.setattr(anchor_tree, "DENSE_DIM_CAP", 0)
         wide = agglomerate_anchors(anchors, spec)
         assert [m[:2] for m in wide.merges] == [m[:2] for m in got.merges]
         np.testing.assert_allclose(
@@ -276,6 +276,12 @@ class TestAgglomeration:
         )
         for a, b in zip(wide.pivots, got.pivots):
             np.testing.assert_allclose(a.to_dense(), b.to_dense(), rtol=1e-12)
+        pivots = np.fromiter((a.pivot for a in anchors), object)
+        heap = reference_greedy_merge(spec, [1] * 6, pivots)
+        assert wide.merges == heap.merges
+        for a, b in zip(wide.pivots[6:], heap.pivots):
+            assert a.base == b.base and np.array_equal(a.idx, b.idx)
+            assert a.val.tobytes() == b.val.tobytes()
 
     def test_merge_cost_nonnegative(self, rng):
         for kind in ALL_KINDS:
@@ -372,12 +378,10 @@ class TestClusterTree:
     def test_sparse_and_dense_paths_build_same_tree(self, rng, monkeypatch):
         # the wide-vocabulary agglomeration (OffsetVec merges) must agree
         # with the small-dimension dense one
-        import blockwalk.anchor_tree as at
-
         data = smoothed_counts(rng, 50, 6, epsilon=0.5)
         spec = DivergenceSpec("gid", 6, epsilon=0.5)
         dense = build_cluster_tree(data, spec)
-        monkeypatch.setattr(at, "DENSE_DIM_CAP", 0)
+        monkeypatch.setattr(anchor_tree, "DENSE_DIM_CAP", 0)
         sparse = build_cluster_tree(data, spec)
         assert np.array_equal(dense.perm, sparse.perm)
         assert np.array_equal(dense.left, sparse.left)
@@ -531,6 +535,16 @@ def assert_same_tree(got, want):
             assert np.array_equal(u.idx, v.idx) and np.array_equal(u.val, v.val), nid
 
 
+REFERENCE_CASES = [
+    "gid",
+    "sq-euclidean",
+    "itakura-saito",
+    "unit-full-rows",
+    "cancelling-column",
+    "overflow",
+]
+
+
 def reference_corpus(case, rng, trial):
     """Raw rows and spec of one trial of test_matches_reference_builder.
     Beyond three kinds at offset 0.5, the cases hold the inputs on which
@@ -557,18 +571,19 @@ class TestSmallScopeBaseCase:
     """Small scopes, down to two rows, grow by the same sparse products as
     the large ones; the trees must be those of the reference builder."""
 
-    @pytest.mark.parametrize(
-        "case",
-        [
-            "gid",
-            "sq-euclidean",
-            "itakura-saito",
-            "unit-full-rows",
-            "cancelling-column",
-            "overflow",
-        ],
-    )
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
     def test_matches_reference_builder(self, case):
+        self.assert_matches_reference_tree(case)
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_offsetvec_layout_matches_reference_tree(self, case, monkeypatch):
+        # the same corpora with every width above the dense cap: the build
+        # merges OffsetVec items, and so does reference_cluster_tree's heap
+        monkeypatch.setattr(anchor_tree, "DENSE_DIM_CAP", 0)
+        self.assert_matches_reference_tree(case)
+
+    @staticmethod
+    def assert_matches_reference_tree(case):
         rng = np.random.default_rng(2024)
         for trial in range(40):
             raw, spec = reference_corpus(case, rng, trial)
@@ -776,10 +791,13 @@ class TestLevelBatching:
                     assert dis.tobytes() == a.dists.tobytes()
 
     @pytest.mark.parametrize("kind", ["gid", "sq-euclidean"])
-    def test_merges_match_the_heap(self, kind):
+    @pytest.mark.parametrize("layout", ["dense", "offsetvec"])
+    def test_merges_match_the_heap(self, layout, kind):
         # scopes of 2-12 items, many with copied rows and sizes (tied costs),
         # some with huge coordinates: a NaN cost ranks as +inf, and a live
-        # +inf pair must win over the dead pairs below it
+        # +inf pair must win over the dead pairs below it. The OffsetVec
+        # items store the coordinates above 3 (and the first) over a base
+        # of 0.5, so their supports differ and copies keep theirs.
         rng = np.random.default_rng(11)
         huge = 1e200 if kind == "sq-euclidean" else 1e306  # phi overflows
         for d in (1, 4, 30):
@@ -798,23 +816,39 @@ class TestLevelBatching:
                 # other pairs are finite; a NaN item joins them at the end
                 rows[10, [1, 2], 0], sizes[10, [1, 2]] = [1.3e154, -1.3e154], 2
                 rows[10, 4, 0], m[10] = huge, 8
-            means = np.concatenate([rows[s, : m[s]] for s in range(n_scopes)])
-            first = np.r_[0, np.cumsum(m)[:-1]]
+            items = rows
+            if layout == "offsetvec":
+                stored = (rows > 3) | (np.arange(d) == 0)
+                items = np.fromiter(
+                    (
+                        OffsetVec(d, 0.5, np.flatnonzero(on), r[on] - 0.5)
+                        for r, on in zip(rows.reshape(-1, d), stored.reshape(-1, d))
+                    ),
+                    object,
+                ).reshape(n_scopes, top)
+            order = np.argsort(-m, kind="stable")
             with np.errstate(over="ignore", invalid="ignore"):
                 assert math.isnan(merge_cost(spec, 1, rows[7, 0], 1, rows[7, 1]))
                 if kind == "sq-euclidean":
                     assert merge_cost(spec, 2, rows[10, 1], 2, rows[10, 2]) == math.inf
-                left, right = _greedy_merge_scopes(spec, sizes, m, means, first)
+                # m[7] = top, so the merges are numbered from top on
+                left, right = np.zeros((2, n_scopes, top - 1), dtype=np.int64)
+                left[order], right[order] = _merge_sorted(
+                    spec, sizes[order], m[order], items[order]
+                )
                 for s in range(n_scopes):
-                    tree = reference_greedy_merge(spec, sizes[s, : m[s]], rows[s, : m[s]])
+                    tree = reference_greedy_merge(spec, sizes[s, : m[s]], items[s, : m[s]])
                     want = [
                         [x + top - m[s] if x >= m[s] else x for x in (i, j)]
                         for i, j, _ in tree.merges
                     ]
                     got = np.stack([left[s], right[s]], axis=1)[: m[s] - 1]
                     assert got.tolist() == want, s
+                    costs = [c for *_, c in tree.merges]
+                    if s == 7:
+                        assert costs == [math.inf] * (top - 1)  # NaN ranks as +inf
                     if s == 10 and kind == "sq-euclidean":
-                        assert [c for *_, c in tree.merges].count(math.inf) >= 2
+                        assert costs.count(math.inf) >= 2
 
     def test_first_max_follows_argmax(self):
         # the first donor with the largest value, NaN before everything

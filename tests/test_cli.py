@@ -376,6 +376,16 @@ class TestRejectedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "1 row" in err and "--sigma" in err
 
+    def test_exact_over_cap_refused_before_the_model(self, synth_dir, tmp_path, capsys):
+        # the refusal must come before any tree is built or file written
+        rc = run(
+            "approximate", "--input", synth_dir / "data.bow", "--divergence", "gid",
+            "--exact", "--max-exact-n", 10, "--out", tmp_path / "late.npz",
+        )
+        assert rc == 1
+        assert "--exact refused for N=90 > --max-exact-n=10" in capsys.readouterr().err
+        assert not list(tmp_path.glob("late.npz*"))
+
     @pytest.mark.parametrize("mode", ["refine:abc", "refine:", "refine:1.5", "bogus"])
     def test_malformed_partition_named_before_loading(self, tmp_path, capsys, mode):
         # the input does not exist: a usage error must come before any load

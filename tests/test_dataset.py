@@ -81,6 +81,15 @@ class TestDataMatrixChecks:
         assert check_message(*args) == want
         assert reference_validate(*args) == want
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_its_row(self, bad):
+        # a NaN passed every check on its way to an unnamed "> 0" message,
+        # and an inf built a model until the block sums went non-finite
+        args = (3, 4, [0, 2, 2, 4], [0, 3, 1, 2], [1.0, 2.0, 3.0, bad], "abc")
+        want = f"row 2: stored value {bad} is not finite"
+        assert check_message(*args) == want
+        assert reference_validate(*args) == want
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(csr_triples())
     def test_same_verdict_as_per_row_reference(self, triple):
@@ -109,6 +118,16 @@ class TestLoadUciBow:
         p = tmp_path / "a.bow"
         p.write_text("1\n3\n1\n1 2\n")
         with pytest.raises(ValueError, match=":4"):
+            load_bow(p, "uci-bow")
+
+    @pytest.mark.parametrize(
+        "count, want", [(c, "finite") for c in ("nan", "inf", "-inf", "Infinity")]
+        + [("0", "> 0"), ("-2", "> 0")],
+    )
+    def test_bad_count_names_its_line(self, tmp_path, count, want):
+        p = tmp_path / "a.bow"
+        p.write_text(f"2\n3\n2\n1 2 5\n2 3 {count}\n")
+        with pytest.raises(ValueError, match=rf"a\.bow:5: count must be {want}"):
             load_bow(p, "uci-bow")
 
     def test_out_of_bounds_term(self, tmp_path):
@@ -158,6 +177,15 @@ class TestLoadDenseCsv:
         p = tmp_path / "a.csv"
         p.write_text("1,2\n3\n")
         with pytest.raises(ValueError, match="expected 2 fields"):
+            load_bow(p, "dense-csv")
+
+    @pytest.mark.parametrize(
+        "value, want", [(v, "non-finite") for v in ("nan", "inf", "-inf")] + [("-1", "negative")]
+    )
+    def test_bad_value_names_its_line(self, tmp_path, value, want):
+        p = tmp_path / "a.csv"
+        p.write_text(f"1,0,2\n0,{value},3\n")
+        with pytest.raises(ValueError, match=rf"a\.csv:2: {want} value"):
             load_bow(p, "dense-csv")
 
     def test_empty_rejected(self, tmp_path):

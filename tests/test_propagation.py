@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockwalk import propagation
 from blockwalk.anchor_tree import build_cluster_tree
 from blockwalk.dataset import LabelSet, smooth
 from blockwalk.divergence import KINDS, DivergenceSpec, pairwise_divergences
@@ -154,11 +155,13 @@ class TestDenseTransitionMatrix:
         with pytest.raises(ValueError, match="cap"):
             dense_transition_matrix(data, DivergenceSpec("gid", 3, epsilon=0.5), cap=5)
 
-    def test_blockwise_equals_whole(self, rng):
+    def test_blockwise_equals_whole(self, rng, monkeypatch):
         data = smoothed_counts(rng, 25, 5)
         spec = DivergenceSpec("gid", 5, epsilon=0.5)
-        a = dense_transition_matrix(data, spec, block_rows=7)
-        b = dense_transition_matrix(data, spec, block_rows=512)
+        monkeypatch.setattr(propagation, "ROW_BLOCK", 7)
+        a = dense_transition_matrix(data, spec)
+        monkeypatch.setattr(propagation, "ROW_BLOCK", 512)
+        b = dense_transition_matrix(data, spec)
         np.testing.assert_allclose(a.p, b.p, atol=1e-15)
 
     def test_similarities_kept_on_request_only(self, rng):
@@ -178,37 +181,40 @@ class TestDenseAgainstReference:
 
     @pytest.mark.parametrize("kind", EXACT_KINDS)
     @pytest.mark.parametrize(
-        "n, block_rows", [(2, 1), (2, 512), (25, 1), (25, 7), (25, 25), (25, 64)]
+        "n, block", [(2, 1), (2, 512), (25, 1), (25, 7), (25, 25), (25, 64)]
     )
-    def test_same_bits(self, rng, kind, n, block_rows):
+    def test_same_bits(self, rng, monkeypatch, kind, n, block):
+        monkeypatch.setattr(propagation, "ROW_BLOCK", block)
         data, spec = kind_data(kind, rng, n)
         for keep_w in (False, True):
-            got = dense_transition_matrix(data, spec, keep_w=keep_w, block_rows=block_rows)
-            p, w = reference_dense_transition(data, spec, block_rows, keep_w=keep_w)
+            got = dense_transition_matrix(data, spec, keep_w=keep_w)
+            p, w = reference_dense_transition(data, spec, block, keep_w=keep_w)
             assert_same_bits(got.p, p)
             if keep_w:
                 assert_same_bits(got.w, w)
             else:
                 assert got.w is None
 
-    def test_count_data_same_bits(self, rng):
+    def test_count_data_same_bits(self, rng, monkeypatch):
+        monkeypatch.setattr(propagation, "ROW_BLOCK", 16)
         data = smoothed_counts(rng, 40, 6)
         spec = DivergenceSpec("gid", 6, epsilon=0.5)
-        got = dense_transition_matrix(data, spec, keep_w=True, block_rows=16)
+        got = dense_transition_matrix(data, spec, keep_w=True)
         p, w = reference_dense_transition(data, spec, 16, keep_w=True)
         assert_same_bits(got.p, p)
         assert_same_bits(got.w, w)
 
     @pytest.mark.parametrize("keep_w", [False, True])
-    def test_peak_memory_one_output_and_few_blocks(self, rng, keep_w):
+    def test_peak_memory_one_output_and_few_blocks(self, rng, monkeypatch, keep_w):
         # Traced peak above the N x N output(s): about 1.3 row blocks in
         # place against about 5.3 when each block's softmax takes new arrays.
         n, block_rows = 400, 50
+        monkeypatch.setattr(propagation, "ROW_BLOCK", block_rows)
         data = smoothed_counts(rng, n, 5)
         spec = DivergenceSpec("gid", 5, epsilon=0.5)
         tracemalloc.start()
         try:
-            base = dense_transition_matrix(data, spec, keep_w=keep_w, block_rows=block_rows)
+            base = dense_transition_matrix(data, spec, keep_w=keep_w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
