@@ -37,6 +37,7 @@ from .propagation import (
     classify_one_vs_all,
     dense_transition_matrix,
     evaluate_accuracy,
+    per_class_accuracy,
     spread_labels,
 )
 from .variational import exact_loglik, lower_bound, optimize_q
@@ -46,6 +47,7 @@ DEFAULT_ALPHA = 0.01
 DEFAULT_ITERS = 300
 DEFAULT_MAX_EXACT_N = 8192
 SIGMA_STREAM = 0xD157  # fixed sub-stream for the bandwidth policy
+SIGMA_PAIRS = 1000  # random row pairs the bandwidth policy takes the median over
 
 
 def _float_list(text):
@@ -65,14 +67,14 @@ def _str_list(text):
 # ---------------------------------------------------------------------------
 
 
-def default_sigma(data, seed, pairs=1000):
+def default_sigma(data, seed):
     """Bandwidth policy: median Euclidean distance over seeded random pairs."""
     n = data.n_rows
     if n < 2:  # no pair of distinct rows to draw
         raise ValueError(f"the median bandwidth policy needs 2 rows, not {n} row; give --sigma")
     rng = np.random.default_rng([int(seed), SIGMA_STREAM])
-    i = rng.integers(0, n, pairs)
-    j = rng.integers(0, n - 1, pairs)
+    i = rng.integers(0, n, SIGMA_PAIRS)
+    j = rng.integers(0, n - 1, SIGMA_PAIRS)
     j[j >= i] += 1
     xi = np.asarray(data.csr()[i].todense())
     xj = np.asarray(data.csr()[j].todense())
@@ -118,7 +120,7 @@ def _partition_mode(text):
     )
 
 
-def build_model(data, spec, partition_mode, max_finest_n=2048):
+def build_model(data, spec, partition_mode):
     """Tree, partition, optimized parameters; returns model + report + timings."""
     _partition_mode(partition_mode)  # a malformed mode fails before the tree
     timings = {}
@@ -130,7 +132,7 @@ def build_model(data, spec, partition_mode, max_finest_n=2048):
     if partition_mode == "coarsest":
         part = coarsest_partition(tree)
     elif partition_mode == "finest":
-        part = finest_partition(tree, cap=max_finest_n)
+        part = finest_partition(tree)
     else:
         rounds = int(partition_mode.split(":", 1)[1])
         part = auto_refine(coarsest_partition(tree), tree, rounds)
@@ -147,25 +149,22 @@ def stratified_subset(ids, labels, fraction, rng):
     """Seeded stratified labeled subset, at least one id per class."""
     if not 0 < fraction < 1:
         raise ValueError("labeled fraction must be in (0, 1)")
-    by_class = {}
-    for rid in ids:
-        by_class.setdefault(labels.assignments[rid], []).append(rid)
+    y = labels.classes(ids)
     chosen = []
-    for cls in sorted(by_class):
-        members = by_class[cls]
-        k = min(len(members), max(1, round(fraction * len(members))))
-        pick = rng.choice(len(members), size=k, replace=False)
-        chosen.extend(members[p] for p in sorted(pick))
+    for cls in np.flatnonzero(np.bincount(y)):  # the classes present, ascending
+        members = np.flatnonzero(y == cls)
+        k = min(members.size, max(1, round(fraction * members.size)))
+        pick = rng.choice(members.size, size=k, replace=False)
+        chosen.extend(ids[m] for m in members[pick])
     if len(chosen) >= len(ids):
         raise ValueError("labeled subset covers all rows; nothing to predict")
     return set(chosen)
 
 
 def one_hot_seed(ids, labels, labeled_ids):
+    rows = np.flatnonzero(np.fromiter(map(labeled_ids.__contains__, ids), bool, len(ids)))
     y0 = np.zeros((len(ids), labels.n_classes))
-    for k, rid in enumerate(ids):
-        if rid in labeled_ids:
-            y0[k, labels.assignments[rid]] = 1.0
+    y0[rows, labels.classes([ids[k] for k in rows])] = 1.0
     return y0
 
 
@@ -189,9 +188,7 @@ def cmd_synth(args):
     out.mkdir(parents=True, exist_ok=True)
     write_bow(data, out / "data.bow")
     write_labels(out / "labels.csv", data.ids, labels)
-    counts = np.bincount(
-        [labels.assignments[r] for r in data.ids], minlength=k
-    )
+    counts = np.bincount(labels.classes(data.ids), minlength=k)
     print(f"wrote {out / 'data.bow'} and {out / 'labels.csv'}")
     print(f"N={data.n_rows} d={data.n_cols} K={k}")
     for cls in range(k):
@@ -215,9 +212,7 @@ def cmd_approximate(args):
     spec, notes = make_divergence_spec(
         args.divergence, data, sigma=args.sigma, epsilon=args.epsilon, seed=args.seed
     )
-    model, report, smoothed, build_timings = build_model(
-        data, spec, args.partition, max_finest_n=args.max_exact_n
-    )
+    model, report, smoothed, build_timings = build_model(data, spec, args.partition)
     timings.update(build_timings)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -274,9 +269,6 @@ def cmd_propagate(args):
             file=sys.stderr,
         )
     labels = load_labels(args.labels)
-    missing = [rid for rid in ids if rid not in labels.assignments]
-    if missing:
-        raise ValueError(f"labels file is missing id {missing[0]!r}")
     rng = np.random.default_rng([args.seed, 0])
     labeled = stratified_subset(ids, labels, args.labeled_fraction, rng)
     config = PropagationConfig(alpha=args.alpha, iterations=args.iters)
@@ -292,20 +284,9 @@ def cmd_propagate(args):
         for k, rid in enumerate(ids):
             name = labels.names[classes[k]]
             fh.write(f"{rid},{name},{scores[k, classes[k]]:.12g}\n")
-    per_class = {}
-    for cls in range(labels.n_classes):
-        rows = [
-            k
-            for k, rid in enumerate(ids)
-            if rid not in labeled and labels.assignments[rid] == cls
-        ]
-        if rows:
-            per_class[labels.names[cls]] = sum(
-                1 for k in rows if classes[k] == cls
-            ) / len(rows)
     metrics = {
         "accuracy": accuracy,
-        "per_class_accuracy": per_class,
+        "per_class_accuracy": per_class_accuracy(classes, labels, ids, labeled),
         "n_labeled": len(labeled),
         "n_unreached": int(unreached.sum()),
         "iterations_run": iterations_run,
@@ -356,9 +337,7 @@ def _method_operator(family, kind, data, args, seed):
         kind, data, sigma=args.sigma, epsilon=args.epsilon, seed=seed
     )
     if family == "bvdt":
-        model, _, _, timings = build_model(
-            data, spec, args.partition, max_finest_n=args.max_exact_n
-        )
+        model, _, _, timings = build_model(data, spec, args.partition)
         build_s = (
             timings["tree_seconds"]
             + timings["partition_seconds"]
@@ -388,9 +367,7 @@ def _load_experiment_data(args):
             raise ValueError("--labels is required with --input")
         data = load_bow(args.input, args.format)
         labels = load_labels(args.labels)
-        missing = [rid for rid in data.ids if rid not in labels.assignments]
-        if missing:
-            raise ValueError(f"labels file is missing id {missing[0]!r}")
+        labels.classes(data.ids)  # an id without a label fails before any fit
         return data, labels
     return _synthesize(args, args.rows, args.seed)
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .divergence import check_epsilon
 from .vectors import OffsetVec
 
 __all__ = [
@@ -132,8 +133,7 @@ class SmoothedMatrix:
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        check_epsilon(self.epsilon)
 
     @property
     def n_rows(self):
@@ -176,6 +176,13 @@ class LabelSet:
     @property
     def n_classes(self):
         return len(self.names)
+
+    def classes(self, ids):
+        """Class index of each id (int64); a ValueError names the first unlabeled id."""
+        try:
+            return np.fromiter(map(self.assignments.__getitem__, ids), np.int64, len(ids))
+        except KeyError as exc:
+            raise ValueError(f"labels missing for id {exc.args[0]!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +321,8 @@ def load_labels(path):
 
 def write_labels(path, ids, labels):
     with open(path, "w", encoding="utf-8") as fh:
-        for rid in ids:
-            fh.write(f"{rid},{labels.names[labels.assignments[rid]]}\n")
+        for rid, cls in zip(ids, labels.classes(ids)):
+            fh.write(f"{rid},{labels.names[cls]}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +405,8 @@ def block_topic_alphas(k, dim, overlap=0.3):
     mass on its own contiguous vocabulary slice, the rest spread uniformly."""
     if not 0 <= overlap <= 1:
         raise ValueError("overlap must be in [0, 1]")
+    if not 1 <= k <= dim:  # each class needs a vocabulary slice of its own
+        raise ValueError(f"block topics need 1 <= classes <= dim, got classes={k}, dim={dim}")
     alphas = np.full((k, dim), overlap / dim)
     bounds = np.linspace(0, dim, k + 1).astype(int)
     for c in range(k):

@@ -50,6 +50,12 @@ KINDS = ("sq-euclidean", "mahalanobis", "gid", "kl", "itakura-saito", "logistic"
 COUNT_KINDS = ("gid", "itakura-saito")
 
 
+def check_epsilon(epsilon):
+    """The smoothing offset's rule for a spec and a smoothed matrix: finite, >= 0."""
+    if not 0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be >= 0 and finite, got {epsilon}")
+
+
 class DomainError(ValueError):
     """Input outside the divergence domain; carries the offending index."""
 
@@ -84,8 +90,7 @@ class DivergenceSpec:
             if not np.all(cov > 0):
                 raise ValueError("covariance_diag entries must be > 0")
             object.__setattr__(self, "covariance_diag", cov)
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        check_epsilon(self.epsilon)
 
     @property
     def weights(self):

@@ -33,6 +33,7 @@ __all__ = [
     "spread_labels",
     "classify_one_vs_all",
     "evaluate_accuracy",
+    "per_class_accuracy",
 ]
 
 
@@ -165,14 +166,25 @@ def classify_one_vs_all(scores):
     return classes, unreached
 
 
+def _class_hits(pred, truth, ids, labeled_ids):
+    """Correct predictions and scored rows (those not labeled), per class."""
+    labeled_ids = set(labeled_ids)
+    scored = ~np.fromiter(map(labeled_ids.__contains__, ids), bool, len(ids))
+    want = truth.classes(ids)[scored]
+    hit = np.asarray(pred)[scored] == want
+    n = truth.n_classes
+    return np.bincount(want, weights=hit, minlength=n), np.bincount(want, minlength=n)
+
+
 def evaluate_accuracy(pred, truth, ids, labeled_ids):
     """Fraction of correct predictions over rows NOT in the labeled set."""
-    labeled_ids = set(labeled_ids)
-    missing = [rid for rid in ids if rid not in truth.assignments]
-    if missing:
-        raise ValueError(f"truth labels missing for id {missing[0]!r}")
-    eval_rows = [k for k, rid in enumerate(ids) if rid not in labeled_ids]
-    if not eval_rows:
+    hits, rows = _class_hits(pred, truth, ids, labeled_ids)
+    if not rows.any():
         raise ValueError("labeled set covers all rows; accuracy undefined")
-    hits = sum(1 for k in eval_rows if pred[k] == truth.assignments[ids[k]])
-    return hits / len(eval_rows)
+    return float(hits.sum() / rows.sum())  # sums of whole numbers: bit for bit hits / rows
+
+
+def per_class_accuracy(pred, truth, ids, labeled_ids):
+    """Accuracy over the unlabeled rows of each class that has any, by name."""
+    hits, rows = _class_hits(pred, truth, ids, labeled_ids)
+    return {name: float(h / n) for name, h, n in zip(truth.names, hits, rows) if n}

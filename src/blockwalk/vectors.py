@@ -15,19 +15,11 @@ __all__ = ["OffsetVec", "merge_add"]
 
 def merge_add(idx_a, val_a, idx_b, val_b):
     """Merge two sorted sparse supports, summing values on shared indices."""
-    if len(idx_a) == 0:
-        return idx_b.copy(), val_b.copy()
-    if len(idx_b) == 0:
-        return idx_a.copy(), val_a.copy()
-    if len(idx_a) == len(idx_b) and np.array_equal(idx_a, idx_b):
-        return idx_a.copy(), val_a + val_b
     idx = np.concatenate([idx_a, idx_b])
-    val = np.concatenate([val_a, val_b])
     order = np.argsort(idx, kind="stable")
-    idx = idx[order]
-    val = val[order]
-    uniq, first = np.unique(idx, return_index=True)
-    return uniq, np.add.reduceat(val, first)
+    idx, val = idx[order], np.concatenate([val_a, val_b])[order]
+    start = np.flatnonzero(np.diff(idx, prepend=idx[:1] - 1))  # group starts
+    return idx[start], np.add.reduceat(val, start)
 
 
 class OffsetVec:

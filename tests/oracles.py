@@ -46,6 +46,10 @@ expression, a transition matrix whose every row block recomputes the
 centers' terms and takes its softmax on new arrays, and an exact
 log-likelihood from the whole N x N matrix, which the in-place row-block
 routes must reproduce byte for byte.
+The scoring references (the stratified labeled subset, the one-hot seeds,
+the accuracy and the per-class accuracy) look each id's class up one id at
+a time in the label dict, where the CLI takes every class from one
+LabelSet.classes array.
 """
 import heapq
 import math
@@ -938,3 +942,55 @@ def reference_validate(n_rows, n_cols, indptr, indices, values, ids):
             if row.size > 1 and np.any(np.diff(row) <= 0):
                 return f"row {i}: column indices not strictly increasing"
     return None
+
+
+def reference_stratified_subset(ids, labels, fraction, rng):
+    """The labeled subset by a per-id loop: each class's members gathered in
+    a dict of lists, the classes taken in sorted order, one rng.choice each."""
+    if not 0 < fraction < 1:
+        raise ValueError("labeled fraction must be in (0, 1)")
+    by_class = {}
+    for rid in ids:
+        by_class.setdefault(labels.assignments[rid], []).append(rid)
+    chosen = []
+    for cls in sorted(by_class):
+        members = by_class[cls]
+        k = min(len(members), max(1, round(fraction * len(members))))
+        pick = rng.choice(len(members), size=k, replace=False)
+        chosen.extend(members[p] for p in sorted(pick))
+    if len(chosen) >= len(ids):
+        raise ValueError("labeled subset covers all rows; nothing to predict")
+    return set(chosen)
+
+
+def reference_one_hot_seed(ids, labels, labeled_ids):
+    """One-hot rows of the labeled ids, one row at a time."""
+    y0 = np.zeros((len(ids), labels.n_classes))
+    for k, rid in enumerate(ids):
+        if rid in labeled_ids:
+            y0[k, labels.assignments[rid]] = 1.0
+    return y0
+
+
+def reference_evaluate_accuracy(pred, truth, ids, labeled_ids):
+    """Accuracy over the unlabeled rows, counted one row at a time."""
+    labeled_ids = set(labeled_ids)
+    eval_rows = [k for k, rid in enumerate(ids) if rid not in labeled_ids]
+    if not eval_rows:
+        raise ValueError("labeled set covers all rows; accuracy undefined")
+    hits = sum(1 for k in eval_rows if pred[k] == truth.assignments[ids[k]])
+    return hits / len(eval_rows)
+
+
+def reference_per_class_accuracy(pred, labels, ids, labeled_ids):
+    """Per-class accuracy over the unlabeled rows, one list of rows per class."""
+    per_class = {}
+    for cls in range(labels.n_classes):
+        rows = [
+            k
+            for k, rid in enumerate(ids)
+            if rid not in labeled_ids and labels.assignments[rid] == cls
+        ]
+        if rows:
+            per_class[labels.names[cls]] = sum(1 for k in rows if pred[k] == cls) / len(rows)
+    return per_class

@@ -5,10 +5,26 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blockwalk.cli import build_model, main, make_divergence_spec, stratified_subset
-from blockwalk.dataset import load_bow, load_labels
+from blockwalk.cli import (
+    build_model,
+    main,
+    make_divergence_spec,
+    one_hot_seed,
+    stratified_subset,
+)
+from blockwalk.dataset import LabelSet, load_bow, load_labels
 from blockwalk.model_io import save_model
+from blockwalk.propagation import evaluate_accuracy, per_class_accuracy
+
+from oracles import (
+    reference_evaluate_accuracy,
+    reference_one_hot_seed,
+    reference_per_class_accuracy,
+    reference_stratified_subset,
+)
 
 
 def run(*argv):
@@ -386,6 +402,47 @@ class TestRejectedInputs:
         assert "--exact refused for N=90 > --max-exact-n=10" in capsys.readouterr().err
         assert not list(tmp_path.glob("late.npz*"))
 
+    @pytest.mark.parametrize("command", ["synth", "experiment"])
+    @pytest.mark.parametrize("dim", [0, 2, -3])
+    def test_dim_below_classes_named(self, tmp_path, capsys, command, dim):
+        # dim 0 raised ZeroDivisionError, dim 2 wrote a corpus whose class 0
+        # had no vocabulary slice, dim -3 failed without naming an option
+        sweep = ["--methods", "bvdt:gid", "--fractions", 0.1] if command == "experiment" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run(
+                command, "--rows", 10, "--classes", 3, "--dim", dim, *sweep,
+                "--out", tmp_path / "o",
+            )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"1 <= classes <= dim, got classes=3, dim={dim}" in err
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_epsilon_named(self, synth_dir, tmp_path, capsys, monkeypatch, eps):
+        # nan read "spec epsilon nan differs from the data's smoothing offset
+        # nan"; inf built the whole tree before a non-finite block sum
+        monkeypatch.setattr("blockwalk.cli.build_cluster_tree", None)  # never called
+        rc = run(
+            "approximate", "--input", synth_dir / "data.bow", "--divergence", "gid",
+            "--epsilon", eps, "--out", tmp_path / "m.npz",
+        )
+        assert rc == 1
+        assert f"error: epsilon must be >= 0 and finite, got {eps}" in capsys.readouterr().err
+
+    def test_finest_over_its_cap_named(self, tmp_path, capsys):
+        # the finest partition keeps its own test-scale cap of 2,048 rows,
+        # not --max-exact-n: at N=8,192 it would hold 67M blocks
+        corpus = tmp_path / "c"
+        assert run("synth", "--rows", 2049, "--dim", 20, "--out", corpus) == 0
+        rc = run(
+            "approximate", "--input", corpus / "data.bow", "--divergence", "gid",
+            "--partition", "finest", "--out", tmp_path / "m.npz",
+        )
+        assert rc == 1
+        assert "finest partition refused for N=2049 > cap=2048" in capsys.readouterr().err
+        assert not list(tmp_path.glob("m.npz*"))
+
     @pytest.mark.parametrize("mode", ["refine:abc", "refine:", "refine:1.5", "bogus"])
     def test_malformed_partition_named_before_loading(self, tmp_path, capsys, mode):
         # the input does not exist: a usage error must come before any load
@@ -495,6 +552,28 @@ class TestRejectedInputs:
         # any offset leaves the simplex, so kl's default offset is 0
         assert self.fit_simplex_rows(tmp_path, "--divergence", "kl") == 0
 
+    def test_label_missing_for_a_row_named(self, tmp_path, capsys, monkeypatch):
+        # dense-csv rows are 0..N-1, so labels written for 1..N lack row 0;
+        # propagate and experiment name it in one message, experiment before
+        # any fit
+        assert self.fit_simplex_rows(tmp_path, "--divergence", "kl") == 0
+        labels = tmp_path / "labels.csv"
+        labels.write_text("".join(f"{i},c{i % 2}\n" for i in range(1, 31)))
+        rc = run(
+            "propagate", "--model", tmp_path / "m.npz", "--labels", labels,
+            "--out", tmp_path / "p",
+        )
+        assert rc == 1
+        assert "error: labels missing for id '0'" in capsys.readouterr().err
+        monkeypatch.setattr("blockwalk.cli.build_cluster_tree", None)  # never called
+        rc = run(
+            "experiment", "--input", tmp_path / "rows.csv", "--format", "dense-csv",
+            "--labels", labels, "--methods", "bvdt:kl", "--fractions", 0.1,
+            "--out", tmp_path / "e",
+        )
+        assert rc == 1
+        assert "error: labels missing for id '0'" in capsys.readouterr().err
+
 
 class TestConfigFile:
     """A config file's values are parsed by their options' own types; bad
@@ -601,3 +680,71 @@ class TestStratifiedSubset:
             stratified_subset(ids, labels, 0.0, rng)
         with pytest.raises(ValueError):
             stratified_subset(ids, labels, 1.0, rng)
+
+
+@st.composite
+def labeled_corpora(draw):
+    """(ids, labels, predictions, fraction, a labeled subset, seed): up to 40
+    ids over up to 5 classes, so one-member and empty classes come up, and
+    sometimes ids the labels lack."""
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=40, unique=True))
+    ids = [str(i) for i in ids]
+    n_classes = draw(st.integers(1, 5))
+    cls = draw(st.lists(st.integers(0, n_classes - 1), min_size=len(ids), max_size=len(ids)))
+    kept = [True] * len(ids)
+    if draw(st.booleans()):
+        kept = draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
+    labels = LabelSet(
+        {rid: c for rid, c, keep in zip(ids, cls, kept) if keep},
+        [f"c{k}" for k in range(n_classes)],
+    )
+    pred = draw(st.lists(st.integers(0, n_classes - 1), min_size=len(ids), max_size=len(ids)))
+    fraction = draw(
+        st.sampled_from([1e-9, 0.01, 0.5, 0.99, 1 - 1e-9]) | st.floats(0.001, 0.999)
+    )
+    subset = draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
+    labeled = {rid for rid, take in zip(ids, subset) if take}
+    return ids, labels, np.array(pred), fraction, labeled, draw(st.integers(0, 2**32 - 1))
+
+
+def outcome(fn, *args):
+    """A call's value, or its error's type and message."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestScoringMatchesReference:
+    """The labeled subset, the one-hot seeds and both accuracies, each taken
+    from one LabelSet.classes array, against per-id loops in the label dict."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(labeled_corpora())
+    def test_same_outputs_and_one_missing_id_error(self, case):
+        ids, labels, pred, fraction, labeled, seed = case
+        missing = [rid for rid in ids if rid not in labels.assignments]
+        if missing:
+            # every step names the first id without a label, in one message
+            want = f"labels missing for id {missing[0]!r}"
+            for fn, args in (
+                (stratified_subset, (ids, labels, fraction, np.random.default_rng(seed))),
+                (one_hot_seed, (ids, labels, set(ids))),
+                (evaluate_accuracy, (pred, labels, ids, set())),
+                (per_class_accuracy, (pred, labels, ids, set())),
+            ):
+                assert outcome(fn, *args) == (ValueError, want)
+            return
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = outcome(stratified_subset, ids, labels, fraction, rng)
+        assert got == outcome(reference_stratified_subset, ids, labels, fraction, ref_rng)
+        assert rng.random() == ref_rng.random()  # the same draws were taken
+        for subset in ([got] if isinstance(got, set) else []) + [labeled]:
+            y0 = one_hot_seed(ids, labels, subset)
+            assert y0.tobytes() == reference_one_hot_seed(ids, labels, subset).tobytes()
+            acc = outcome(evaluate_accuracy, pred, labels, ids, subset)
+            ref = outcome(reference_evaluate_accuracy, pred, labels, ids, subset)
+            assert acc == ref and type(acc) is type(ref)
+            per_class = per_class_accuracy(pred, labels, ids, subset)
+            assert per_class == reference_per_class_accuracy(pred, labels, ids, subset)
+            assert all(type(v) is float for v in per_class.values())

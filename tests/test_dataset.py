@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 import blockwalk.dataset as dataset
 from blockwalk.dataset import (
     DataMatrix,
+    LabelSet,
     SyntheticSpec,
     block_topic_alphas,
     generate_synthetic,
@@ -223,6 +226,13 @@ class TestLabels:
         write_labels(q, ["a", "b", "c"], ls)
         assert load_labels(q).assignments == ls.assignments
 
+    def test_id_without_a_label_named(self, tmp_path):
+        # a bare KeyError before; now the message every scoring step gives
+        ls = LabelSet({"a": 0, "c": 0}, ["x"])
+        assert ls.classes(["c", "a"]).tolist() == [0, 0]
+        with pytest.raises(ValueError, match="labels missing for id 'b'"):
+            write_labels(tmp_path / "out.csv", ["a", "b", "c"], ls)
+
 
 class TestSmoothing:
     def test_logical_row(self):
@@ -241,6 +251,13 @@ class TestSmoothing:
             np.testing.assert_allclose(
                 smooth(data, eps).to_dense(), data.to_dense() + eps
             )
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -0.5])
+    def test_offset_finite_and_nonnegative(self, eps):
+        # the same rule and message as DivergenceSpec's
+        data = DataMatrix.from_rows([(np.array([1]), np.array([2.0]))], n_cols=2)
+        with pytest.raises(ValueError, match=f"epsilon must be >= 0 and finite, got {eps}"):
+            smooth(data, eps)
 
     def test_zero_epsilon_gid_domain_error_downstream(self):
         data = DataMatrix.from_rows([(np.array([1]), np.array([2.0]))], n_cols=2)
@@ -291,6 +308,22 @@ class TestSynthetic:
     def test_alpha_validation(self):
         with pytest.raises(ValueError, match="sum to 1"):
             SyntheticSpec(np.ones((2, 3)), np.array([1.0, 1.0]), 5, 0)
+
+    @pytest.mark.parametrize("k, dim", [(3, 0), (3, 2), (3, -3), (0, 5)])
+    def test_block_topic_alphas_needs_a_slice_per_class(self, k, dim):
+        # dim 0 divided by zero, dim 2 left class 0 an empty slice and a
+        # uniform row, dim -3 failed in numpy without naming an option
+        with pytest.raises(
+            ValueError, match=f"1 <= classes <= dim, got classes={k}, dim={dim}"
+        ):
+            block_topic_alphas(k, dim)
+
+    def test_block_topic_alphas_one_column_per_class(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = block_topic_alphas(3, 3, overlap=0.3)
+        np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(np.argmax(a, axis=1) == [0, 1, 2])
 
     def test_block_topic_alphas_simplex(self):
         a = block_topic_alphas(3, 17, overlap=0.4)

@@ -34,6 +34,12 @@ class TestSpec:
         with pytest.raises(ValueError, match="sigma must be > 0 and finite"):
             DivergenceSpec("sq-euclidean", 2, sigma=sigma)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -0.5])
+    def test_offset_finite_and_nonnegative(self, eps):
+        # nan passed `eps < 0`; the check must name the value it refuses
+        with pytest.raises(ValueError, match=f"epsilon must be >= 0 and finite, got {eps}"):
+            DivergenceSpec("gid", 2, epsilon=eps)
+
 
 class TestPhi:
     def test_gid_example(self):

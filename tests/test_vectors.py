@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockwalk.vectors import OffsetVec, merge_add
 
@@ -72,3 +74,22 @@ class TestMergeAdd:
         np.testing.assert_array_equal(idx, [3])
         idx, val = merge_add(np.array([3]), np.array([7.0]), e, ev)
         np.testing.assert_array_equal(idx, [3])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_equals_a_dense_scatter_add(self, data):
+        # -0.0 is mapped to 0.0: a scatter into zeros turns it into 0.0
+        value = st.floats(-1e6, 1e6).map(lambda v: v + 0.0)
+        support = st.lists(st.integers(0, 30), unique=True, max_size=31).map(sorted)
+        idx_a = data.draw(support)
+        idx_b = data.draw(st.sampled_from([idx_a, []]) | support)  # identical, empty or any
+        val_a = data.draw(st.lists(value, min_size=len(idx_a), max_size=len(idx_a)))
+        val_b = data.draw(st.lists(value, min_size=len(idx_b), max_size=len(idx_b)))
+        a = np.array(idx_a, np.int64), np.array(val_a, np.float64)
+        b = np.array(idx_b, np.int64), np.array(val_b, np.float64)
+        idx, val = merge_add(*a, *b)
+        dense = np.zeros(31)
+        dense[a[0]] += a[1]
+        dense[b[0]] += b[1]
+        assert idx.dtype == np.int64 and idx.tolist() == sorted(set(idx_a) | set(idx_b))
+        assert val.tobytes() == dense[idx].tobytes()
