@@ -594,9 +594,9 @@ class ClusterTree:
     Nodes are indexed so children precede parents; each node's members form a
     contiguous range of `perm`. `levels` holds the node ids of each depth in
     ascending order, root first, for the optimizer's logaddexp passes (down
-    forward, up in reverse). `stats` is the tree's TreeStats. `data` is
-    optional: a deserialized tree keeps its statistics but not the rows they
-    were built from.
+    forward, up in reverse). `stats` is the tree's TreeStats. A deserialized
+    tree has neither `data` nor `stats` (both None): it serves products but
+    cannot be fit or bounded again.
     """
 
     def __init__(self, data, spec, left, right, size, start, end, perm, stats):

@@ -1,13 +1,14 @@
 """Versioned model container.
 
-One .npz archive holds everything needed to re-apply and re-audit a fitted
-transition model: the tree (flat per-node records: children, size, member
-range, statistics), the block partition, the block parameters, the cached
-per-block divergence sums, the bound report, the divergence spec and the row
-ids. Layout is versioned through the embedded JSON header; writers emit
-arrays in a fixed order so identical models produce identical bytes. The
-statistics are the tree's TreeStats arrays as they are; s3 and s4 share one
-support, which the archive stores under both names.
+One .npz archive holds what serving and the bound audit read: the tree
+(flat per-node records: children, size, member range, and the row order),
+the block partition, the block parameters, the cached per-block divergence
+sums, the bound report, the divergence spec and the row ids. It keeps no
+node statistics, so a loaded model serves `propagate` and reevaluate_bound
+but cannot be fit or bounded again. Layout is versioned through the
+embedded JSON header; writers emit arrays in a fixed order so identical
+models produce identical bytes. Version 1 files also held the statistics;
+they load by the same names, and their statistics are never read.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import zipfile
 
 import numpy as np
 
-from .anchor_tree import ClusterTree, TreeStats
+from .anchor_tree import ClusterTree
 from .divergence import DivergenceSpec
 from .partition import BlockPartition
 from .propagation import TransitionModel
@@ -25,11 +26,19 @@ from .variational import BlockParams, BoundReport
 __all__ = ["save_model", "load_model", "reevaluate_bound"]
 
 FORMAT_NAME = "blockwalk-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+READABLE_VERSIONS = (1, 2)
+# the arrays of the archive, in the order they are written
+ARRAYS = (
+    "meta", "tree_left", "tree_right", "tree_size", "tree_start", "tree_end",
+    "tree_perm", "block_a", "block_b", "q", "log_q", "d_ab", "covariance_diag",
+)
 
 
 def save_model(path, model, report, ids, extras=None):
-    """Serialize a TransitionModel plus its BoundReport to `path` (.npz)."""
+    """Serialize a TransitionModel plus its BoundReport to `path` (.npz).
+    Arrays that load_model would refuse (say, `ids` of another length than
+    the rows) raise its ValueError before the file is opened."""
     tree = model.tree
     spec = model.spec
     meta = {
@@ -57,7 +66,6 @@ def save_model(path, model, report, ids, extras=None):
         "ids": list(ids),
         "extras": extras or {},
     }
-    st = tree.stats
     arrays = {
         "meta": np.frombuffer(
             json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
@@ -68,16 +76,6 @@ def save_model(path, model, report, ids, extras=None):
         "tree_start": tree.start,
         "tree_end": tree.end,
         "tree_perm": tree.perm,
-        "stat_s1": st.s1,
-        "stat_s2": st.s2,
-        "stat_s3_ptr": st.ptr,
-        "stat_s3_idx": st.idx,
-        "stat_s3_val": st.v3,
-        "stat_s3_base": st.b3,
-        "stat_s4_ptr": st.ptr,
-        "stat_s4_idx": st.idx,
-        "stat_s4_val": st.v4,
-        "stat_s4_base": st.b4,
         "block_a": model.partition.a,
         "block_b": model.partition.b,
         "q": model.params.values,
@@ -89,6 +87,7 @@ def save_model(path, model, report, ids, extras=None):
             else np.empty(0)
         ),
     }
+    _check_arrays(path, arrays, len(meta["ids"]))
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
@@ -114,32 +113,34 @@ def _check_header(path, meta):
                 raise ValueError(f"{path}: header lacks '{key}.{entry}'")
 
 
-def _check_arrays(path, z, meta):
-    """Refuse an archive whose arrays are missing or do not fit together,
-    before any is used: each array as long as what it counts, children
-    before their parents, and every id and member range in range."""
+def _check_arrays(path, z, n_ids):
+    """Refuse arrays that are missing or do not fit together, before any is
+    used: ids as integers and parameters as floats, each array as long as
+    what it counts, children before their parents, every id and member range
+    in range, and each row once in the row order."""
 
     def need(ok, fault):
         if not ok:
             raise ValueError(f"{path}: {fault}")
 
-    groups = [  # arrays of one length each: rows, nodes, offsets, entries, blocks
+    groups = [  # arrays of one length each: rows, nodes, blocks
         ["tree_perm"],
-        ["tree_left", "tree_right", "tree_size", "tree_start", "tree_end"]
-        + ["stat_s1", "stat_s2", "stat_s3_base", "stat_s4_base"],
-        ["stat_s3_ptr", "stat_s4_ptr"],
-        ["stat_s3_idx", "stat_s3_val", "stat_s4_idx", "stat_s4_val"],
+        ["tree_left", "tree_right", "tree_size", "tree_start", "tree_end"],
         ["block_a", "block_b", "q", "log_q", "d_ab"],
     ]
-    for name in sum(groups, []):
+    for name in ARRAYS:
         need(name in z, f"missing array {name!r}")
-    n, ptr = z["tree_perm"].size, z["stat_s3_ptr"]
-    need(np.all(np.diff(ptr, prepend=0) >= 0), "stat_s3_ptr: offsets out of order")
-    wants = (len(meta["ids"]), 2 * n - 1, 2 * n, ptr[-1:].sum(), z["block_a"].size)
-    for names, want in zip(groups, wants):
+    for name in sum(groups, []):
+        floats = name in ("q", "log_q", "d_ab")
+        kind, what = (np.floating, "floats") if floats else (np.integer, "integers")
+        dtype = z[name].dtype
+        need(np.issubdtype(dtype, kind), f"{name} has dtype {dtype}, expected {what}")
+    n = z["tree_perm"].size
+    for names, want in zip(groups, (n_ids, 2 * n - 1, z["block_a"].size)):
         for name in names:
-            got = z[name].size
-            need(z[name].shape == (want,), f"{name} has {got} entries, expected {want}")
+            a = z[name]
+            got = f"{a.size} entries" if a.ndim == 1 else f"shape {a.shape}"
+            need(a.shape == (want,), f"{name} has {got}, expected {want} entries")
     inner, node = z["tree_left"] >= 0, np.arange(2 * n - 1)
     for name in ("tree_left", "tree_right"):
         ok = np.where(inner, (z[name] >= 0) & (z[name] < node), z[name] == -1)
@@ -147,21 +148,24 @@ def _check_arrays(path, z, meta):
     start, size, end = z["tree_start"], z["tree_size"], z["tree_end"]
     ok = (start >= 0) & (size >= 1) & (end == start + size) & (end <= n)
     need(ok.all(), "tree_start, tree_size, tree_end: member ranges outside the rows")
-    ids = ("tree_perm", n), ("block_a", 2 * n - 1), ("block_b", 2 * n - 1)
-    for name, hi in (*ids, ("stat_s3_idx", meta["spec"]["dim"])):
+    for name, hi in ("tree_perm", n), ("block_a", 2 * n - 1), ("block_b", 2 * n - 1):
         ok = z[name].min(initial=0) >= 0 and z[name].max(initial=-1) < hi
         need(ok, f"{name}: ids out of range")
+    listed = np.bincount(z["tree_perm"], minlength=n)
+    row = int(np.argmax(listed != 1))
+    need(listed[row] == 1, f"tree_perm: row {row} listed {listed[row]} times, not once")
 
 
 def load_model(path):
     """Load a serialized model; returns (TransitionModel, BoundReport, meta).
-    A file that is no readable archive, whose header is not a JSON record
-    or lacks a key, or whose arrays are missing or do not fit together,
-    raises a ValueError naming it."""
+    Only the arrays named in ARRAYS are read, from a file of any readable
+    version. A file that is no readable archive, whose header is not a JSON
+    record or lacks a key, or whose arrays are missing or do not fit
+    together, raises a ValueError naming it."""
     try:
         with np.load(path) as archive:
-            z = {name: archive[name] for name in archive.files}
-    except (zipfile.BadZipFile, EOFError) as exc:
+            z = {name: archive[name] for name in ARRAYS if name in archive.files}
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:  # ValueError: pickled data
         raise ValueError(f"{path}: not a readable model archive ({exc})") from None
     try:
         meta = json.loads(bytes(z.get("meta", b"{}")).decode("utf-8"))
@@ -169,10 +173,10 @@ def load_model(path):
         raise ValueError(f"{path}: header is not JSON ({exc})") from None
     if not isinstance(meta, dict) or meta.get("format") != FORMAT_NAME:
         raise ValueError(f"{path}: not a {FORMAT_NAME} file")
-    if meta.get("version") != FORMAT_VERSION:
+    if meta.get("version") not in READABLE_VERSIONS:
         raise ValueError(f"{path}: unsupported version {meta.get('version')}")
     _check_header(path, meta)
-    _check_arrays(path, z, meta)
+    _check_arrays(path, z, len(meta["ids"]))
     sp = meta["spec"]
     spec = DivergenceSpec(
         sp["kind"],
@@ -180,22 +184,6 @@ def load_model(path):
         sigma=sp["sigma"],
         covariance_diag=z["covariance_diag"] if sp["has_covariance"] else None,
         epsilon=sp["epsilon"],
-    )
-    ptr, idx = z["stat_s3_ptr"], z["stat_s3_idx"]
-    if not (
-        np.array_equal(ptr, z["stat_s4_ptr"]) and np.array_equal(idx, z["stat_s4_idx"])
-    ):
-        raise ValueError(f"{path}: s3 and s4 statistics have different supports")
-    stats = TreeStats(
-        sp["dim"],
-        z["stat_s1"],
-        z["stat_s2"],
-        z["stat_s3_base"],
-        z["stat_s4_base"],
-        ptr,
-        idx,
-        z["stat_s3_val"],
-        z["stat_s4_val"],
     )
     tree = ClusterTree(
         None,
@@ -206,7 +194,7 @@ def load_model(path):
         z["tree_start"],
         z["tree_end"],
         z["tree_perm"],
-        stats,
+        None,
     )
     partition = BlockPartition(z["block_a"], z["block_b"], meta["partition_label"])
     params = BlockParams(

@@ -63,10 +63,22 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _need_fit_data(tree):
+    """Refuse a fit or bound on a tree without its rows and statistics, as
+    a loaded model is."""
+    if tree.data is None or tree.stats is None:
+        raise ValueError(
+            "a fit or bound needs the data rows and the node statistics, which "
+            "a loaded model does not keep; audit a saved bound with "
+            "model_io.reevaluate_bound(model, report)"
+        )
+
+
 def block_divergence_sums(tree, partition):
     """D vector over the partition's blocks, in block order: the summed
     divergence from every row of A to every center of B, from the two
     nodes' statistics alone."""
+    _need_fit_data(tree)
     st, a, b = tree.stats, partition.a, partition.b
     return (
         tree.size[b] * st.s1[a]
@@ -82,12 +94,8 @@ def block_divergence_sums(tree, partition):
 
 def constant_term(tree):
     """Additive constant of the bound: -N log(N-1) + sum phi + sum carrier."""
+    _need_fit_data(tree)
     data, spec = tree.data, tree.spec
-    if data is None:
-        raise ValueError(
-            "the bound needs the data rows, which a loaded model does not keep; "
-            "audit a saved bound with model_io.reevaluate_bound(model, report)"
-        )
     n = data.n_rows
     total_phi = float(tree.stats.s1[tree.root])
     carrier = total_carrier(data, spec, total_phi)

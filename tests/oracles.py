@@ -50,8 +50,12 @@ The scoring references (the stratified labeled subset, the one-hot seeds,
 the accuracy and the per-class accuracy) look each id's class up one id at
 a time in the label dict, where the CLI takes every class from one
 LabelSet.classes array.
+The version-1 model writer is the one that stored the node statistics
+beside what serving reads (s3 and s4 sharing one support, written under
+both names); load_model must still read its files.
 """
 import heapq
+import json
 import math
 from dataclasses import dataclass
 
@@ -994,3 +998,69 @@ def reference_per_class_accuracy(pred, labels, ids, labeled_ids):
         if rows:
             per_class[labels.names[cls]] = sum(1 for k in rows if pred[k] == cls) / len(rows)
     return per_class
+
+
+def reference_save_model_v1(path, model, report, ids, extras=None):
+    """Write a version-1 model file: the version-2 arrays, the same header
+    but for its version, and the tree's TreeStats arrays as they are."""
+    tree = model.tree
+    spec = model.spec
+    meta = {
+        "format": "blockwalk-model",
+        "version": 1,
+        "n_points": tree.n_points,
+        "spec": {
+            "kind": spec.kind,
+            "dim": spec.dim,
+            "sigma": spec.sigma,
+            "epsilon": spec.epsilon,
+            "has_covariance": spec.covariance_diag is not None,
+        },
+        "partition_label": model.partition.label,
+        "bound": {
+            "ell": report.ell,
+            "constant": report.constant,
+            "entropy_term": report.entropy_term,
+        },
+        "optimizer": {
+            "converged": model.params.converged,
+            "residual": model.params.residual,
+            "sweeps": model.params.sweeps,
+        },
+        "ids": list(ids),
+        "extras": extras or {},
+    }
+    st = tree.stats
+    arrays = {
+        "meta": np.frombuffer(
+            json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
+        ),
+        "tree_left": tree.left,
+        "tree_right": tree.right,
+        "tree_size": tree.size,
+        "tree_start": tree.start,
+        "tree_end": tree.end,
+        "tree_perm": tree.perm,
+        "stat_s1": st.s1,
+        "stat_s2": st.s2,
+        "stat_s3_ptr": st.ptr,
+        "stat_s3_idx": st.idx,
+        "stat_s3_val": st.v3,
+        "stat_s3_base": st.b3,
+        "stat_s4_ptr": st.ptr,
+        "stat_s4_idx": st.idx,
+        "stat_s4_val": st.v4,
+        "stat_s4_base": st.b4,
+        "block_a": model.partition.a,
+        "block_b": model.partition.b,
+        "q": model.params.values,
+        "log_q": model.params.log_values,
+        "d_ab": report.d_ab,
+        "covariance_diag": (
+            spec.covariance_diag
+            if spec.covariance_diag is not None
+            else np.empty(0)
+        ),
+    }
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)

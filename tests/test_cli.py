@@ -493,6 +493,24 @@ class TestRejectedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(model) in err and "'optimizer'" in err
 
+    @pytest.mark.parametrize("name", ["tree_left", "tree_perm", "q"])
+    def test_model_array_of_wrong_dtype_named(self, synth_dir, tmp_path, capsys, name):
+        # float ids used to escape as an IndexError, a text q as scipy's error
+        model = tmp_path / "m.npz"
+        run("approximate", "--input", synth_dir / "data.bow", "--divergence",
+            "gid", "--out", model)
+        with np.load(model) as z:
+            arrays = dict(z)
+        arrays[name] = arrays[name].astype(str if name == "q" else float)
+        np.savez(model, **arrays)
+        rc = run(
+            "propagate", "--model", model, "--labels", synth_dir / "labels.csv",
+            "--out", tmp_path / "p",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: {name} has dtype")
+
     def test_negative_refine_rounds_named(self, synth_dir, tmp_path, capsys):
         rc = run(
             "approximate", "--input", synth_dir / "data.bow", "--divergence",

@@ -6,12 +6,17 @@ import pytest
 
 from blockwalk.anchor_tree import build_cluster_tree
 from blockwalk.divergence import DivergenceSpec
-from blockwalk.model_io import load_model, reevaluate_bound, save_model
-from blockwalk.partition import coarsest_partition
+from blockwalk.model_io import ARRAYS, load_model, reevaluate_bound, save_model
+from blockwalk.partition import coarsest_partition, finest_partition
 from blockwalk.propagation import TransitionModel
-from blockwalk.variational import lower_bound, optimize_q
+from blockwalk.variational import block_divergence_sums, lower_bound, optimize_q
 
 from conftest import smoothed_counts
+from oracles import reference_save_model_v1
+
+
+# what the one error for a fit or bound on a loaded model names
+LOADED_FAULT = ("data rows", "node statistics", "reevaluate_bound")
 
 
 @pytest.fixture
@@ -39,16 +44,37 @@ class TestRoundTrip:
             model.matmat(v), loaded.matmat(v)
         )
 
-    def test_stats_survive(self, fitted, tmp_path):
+    def test_archive_holds_what_load_reads(self, fitted, tmp_path):
         model, report, ids = fitted
         path = tmp_path / "m.npz"
         save_model(path, model, report, ids)
-        loaded, _, _ = load_model(path)
-        for nid in range(model.tree.n_nodes):
-            a, b = model.tree.stats[nid], loaded.tree.stats[nid]
-            assert a.s1 == b.s1 and a.s2 == b.s2
-            np.testing.assert_array_equal(a.s3.to_dense(), b.s3.to_dense())
-            np.testing.assert_array_equal(a.s4.to_dense(), b.s4.to_dense())
+        with np.load(path) as z:
+            assert z.files == list(ARRAYS)
+        loaded, _, meta = load_model(path)
+        assert meta["version"] == 2
+        assert loaded.tree.data is None and loaded.tree.stats is None
+
+    def test_version_1_file_loads_the_same(self, fitted, tmp_path, rng):
+        model, report, ids = fitted
+        p1, p2 = tmp_path / "v1.npz", tmp_path / "v2.npz"
+        reference_save_model_v1(p1, model, report, ids, extras={"seed": 3})
+        save_model(p2, model, report, ids, extras={"seed": 3})
+        (m1, r1, meta1), (m2, r2, meta2) = load_model(p1), load_model(p2)
+        assert (meta1.pop("version"), meta2.pop("version")) == (1, 2)
+        assert meta1 == meta2
+        assert r1.ell == r2.ell == report.ell
+        assert (r1.constant, r1.entropy_term) == (r2.constant, r2.entropy_term)
+        for name in ("perm", "left", "right", "size", "start", "end"):
+            np.testing.assert_array_equal(getattr(m1.tree, name), getattr(m2.tree, name))
+        for got, want in [
+            (m1.partition.a, m2.partition.a), (m1.partition.b, m2.partition.b),
+            (m1.params.values, m2.params.values), (m1.params.log_values, m2.params.log_values),
+            (r1.d_ab, r2.d_ab),
+        ]:
+            np.testing.assert_array_equal(got, want)
+        assert m1.tree.stats is None  # a version-1 file's statistics are not read
+        v = rng.normal(size=(30, 3))
+        assert m1.matmat(v).tobytes() == m2.matmat(v).tobytes() == model.matmat(v).tobytes()
 
     def test_bound_reevaluation(self, fitted, tmp_path):
         model, report, ids = fitted
@@ -73,25 +99,48 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="not a"):
             load_model(path)
 
-    def test_rejects_split_supports(self, fitted, tmp_path):
-        # s3 and s4 share one support; an archive where they differ is refused
+    def test_rejects_unknown_version(self, fitted, tmp_path):
         model, report, ids = fitted
         path = tmp_path / "m.npz"
         save_model(path, model, report, ids)
         with np.load(path) as z:
             arrays = dict(z)
-        arrays["stat_s4_idx"] = arrays["stat_s4_idx"][::-1].copy()
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        arrays["meta"] = np.frombuffer(json.dumps({**meta, "version": 3}).encode(), np.uint8)
         np.savez(path, **arrays)
-        with pytest.raises(ValueError, match="different supports"):
+        with pytest.raises(ValueError, match="unsupported version 3"):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "work",
+        [
+            pytest.param(lambda m: optimize_q(m.tree, m.partition), id="optimize_q"),
+            pytest.param(
+                lambda m: block_divergence_sums(m.tree, m.partition),
+                id="block_divergence_sums",
+            ),
+        ],
+    )
+    def test_fit_on_loaded_model_named(self, fitted, tmp_path, work):
+        # a loaded model keeps no rows and no statistics
+        model, report, ids = fitted
+        path = tmp_path / "m.npz"
+        save_model(path, model, report, ids)
+        loaded, _, _ = load_model(path)
+        with pytest.raises(ValueError) as err:
+            work(loaded)
+        for part in LOADED_FAULT:
+            assert part in str(err.value)
 
     def test_lower_bound_on_loaded_model_names_reevaluate(self, fitted, tmp_path):
         model, report, ids = fitted
         path = tmp_path / "m.npz"
         save_model(path, model, report, ids)
         loaded, _, _ = load_model(path)
-        with pytest.raises(ValueError, match="reevaluate_bound"):
+        with pytest.raises(ValueError) as err:
             lower_bound(loaded.params, loaded.partition, loaded.tree, loaded.spec)
+        for part in LOADED_FAULT:
+            assert part in str(err.value)
 
 
 def _drop(name):
@@ -112,8 +161,20 @@ def _cut(name):
     return edit
 
 
+def _as(name, dtype):
+    def edit(arrays):
+        arrays[name] = arrays[name].astype(dtype)
+    return edit
+
+
+def _column(name):
+    def edit(arrays):
+        arrays[name] = arrays[name][:, None]
+    return edit
+
+
 # (name, edit of the saved arrays, part of the error) for a model of 30 rows,
-# 59 nodes, 58 blocks and 6 columns
+# 59 nodes and 58 blocks
 MALFORMED = [
     ("no-q", _drop("q"), "missing array 'q'"),
     ("no-meta", _drop("meta"), "not a blockwalk-model file"),
@@ -124,13 +185,16 @@ MALFORMED = [
     ("negative-block", _set("block_b", 3, -1), "block_b: ids out of range"),
     ("perm-past-rows", _set("tree_perm", 0, 30), "tree_perm: ids out of range"),
     ("negative-start", _set("tree_start", 0, -2), "member ranges outside"),
-    ("column-past-dim", _set("stat_s3_idx", 0, 6), "stat_s3_idx: ids out of range"),
-    ("short-s1", _cut("stat_s1"), "stat_s1 has 58 entries, expected 59"),
     ("short-q", _cut("q"), "q has 57 entries, expected 58"),
     ("short-perm", _cut("tree_perm"), "tree_perm has 29 entries, expected 30"),
-    ("short-values", _cut("stat_s3_val"), "stat_s3_val has"),
     ("size-off-range", _set("tree_size", 0, 2), "member ranges outside"),
-    ("unordered-offsets", _set("stat_s3_ptr", 1, -1), "stat_s3_ptr: offsets"),
+    ("no-covariance", _drop("covariance_diag"), "missing array 'covariance_diag'"),
+    ("float-left", _as("tree_left", float), "tree_left has dtype float64, expected integers"),
+    ("float-perm", _as("tree_perm", float), "tree_perm has dtype float64, expected integers"),
+    ("float-block", _as("block_b", float), "block_b has dtype float64, expected integers"),
+    ("text-q", _as("q", str), "q has dtype <U32, expected floats"),
+    ("integer-d_ab", _as("d_ab", np.int64), "d_ab has dtype int64, expected floats"),
+    ("q-as-column", _column("q"), "q has shape (58, 1), expected 58 entries"),
 ]
 
 
@@ -153,6 +217,31 @@ class TestMalformedArchive:
             load_model(path)
         assert str(err.value).startswith(f"{path}: ") and fault in str(err.value)
 
+    def test_perm_that_repeats_a_row(self, fitted, tmp_path):
+        # such a perm served row sums of 0 and 2; the first row listed other
+        # than once is named
+        model, report, ids = fitted
+        path = tmp_path / "m.npz"
+        save_model(path, model, report, ids)
+        with np.load(path) as z:
+            arrays = dict(z)
+        perm = arrays["tree_perm"]
+        twice, lost = int(perm[0]), int(perm[1])
+        perm[1] = twice
+        np.savez(path, **arrays)
+        row, listed = (twice, 2) if twice < lost else (lost, 0)
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: tree_perm: row {row} listed {listed} times, not once"
+
+    def test_text_file(self, tmp_path):
+        # numpy takes a file that is neither a zip nor an .npy for a pickle
+        path = tmp_path / "m.npz"
+        path.write_text("id,label\n")
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}: not a readable model archive")
+
     def test_truncated_file(self, fitted, tmp_path):
         model, report, ids = fitted
         path = tmp_path / "m.npz"
@@ -160,6 +249,28 @@ class TestMalformedArchive:
         path.write_bytes(path.read_bytes()[:1000])
         with pytest.raises(ValueError, match="not a readable"):
             load_model(path)
+
+
+class TestSaveRefusesWhatLoadRefuses:
+    """save_model runs load_model's array check before it opens the file,
+    so it writes no file that load_model would refuse."""
+
+    def test_ids_one_short(self, fitted, tmp_path):
+        model, report, ids = fitted
+        path = tmp_path / "m.npz"
+        with pytest.raises(ValueError, match="tree_perm has 30 entries, expected 29"):
+            save_model(path, model, report, ids[:-1])
+        assert not path.exists()
+
+    def test_sums_of_another_partition(self, fitted, tmp_path):
+        model, _, ids = fitted
+        finest = finest_partition(model.tree)
+        params = optimize_q(model.tree, finest)
+        other = lower_bound(params, finest, model.tree)
+        path = tmp_path / "m.npz"
+        with pytest.raises(ValueError, match=f"d_ab has {finest.n_blocks} entries, expected 58"):
+            save_model(path, model, other, ids)
+        assert not path.exists()
 
 
 def _without(arrays, key):

@@ -23,7 +23,12 @@ from blockwalk.variational import (
 )
 
 from conftest import make_spec
-from oracles import brute_block_sums, reference_auto_refine, validate_partition
+from oracles import (
+    brute_block_sums,
+    reference_auto_refine,
+    reference_save_model_v1,
+    validate_partition,
+)
 
 # derandomized and without an example database: every run checks the same
 # examples and writes nothing
@@ -115,13 +120,14 @@ def test_save_load_round_trip(tmp_path_factory, corpus):
     data, spec, tree, part = fit(corpus)
     params = optimize_q(tree, part, spec, data)
     model = TransitionModel(tree, part, params, spec)
-    path = tmp_path_factory.mktemp("model") / "m.npz"
-    save_model(path, model, lower_bound(params, part, tree, spec, data), data.base.ids)
-    loaded, _, _ = load_model(path)
-    for name in ("s1", "s2", "b3", "b4", "ptr", "idx", "v3", "v4"):
-        assert np.array_equal(getattr(loaded.tree.stats, name), getattr(tree.stats, name))
+    report = lower_bound(params, part, tree, spec, data)
     v = np.arange(2.0 * data.n_rows).reshape(data.n_rows, 2)
-    assert np.array_equal(loaded.matmat(v), model.matmat(v))
+    # both format versions: the current writer and the version-1 reference
+    for write in (save_model, reference_save_model_v1):
+        path = tmp_path_factory.mktemp("model") / "m.npz"
+        write(path, model, report, data.base.ids)
+        loaded, _, _ = load_model(path)
+        assert np.array_equal(loaded.matmat(v), model.matmat(v))
 
 
 @st.composite
