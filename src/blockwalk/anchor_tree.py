@@ -591,46 +591,48 @@ class TreeStats:
 class ClusterTree:
     """Binary hierarchy over the rows; leaves are singletons.
 
-    Nodes are indexed so children precede parents; each node's members form a
-    contiguous range of `perm`. `levels` holds the node ids of each depth in
+    The children (`left`, `right`; -1 at a leaf) and the row order `perm`
+    are the tree, and `size` and `start` derive from them: node v's members
+    are perm[start[v]:start[v] + size[v]], its left child's rows first.
+    Children precede parents. `levels` holds the node ids of each depth in
     ascending order, root first, for the optimizer's logaddexp passes (down
     forward, up in reverse). `stats` is the tree's TreeStats. A deserialized
     tree has neither `data` nor `stats` (both None): it serves products but
     cannot be fit or bounded again.
     """
 
-    def __init__(self, data, spec, left, right, size, start, end, perm, stats):
+    def __init__(self, data, spec, left, right, perm, stats):
         self.data = data
         self.spec = spec
         self.left = left
         self.right = right
-        self.size = size
-        self.start = start
-        self.end = end
         self.perm = perm
         self.stats = stats
         self.n_points = int(perm.size)
         self.n_nodes = int(left.size)
         self.root = self.n_nodes - 1
-        self.parent = np.full(self.n_nodes, -1, dtype=np.int64)
-        inner = np.nonzero(left >= 0)[0]
-        self.parent[left[inner]] = inner
-        self.parent[right[inner]] = inner
-        self.levels, level = [], np.array([self.root])
-        while level.size:  # one depth at a time, from the root down
-            self.levels.append(level)
-            level = level[left[level] >= 0]
-            level = np.sort(np.concatenate([left[level], right[level]]))
         self.depth = np.empty(self.n_nodes, dtype=np.int64)
-        for lv, nodes in enumerate(self.levels):
-            self.depth[nodes] = lv
+        self.levels, inner, level = [], [], np.array([self.root])
+        while level.size:  # one depth at a time, from the root down
+            self.depth[level] = len(self.levels)
+            self.levels.append(level)
+            inner.append(level[left[level] >= 0])
+            level = np.sort(np.concatenate([left[inner[-1]], right[inner[-1]]]))
+        self.parent = np.full(self.n_nodes, -1, dtype=np.int64)
+        self.size = size = np.ones(self.n_nodes, dtype=np.int64)
+        self.start = start = np.zeros(self.n_nodes, dtype=np.int64)
+        for v in reversed(inner):  # parents and sizes up the levels
+            self.parent[left[v]] = self.parent[right[v]] = v
+            size[v] = size[left[v]] + size[right[v]]
+        for v in inner:  # member ranges down: the left child's rows first
+            start[left[v]], start[right[v]] = start[v], start[v] + size[left[v]]
         leaf_ids = np.nonzero(left < 0)[0]
         self.leaf_of_row = np.empty(self.n_points, dtype=np.int64)
         self.leaf_of_row[perm[start[leaf_ids]]] = leaf_ids
         # the ancestor indicator A (N x n_nodes, CSR): A[r, v] = 1 when node v
         # is row r's leaf or one of its ancestors, so A.T @ x gives subtree
         # sums of per-row values and A @ y sums node values over root paths;
-        # column v holds the rows of subtree v, perm[start[v]:end[v]]
+        # column v holds the rows of subtree v, perm[start[v]:start[v] + size[v]]
         indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
         np.cumsum(size, out=indptr[1:])
         self.ancestors = sp.csc_matrix(
@@ -645,7 +647,7 @@ def build_cluster_tree(data, spec):
     The recursion runs one level at a time: every scope of a level grows its
     anchors together (_grow_scopes) and merges them together
     (_merge_scopes); the anchors with two or more members are the
-    next level's scopes. Node ids, `perm` and the ranges are those of the
+    next level's scopes. Node ids and `perm` are those of the
     scope-by-scope recursion (_place_merges)."""
     ws = _Workspace(data, spec)
     n_rows = data.n_rows
@@ -654,8 +656,6 @@ def build_cluster_tree(data, spec):
     n_nodes = 2 * n_rows - 1
     left = np.full(n_nodes, -1, dtype=np.int64)
     right = np.full(n_nodes, -1, dtype=np.int64)
-    size = np.ones(n_nodes, dtype=np.int64)
-    start = np.zeros(n_nodes, dtype=np.int64)
     perm = np.zeros(n_rows, dtype=np.int64)
     # the level's scopes: rows[ptr[s]:ptr[s + 1]] (sorted), the first perm
     # position and the first node id of each
@@ -675,36 +675,32 @@ def build_cluster_tree(data, spec):
         order = np.lexsort((-d, group))  # rows ascend within a scope already
         gsize = np.bincount(group, minlength=n.size * top).reshape(n.size, top)
         lm, rm = _merge_scopes(ws, rows[order], group[order], gsize, m)
-        off, isz, nid = _place_merges(lm, rm, gsize, m, offset, base)
+        off, nid = _place_merges(lm, rm, gsize, m, offset, base)
         s, k = np.nonzero(np.arange(top - 1) < (m - 1)[:, None])
         l, r, v = lm[s, k], rm[s, k], nid[s, top + k]
         left[v], right[v] = nid[s, l], nid[s, r]
-        size[v], start[v] = isz[s, l] + isz[s, r], off[s, l]
         # the anchors: a single member is a leaf, the rest the next level
         one = gsize[seg, owner] == 1
         perm[off[seg[one], owner[one]]] = rows[one]
-        start[nid[seg[one], owner[one]]] = off[seg[one], owner[one]]
         nxt = np.argsort(group, kind="stable")
         nxt = nxt[gsize[seg, owner][nxt] > 1]
         s, a = np.nonzero(gsize > 1)
         ptr = _offsets(gsize[s, a])
         offset, base = off[s, a], nid[s, a] - 2 * gsize[s, a] + 2
         rows = rows[nxt]
-    tree = ClusterTree(
-        data, spec, left, right, size, start, start + size, perm, None
-    )
+    tree = ClusterTree(data, spec, left, right, perm, None)
     tree.stats = _node_stats(ws, tree)
     return tree
 
 
 def _place_merges(lm, rm, gsize, m, offset, base):
     """Where the merge trees put each scope's items: for every item (anchor
-    a, or the k-th merge at M + k) its first perm position, its row count
-    and its node id. A scope's subtree is numbered in post-order from
-    `base`: its anchors' subtrees in the merge tree's in-order, then its
-    merges, so a scope of n rows has its k-th merge at base + 2n - m + k,
-    and an anchor with p anchors and r rows before it has its subtree at
-    base + 2r - p and its root 2 * size - 2 ids on."""
+    a, or the k-th merge at M + k) its first perm position and its node id.
+    A scope's subtree is numbered in post-order from `base`: its anchors'
+    subtrees in the merge tree's in-order, then its merges, so a scope of n
+    rows has its k-th merge at base + 2n - m + k, and an anchor with p
+    anchors and r rows before it has its subtree at base + 2r - p and its
+    root 2 * size - 2 ids on."""
     n_scopes, top = gsize.shape
     span = 2 * top - 1
     isz = np.zeros((n_scopes, span), dtype=np.int64)
@@ -729,7 +725,7 @@ def _place_merges(lm, rm, gsize, m, offset, base):
     nid[:, :top] = sub + 2 * gsize - 2
     n = gsize.sum(axis=1)
     nid[:, top:] = (base + 2 * n - m)[:, None] + np.arange(top - 1)
-    return off, isz, nid
+    return off, nid
 
 
 def _ceil_sqrt(n):

@@ -1,14 +1,17 @@
 """Versioned model container.
 
-One .npz archive holds what serving and the bound audit read: the tree
-(flat per-node records: children, size, member range, and the row order),
-the block partition, the block parameters, the cached per-block divergence
+One .npz archive holds what serving and the bound audit read: the tree's
+children and row order (ClusterTree derives sizes and member ranges), the
+block partition, the block parameters, the cached per-block divergence
 sums, the bound report, the divergence spec and the row ids. It keeps no
 node statistics, so a loaded model serves `propagate` and reevaluate_bound
 but cannot be fit or bounded again. Layout is versioned through the
 embedded JSON header; writers emit arrays in a fixed order so identical
-models produce identical bytes. Version 1 files also held the statistics;
-they load by the same names, and their statistics are never read.
+models produce identical bytes. Files of versions 1 (with statistics) and 2
+(with tree_size, tree_start, tree_end) load by the same names; those arrays
+are never read. q stays beside log_q although the fit makes it as
+np.exp(log_q): numpy picks its float64 exp kernel by CPU dispatch, so a q
+recomputed at load is not promised the fitting machine's bits.
 """
 from __future__ import annotations
 
@@ -26,19 +29,19 @@ from .variational import BlockParams, BoundReport
 __all__ = ["save_model", "load_model", "reevaluate_bound"]
 
 FORMAT_NAME = "blockwalk-model"
-FORMAT_VERSION = 2
-READABLE_VERSIONS = (1, 2)
+FORMAT_VERSION = 3
+READABLE_VERSIONS = (1, 2, 3)
 # the arrays of the archive, in the order they are written
 ARRAYS = (
-    "meta", "tree_left", "tree_right", "tree_size", "tree_start", "tree_end",
-    "tree_perm", "block_a", "block_b", "q", "log_q", "d_ab", "covariance_diag",
+    "meta", "tree_left", "tree_right", "tree_perm",
+    "block_a", "block_b", "q", "log_q", "d_ab", "covariance_diag",
 )
 
 
 def save_model(path, model, report, ids, extras=None):
     """Serialize a TransitionModel plus its BoundReport to `path` (.npz).
-    Arrays that load_model would refuse (say, `ids` of another length than
-    the rows) raise its ValueError before the file is opened."""
+    A header or arrays that load_model would refuse (say, `ids` of another
+    length than the rows) raise its ValueError before the file is opened."""
     tree = model.tree
     spec = model.spec
     meta = {
@@ -72,9 +75,6 @@ def save_model(path, model, report, ids, extras=None):
         ),
         "tree_left": tree.left,
         "tree_right": tree.right,
-        "tree_size": tree.size,
-        "tree_start": tree.start,
-        "tree_end": tree.end,
         "tree_perm": tree.perm,
         "block_a": model.partition.a,
         "block_b": model.partition.b,
@@ -87,6 +87,7 @@ def save_model(path, model, report, ids, extras=None):
             else np.empty(0)
         ),
     }
+    _check_header(path, meta)
     _check_arrays(path, arrays, len(meta["ids"]))
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
@@ -103,21 +104,25 @@ HEADER_KEYS = {
 
 
 def _check_header(path, meta):
-    """Refuse a header (meta) that lacks a key load_model reads, naming it;
-    an entry of a record is named `record.entry`."""
+    """Refuse a header (meta) that lacks a key load_model reads, naming it
+    (an entry of a record is named `record.entry`), or whose ids are not a
+    list of strings."""
     for key, entries in HEADER_KEYS.items():
         if key not in meta:
             raise ValueError(f"{path}: header lacks '{key}'")
         for entry in entries:
             if not isinstance(meta[key], dict) or entry not in meta[key]:
                 raise ValueError(f"{path}: header lacks '{key}.{entry}'")
+    ids = meta["ids"]
+    if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
+        raise ValueError(f"{path}: header ids must be a list of strings")
 
 
 def _check_arrays(path, z, n_ids):
     """Refuse arrays that are missing or do not fit together, before any is
     used: ids as integers and parameters as floats, each array as long as
-    what it counts, children before their parents, every id and member range
-    in range, and each row once in the row order."""
+    what it counts, every id in range, children before their parents, each
+    node but the root the child of one node, and each row once in perm."""
 
     def need(ok, fault):
         if not ok:
@@ -125,7 +130,7 @@ def _check_arrays(path, z, n_ids):
 
     groups = [  # arrays of one length each: rows, nodes, blocks
         ["tree_perm"],
-        ["tree_left", "tree_right", "tree_size", "tree_start", "tree_end"],
+        ["tree_left", "tree_right"],
         ["block_a", "block_b", "q", "log_q", "d_ab"],
     ]
     for name in ARRAYS:
@@ -145,9 +150,12 @@ def _check_arrays(path, z, n_ids):
     for name in ("tree_left", "tree_right"):
         ok = np.where(inner, (z[name] >= 0) & (z[name] < node), z[name] == -1)
         need(ok.all(), f"{name}: child ids out of range")
-    start, size, end = z["tree_start"], z["tree_size"], z["tree_end"]
-    ok = (start >= 0) & (size >= 1) & (end == start + size) & (end <= n)
-    need(ok.all(), "tree_start, tree_size, tree_end: member ranges outside the rows")
+    # the root (the last node) is the child of none, every other node of one
+    kids = np.concatenate([z["tree_left"][inner], z["tree_right"][inner]])
+    listed, want = np.bincount(kids, minlength=2 * n - 1), node < 2 * n - 2
+    v = int(np.argmax(listed != want))
+    fault = f"node {v} listed as a child {listed[v]} times, expected {int(want[v])}"
+    need(listed[v] == want[v], f"tree_left, tree_right: {fault}")
     for name, hi in ("tree_perm", n), ("block_a", 2 * n - 1), ("block_b", 2 * n - 1):
         ok = z[name].min(initial=0) >= 0 and z[name].max(initial=-1) < hi
         need(ok, f"{name}: ids out of range")
@@ -160,8 +168,8 @@ def load_model(path):
     """Load a serialized model; returns (TransitionModel, BoundReport, meta).
     Only the arrays named in ARRAYS are read, from a file of any readable
     version. A file that is no readable archive, whose header is not a JSON
-    record or lacks a key, or whose arrays are missing or do not fit
-    together, raises a ValueError naming it."""
+    record, lacks a key or holds a value the model refuses, or whose arrays
+    are missing or do not fit together, raises a ValueError naming it."""
     try:
         with np.load(path) as archive:
             z = {name: archive[name] for name in ARRAYS if name in archive.files}
@@ -178,24 +186,17 @@ def load_model(path):
     _check_header(path, meta)
     _check_arrays(path, z, len(meta["ids"]))
     sp = meta["spec"]
-    spec = DivergenceSpec(
-        sp["kind"],
-        sp["dim"],
-        sigma=sp["sigma"],
-        covariance_diag=z["covariance_diag"] if sp["has_covariance"] else None,
-        epsilon=sp["epsilon"],
-    )
-    tree = ClusterTree(
-        None,
-        spec,
-        z["tree_left"],
-        z["tree_right"],
-        z["tree_size"],
-        z["tree_start"],
-        z["tree_end"],
-        z["tree_perm"],
-        None,
-    )
+    try:
+        spec = DivergenceSpec(
+            sp["kind"],
+            sp["dim"],
+            sigma=sp["sigma"],
+            covariance_diag=z["covariance_diag"] if sp["has_covariance"] else None,
+            epsilon=sp["epsilon"],
+        )
+    except (TypeError, ValueError) as exc:  # TypeError: say, a text dim
+        raise ValueError(f"{path}: header spec refused ({exc})") from None
+    tree = ClusterTree(None, spec, z["tree_left"], z["tree_right"], z["tree_perm"], None)
     partition = BlockPartition(z["block_a"], z["block_b"], meta["partition_label"])
     params = BlockParams(
         values=z["q"],

@@ -50,9 +50,10 @@ The scoring references (the stratified labeled subset, the one-hot seeds,
 the accuracy and the per-class accuracy) look each id's class up one id at
 a time in the label dict, where the CLI takes every class from one
 LabelSet.classes array.
-The version-1 model writer is the one that stored the node statistics
-beside what serving reads (s3 and s4 sharing one support, written under
-both names); load_model must still read its files.
+The older model writers store what ClusterTree now derives, the sizes and
+member ranges (version 2), and version 1 also the node statistics beside
+what serving reads (s3 and s4 sharing one support, written under both
+names); load_model must still read their files.
 """
 import heapq
 import json
@@ -150,7 +151,8 @@ def is_leaf(tree, nid):
 
 
 def subtree_rows(tree, nid):
-    return tree.perm[tree.start[nid] : tree.end[nid]]
+    start = tree.start[nid]
+    return tree.perm[start : start + tree.size[nid]]
 
 
 def node_pivot(tree, nid):
@@ -739,9 +741,10 @@ def reference_cluster_tree(data, spec, use_pruning=True):
     """Grow-and-agglomerate recursively down to singleton leaves, with
     reference_grow on every scope, reference_greedy_merge on its anchors
     (dense rows up to DENSE_DIM_CAP, OffsetVecs above it) and node
-    statistics from subtree_stats.
-    build_cluster_tree must match it exactly: structure arrays, statistics
-    and raised errors."""
+    statistics from subtree_stats. Its sizes and member ranges come from the
+    recursion, and the ClusterTree's, derived from the children, must equal
+    them. build_cluster_tree must match it exactly: structure arrays,
+    statistics and raised errors."""
     ws = _Workspace(data, spec)
     n_rows = data.n_rows
     left, right, size, start, end = [], [], [], [], []
@@ -790,9 +793,10 @@ def reference_cluster_tree(data, spec, use_pruning=True):
     end = np.asarray(end, dtype=np.int64)
 
     stats = [subtree_stats(ws, perm[a:b]) for a, b in zip(start, end)]
-    return ClusterTree(
-        data, spec, left, right, size, start, end, perm, tree_stats(data.dim, stats)
-    )
+    tree = ClusterTree(data, spec, left, right, perm, tree_stats(data.dim, stats))
+    for got, want in (tree.size, size), (tree.start, start), (tree.start + tree.size, end):
+        assert np.array_equal(got, want), "ranges derived from the children differ"
+    return tree
 
 
 def dense_q_matrix(model, cap=4096):
@@ -832,12 +836,13 @@ def validate_partition(p, tree, cap=4096):
     n = tree.n_points
     if n > cap:
         raise ValueError(f"validation refused for N={n} > cap={cap}")
+    end = tree.start + tree.size
     for k in range(p.n_blocks):
         a, b = int(p.a[k]), int(p.b[k])
         if not (0 <= a < tree.n_nodes and 0 <= b < tree.n_nodes):
             return PartitionCheck(False, f"block {k}: node id out of range")
         # contiguous ranges: subtrees overlap iff one range contains the other
-        if not (tree.end[a] <= tree.start[b] or tree.end[b] <= tree.start[a]):
+        if not (end[a] <= tree.start[b] or end[b] <= tree.start[a]):
             return PartitionCheck(
                 False, f"block {k}: sides ({a}, {b}) are overlapping subtrees"
             )
@@ -1000,14 +1005,16 @@ def reference_per_class_accuracy(pred, labels, ids, labeled_ids):
     return per_class
 
 
-def reference_save_model_v1(path, model, report, ids, extras=None):
-    """Write a version-1 model file: the version-2 arrays, the same header
-    but for its version, and the tree's TreeStats arrays as they are."""
+def reference_save_model(path, model, report, ids, version, extras=None):
+    """Write a model file of an older version: version 2 stores the tree's
+    sizes and member ranges (tree_size, tree_start, tree_end) beside the
+    version-3 arrays, and version 1 also the tree's TreeStats arrays as they
+    are; the header is the same but for its version."""
     tree = model.tree
     spec = model.spec
     meta = {
         "format": "blockwalk-model",
-        "version": 1,
+        "version": version,
         "n_points": tree.n_points,
         "spec": {
             "kind": spec.kind,
@@ -1031,16 +1038,7 @@ def reference_save_model_v1(path, model, report, ids, extras=None):
         "extras": extras or {},
     }
     st = tree.stats
-    arrays = {
-        "meta": np.frombuffer(
-            json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
-        ),
-        "tree_left": tree.left,
-        "tree_right": tree.right,
-        "tree_size": tree.size,
-        "tree_start": tree.start,
-        "tree_end": tree.end,
-        "tree_perm": tree.perm,
+    stats = {
         "stat_s1": st.s1,
         "stat_s2": st.s2,
         "stat_s3_ptr": st.ptr,
@@ -1051,6 +1049,18 @@ def reference_save_model_v1(path, model, report, ids, extras=None):
         "stat_s4_idx": st.idx,
         "stat_s4_val": st.v4,
         "stat_s4_base": st.b4,
+    }
+    arrays = {
+        "meta": np.frombuffer(
+            json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
+        ),
+        "tree_left": tree.left,
+        "tree_right": tree.right,
+        "tree_size": tree.size,
+        "tree_start": tree.start,
+        "tree_end": tree.start + tree.size,
+        "tree_perm": tree.perm,
+        **(stats if version == 1 else {}),
         "block_a": model.partition.a,
         "block_b": model.partition.b,
         "q": model.params.values,

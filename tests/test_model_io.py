@@ -12,7 +12,7 @@ from blockwalk.propagation import TransitionModel
 from blockwalk.variational import block_divergence_sums, lower_bound, optimize_q
 
 from conftest import smoothed_counts
-from oracles import reference_save_model_v1
+from oracles import reference_save_model
 
 
 # what the one error for a fit or bound on a loaded model names
@@ -51,30 +51,54 @@ class TestRoundTrip:
         with np.load(path) as z:
             assert z.files == list(ARRAYS)
         loaded, _, meta = load_model(path)
-        assert meta["version"] == 2
+        assert meta["version"] == 3
         assert loaded.tree.data is None and loaded.tree.stats is None
 
     def test_version_1_file_loads_the_same(self, fitted, tmp_path, rng):
+        # versions 1 and 2 also stored the sizes and ranges, version 1 the
+        # statistics too; neither is read
         model, report, ids = fitted
-        p1, p2 = tmp_path / "v1.npz", tmp_path / "v2.npz"
-        reference_save_model_v1(p1, model, report, ids, extras={"seed": 3})
-        save_model(p2, model, report, ids, extras={"seed": 3})
-        (m1, r1, meta1), (m2, r2, meta2) = load_model(p1), load_model(p2)
-        assert (meta1.pop("version"), meta2.pop("version")) == (1, 2)
-        assert meta1 == meta2
-        assert r1.ell == r2.ell == report.ell
-        assert (r1.constant, r1.entropy_term) == (r2.constant, r2.entropy_term)
-        for name in ("perm", "left", "right", "size", "start", "end"):
-            np.testing.assert_array_equal(getattr(m1.tree, name), getattr(m2.tree, name))
-        for got, want in [
-            (m1.partition.a, m2.partition.a), (m1.partition.b, m2.partition.b),
-            (m1.params.values, m2.params.values), (m1.params.log_values, m2.params.log_values),
-            (r1.d_ab, r2.d_ab),
-        ]:
-            np.testing.assert_array_equal(got, want)
-        assert m1.tree.stats is None  # a version-1 file's statistics are not read
+        now = tmp_path / "now.npz"
+        save_model(now, model, report, ids, extras={"seed": 3})
+        m, r, meta = load_model(now)
+        assert meta.pop("version") == 3
         v = rng.normal(size=(30, 3))
-        assert m1.matmat(v).tobytes() == m2.matmat(v).tobytes() == model.matmat(v).tobytes()
+        for version in (1, 2):
+            old = tmp_path / f"v{version}.npz"
+            reference_save_model(old, model, report, ids, version, extras={"seed": 3})
+            m_old, r_old, meta_old = load_model(old)
+            assert meta_old.pop("version") == version
+            assert meta_old == meta
+            assert r_old.ell == r.ell == report.ell
+            assert (r_old.constant, r_old.entropy_term) == (r.constant, r.entropy_term)
+            for name in ("perm", "left", "right", "size", "start"):
+                np.testing.assert_array_equal(getattr(m_old.tree, name), getattr(m.tree, name))
+            for got, want in [
+                (m_old.partition.a, m.partition.a), (m_old.partition.b, m.partition.b),
+                (m_old.params.values, m.params.values),
+                (m_old.params.log_values, m.params.log_values),
+                (r_old.d_ab, r.d_ab),
+            ]:
+                np.testing.assert_array_equal(got, want)
+            assert m_old.tree.stats is None
+            assert m_old.matmat(v).tobytes() == m.matmat(v).tobytes() == model.matmat(v).tobytes()
+
+    def test_stored_ranges_are_not_read(self, fitted, tmp_path, rng):
+        # a version-2 file whose sizes and ranges stay in bounds but do not
+        # nest (one inner node cut by a row) loaded and served other
+        # products; the loaded tree derives them from the children
+        model, report, ids = fitted
+        path = tmp_path / "v2.npz"
+        reference_save_model(path, model, report, ids, 2)
+        with np.load(path) as z:
+            arrays = dict(z)
+        v = int(np.argmax(arrays["tree_size"][:-1]))  # the largest node below the root
+        arrays["tree_size"][v] -= 1
+        arrays["tree_end"][v] -= 1
+        np.savez(path, **arrays)
+        loaded, _, _ = load_model(path)
+        x = rng.normal(size=(30, 3))
+        assert loaded.matmat(x).tobytes() == model.matmat(x).tobytes()
 
     def test_bound_reevaluation(self, fitted, tmp_path):
         model, report, ids = fitted
@@ -106,9 +130,9 @@ class TestRoundTrip:
         with np.load(path) as z:
             arrays = dict(z)
         meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-        arrays["meta"] = np.frombuffer(json.dumps({**meta, "version": 3}).encode(), np.uint8)
+        arrays["meta"] = np.frombuffer(json.dumps({**meta, "version": 4}).encode(), np.uint8)
         np.savez(path, **arrays)
-        with pytest.raises(ValueError, match="unsupported version 3"):
+        with pytest.raises(ValueError, match="unsupported version 4"):
             load_model(path)
 
     @pytest.mark.parametrize(
@@ -173,6 +197,35 @@ def _column(name):
     return edit
 
 
+def _twin_root_children(arrays):
+    arrays["tree_right"][-1] = arrays["tree_left"][-1]
+
+
+def _cut_first_inner_node(arrays):
+    # the first inner node's children are leaves; it becomes a third one
+    left, right = arrays["tree_left"], arrays["tree_right"]
+    v = int(np.argmax(left >= 0))
+    left[v] = right[v] = -1
+
+
+def _header(values):
+    """Save the header (meta) with `values` set, a value of None removing its
+    key; a dotted key names an entry of a nested record."""
+    def edit(arrays):
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        for key, value in values.items():
+            *outer, last = key.split(".")
+            rec = meta
+            for name in outer:
+                rec = rec[name]
+            if value is None:
+                del rec[last]
+            else:
+                rec[last] = value
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    return edit
+
+
 # (name, edit of the saved arrays, part of the error) for a model of 30 rows,
 # 59 nodes and 58 blocks
 MALFORMED = [
@@ -184,10 +237,10 @@ MALFORMED = [
     ("block-past-nodes", _set("block_a", 0, 59), "block_a: ids out of range"),
     ("negative-block", _set("block_b", 3, -1), "block_b: ids out of range"),
     ("perm-past-rows", _set("tree_perm", 0, 30), "tree_perm: ids out of range"),
-    ("negative-start", _set("tree_start", 0, -2), "member ranges outside"),
+    ("child-listed-twice", _twin_root_children, "listed as a child 2 times, expected 1"),
     ("short-q", _cut("q"), "q has 57 entries, expected 58"),
     ("short-perm", _cut("tree_perm"), "tree_perm has 29 entries, expected 30"),
-    ("size-off-range", _set("tree_size", 0, 2), "member ranges outside"),
+    ("child-listed-never", _cut_first_inner_node, "listed as a child 0 times, expected 1"),
     ("no-covariance", _drop("covariance_diag"), "missing array 'covariance_diag'"),
     ("float-left", _as("tree_left", float), "tree_left has dtype float64, expected integers"),
     ("float-perm", _as("tree_perm", float), "tree_perm has dtype float64, expected integers"),
@@ -195,6 +248,13 @@ MALFORMED = [
     ("text-q", _as("q", str), "q has dtype <U32, expected floats"),
     ("integer-d_ab", _as("d_ab", np.int64), "d_ab has dtype int64, expected floats"),
     ("q-as-column", _column("q"), "q has shape (58, 1), expected 58 entries"),
+    ("ids-not-a-list", _header({"ids": 5}), "header ids must be a list of strings"),
+    ("ids-of-numbers", _header({"ids": list(range(30))}), "ids must be a list of strings"),
+    ("spec-kind", _header({"spec.kind": "bogus"}), "unknown divergence kind 'bogus'"),
+    ("spec-dim", _header({"spec.dim": 0}), "header spec refused (dim must be"),
+    ("spec-epsilon", _header({"spec.epsilon": -1}), "epsilon must be >= 0"),
+    ("spec-text-dim", _header({"spec.dim": "six"}), "header spec refused ("),
+    ("spec-sigma", _header({"spec.kind": "sq-euclidean", "spec.sigma": -1}), "sigma must be > 0"),
 ]
 
 
@@ -234,6 +294,25 @@ class TestMalformedArchive:
             load_model(path)
         assert str(err.value) == f"{path}: tree_perm: row {row} listed {listed} times, not once"
 
+    def test_node_listed_twice_is_named(self, fitted, tmp_path):
+        # such a file loaded; the first node listed as a child other than
+        # once is named
+        model, report, ids = fitted
+        path = tmp_path / "m.npz"
+        save_model(path, model, report, ids)
+        with np.load(path) as z:
+            arrays = dict(z)
+        twice, lost = int(arrays["tree_left"][-1]), int(arrays["tree_right"][-1])
+        _twin_root_children(arrays)
+        np.savez(path, **arrays)
+        node, listed = (twice, 2) if twice < lost else (lost, 0)
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        assert str(err.value) == (
+            f"{path}: tree_left, tree_right: node {node} listed as a child {listed} times,"
+            f" expected 1"
+        )
+
     def test_text_file(self, tmp_path):
         # numpy takes a file that is neither a zip nor an .npy for a pickle
         path = tmp_path / "m.npz"
@@ -262,6 +341,13 @@ class TestSaveRefusesWhatLoadRefuses:
             save_model(path, model, report, ids[:-1])
         assert not path.exists()
 
+    def test_ids_that_are_not_strings(self, fitted, tmp_path):
+        model, report, _ = fitted
+        path = tmp_path / "m.npz"
+        with pytest.raises(ValueError, match="header ids must be a list of strings"):
+            save_model(path, model, report, list(range(30)))
+        assert not path.exists()
+
     def test_sums_of_another_partition(self, fitted, tmp_path):
         model, _, ids = fitted
         finest = finest_partition(model.tree)
@@ -271,18 +357,6 @@ class TestSaveRefusesWhatLoadRefuses:
         with pytest.raises(ValueError, match=f"d_ab has {finest.n_blocks} entries, expected 58"):
             save_model(path, model, other, ids)
         assert not path.exists()
-
-
-def _without(arrays, key):
-    """Save the header (meta) with `key` removed; a dotted key names an
-    entry of a nested record."""
-    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-    *outer, last = key.split(".")
-    rec = meta
-    for name in outer:
-        rec = rec[name]
-    del rec[last]
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
 
 
 HEADER_KEYS = [
@@ -303,7 +377,7 @@ class TestMalformedHeader:
         save_model(path, model, report, ids)
         with np.load(path) as z:
             arrays = dict(z)
-        _without(arrays, key)
+        _header({key: None})(arrays)
         np.savez(path, **arrays)
         with pytest.raises(ValueError) as err:
             load_model(path)

@@ -26,7 +26,7 @@ from conftest import make_spec
 from oracles import (
     brute_block_sums,
     reference_auto_refine,
-    reference_save_model_v1,
+    reference_save_model,
     validate_partition,
 )
 
@@ -122,10 +122,13 @@ def test_save_load_round_trip(tmp_path_factory, corpus):
     model = TransitionModel(tree, part, params, spec)
     report = lower_bound(params, part, tree, spec, data)
     v = np.arange(2.0 * data.n_rows).reshape(data.n_rows, 2)
-    # both format versions: the current writer and the version-1 reference
-    for write in (save_model, reference_save_model_v1):
+    # every format version: the current writer and the older references
+    for version in (1, 2, None):
         path = tmp_path_factory.mktemp("model") / "m.npz"
-        write(path, model, report, data.base.ids)
+        if version is None:
+            save_model(path, model, report, data.base.ids)
+        else:
+            reference_save_model(path, model, report, data.base.ids, version)
         loaded, _, _ = load_model(path)
         assert np.array_equal(loaded.matmat(v), model.matmat(v))
 
