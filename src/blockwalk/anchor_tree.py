@@ -81,18 +81,17 @@ class _Workspace:
         self.row_sum = data.row_sums()
         vals = self.csr.data
         smoothed = vals + self.eps
-        idx = self.csr.indices
         self.starts = self.csr.indptr[:-1].astype(np.int64)
         # one generator sum (ov_phi's arithmetic) and one x'grad(x) per row
         # serve both the point side (s1, s2) and the pivot side of every
         # divergence
         lens = self.nnz_row
         short = lens < self.dim
-        self.phi_row = _segment_sums(_phi_terms(spec, smoothed, idx), self.starts, lens)
+        self.phi_row = _segment_sums(_phi_terms(spec, smoothed), self.starts, lens)
         self.phi_row[short] += (self.dim - lens[short]) * self._implicit(
             _phi_terms, "generator"
         )
-        self._row_kernels(smoothed, idx)
+        self._row_kernels(smoothed)
 
     def _implicit(self, fn, what):
         """fn at an implicit coordinate (value eps); 0 when every row is full."""
@@ -100,7 +99,7 @@ class _Workspace:
             return 0.0
         return _scalar_base(self.spec, fn, self.eps, what)
 
-    def _row_kernels(self, t, idx):
+    def _row_kernels(self, t):
         """Every pivot is a data row: tabulate, per row j, the pieces of
         d(., x_j) that depend on the pivot alone: the gradient, with the
         arithmetic of ov_grad on data row j, and x_j'grad(x_j) as a
@@ -108,7 +107,7 @@ class _Workspace:
         spec, lens = self.spec, self.nnz_row
         short = lens < self.dim
         self.g_base_row = np.where(short, self._implicit(_grad_terms, "gradient"), 0.0)
-        self.g_val = _grad_terms(spec, t, idx) - np.repeat(self.g_base_row, lens)
+        self.g_val = _grad_terms(spec, t) - np.repeat(self.g_base_row, lens)
         self.g_val_sum = _segment_sums(self.g_val, self.starts, lens)
         every = np.arange(lens.size)
         prods = self.csr.data * self.g_val

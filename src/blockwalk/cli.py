@@ -322,10 +322,6 @@ def _parse_methods(tokens):
             raise ValueError(f"unknown method family {family!r}")
         if kind not in KINDS:
             raise ValueError(f"unknown divergence {kind!r} in method {tok!r}")
-        if kind == "mahalanobis":
-            raise ValueError(
-                f"no option gives the covariance that mahalanobis in method {tok!r} needs"
-            )
         out.append((family, kind))
     return out
 
@@ -513,8 +509,7 @@ def build_parser():
     p = subs.add_parser(
         "approximate", parents=[common, fit], help="fit the compressed transition model"
     )
-    # every kind but mahalanobis, whose covariance no option gives
-    p.add_argument("--divergence", choices=[k for k in KINDS if k != "mahalanobis"])
+    p.add_argument("--divergence", choices=KINDS)
     p.add_argument("--report")
     p.add_argument("--exact", action="store_true")
 
@@ -532,6 +527,10 @@ def build_parser():
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--scaling-rows", type=_int_list)
     return parser, subs.choices
+
+
+# the words a config file's exact= takes, in any case
+_ON, _OFF = ("1", "true", "yes"), ("0", "false", "no")
 
 
 def _config_flags(path, command, subcommands):
@@ -566,7 +565,10 @@ def _config_flags(path, command, subcommands):
             continue
         flag = "--" + key.replace("_", "-")
         if key == "exact":
-            flags += [flag] if val.lower() in ("1", "true", "yes") else []
+            if val.lower() not in _ON + _OFF:
+                words = "1, true, yes, 0, false or no"
+                sub.error(f"{path}:{ln}: key {name!r}: expected {words}, got {val!r}")
+            flags += [flag] if val.lower() in _ON else []
             continue
         flags.append(f"{flag}={val}")
         try:

@@ -15,13 +15,18 @@ Every data layout shares one domain rule and one carrier per kind. The rule
 is `_outside`: `_check_domain` applies it to a vector or a stack of rows,
 and `check_smoothed` to a smoothed sparse matrix, on its stored values plus
 the offset and on the offset at its implicit coordinates. The carrier is
-`carrier_rows` (`total_carrier` is its sum over a smoothed matrix); the
-Gaussian kinds take their log normalizer from `_normalizer`. The tree and
-the bound branch on no kind.
+`carrier_rows` (`total_carrier` is its sum over a smoothed matrix);
+sq-euclidean takes its log normalizer from `_normalizer`. The tree and the
+bound branch on no kind.
+
+A squared distance with per-coordinate weights, sum_j w_j (x_j - y_j)^2, is
+sq-euclidean at sigma = 1 on the rescaled rows x_j * sqrt(2 w_j): the same
+tree, transition matrix and q. Its bound and exact log-likelihood are the
+rescaled model's plus N * sum_j log(2 w_j) / 2, the rescaling's log Jacobian.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -42,7 +47,7 @@ __all__ = [
     "ov_phi",
 ]
 
-KINDS = ("sq-euclidean", "mahalanobis", "gid", "kl", "itakura-saito", "logistic")
+KINDS = ("sq-euclidean", "gid", "kl", "itakura-saito", "logistic")
 
 # Kinds whose domain requires (near-)positive coordinates and that therefore
 # take count smoothing by default. kl is not one: its rows must lie on the
@@ -71,7 +76,6 @@ class DivergenceSpec:
     kind: str
     dim: int
     sigma: float = 1.0
-    covariance_diag: np.ndarray | None = field(default=None)
     epsilon: float = 0.0
 
     def __post_init__(self):
@@ -81,21 +85,7 @@ class DivergenceSpec:
             raise ValueError("dim must be a positive integer")
         if self.kind == "sq-euclidean" and not 0 < self.sigma < np.inf:
             raise ValueError("sigma must be > 0 and finite for sq-euclidean")
-        if self.kind == "mahalanobis":
-            if self.covariance_diag is None:
-                raise ValueError("mahalanobis requires covariance_diag")
-            cov = np.asarray(self.covariance_diag, dtype=np.float64)
-            if cov.shape != (self.dim,):
-                raise ValueError("covariance_diag must have length dim")
-            if not np.all(cov > 0):
-                raise ValueError("covariance_diag entries must be > 0")
-            object.__setattr__(self, "covariance_diag", cov)
         check_epsilon(self.epsilon)
-
-    @property
-    def weights(self):
-        """Coordinate weights 1/Sigma_jj (mahalanobis only)."""
-        return 1.0 / self.covariance_diag
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +103,7 @@ def _outside(kind, x, strict):
         return x <= 0
     if kind == "logistic":
         return (x <= 0) | (x >= 1)
-    return False  # sq-euclidean / mahalanobis
+    return False  # sq-euclidean
 
 
 def _rule(kind, strict):
@@ -185,17 +175,14 @@ def _as_vector(spec, x, name="x"):
 
 
 # ---------------------------------------------------------------------------
-# Elementwise kernels. `idx` selects coordinates (mahalanobis weights only).
+# Elementwise kernels
 # ---------------------------------------------------------------------------
 
 
-def _phi_terms(spec, t, idx=None):
+def _phi_terms(spec, t):
     kind = spec.kind
     if kind == "sq-euclidean":
         return t * t / (2.0 * spec.sigma**2)
-    if kind == "mahalanobis":
-        w = spec.weights if idx is None else spec.weights[idx]
-        return w * t * t
     if kind in ("gid", "kl"):
         return xlogy(t, t) - t
     if kind == "itakura-saito":
@@ -203,13 +190,10 @@ def _phi_terms(spec, t, idx=None):
     return xlogy(t, t) + xlogy(1.0 - t, 1.0 - t)  # logistic
 
 
-def _grad_terms(spec, t, idx=None):
+def _grad_terms(spec, t):
     kind = spec.kind
     if kind == "sq-euclidean":
         return t / spec.sigma**2
-    if kind == "mahalanobis":
-        w = spec.weights if idx is None else spec.weights[idx]
-        return 2.0 * w * t
     if kind in ("gid", "kl"):
         return np.log(t)
     if kind == "itakura-saito":
@@ -260,28 +244,20 @@ def phi_rows(spec, X):
 
 
 def _normalizer(spec):
-    """The Gaussian kinds' log normalizer, which makes phi + carrier one
-    constant per row; None for the other kinds."""
-    if spec.kind == "sq-euclidean":
-        return -0.5 * spec.dim * np.log(2.0 * np.pi * spec.sigma**2)
-    if spec.kind == "mahalanobis":
-        return -0.5 * spec.dim * np.log(2.0 * np.pi) - 0.5 * np.sum(
-            np.log(spec.covariance_diag / 2.0)
-        )
-    return None
+    """sq-euclidean's Gaussian log normalizer, the constant phi + carrier."""
+    return -0.5 * spec.dim * np.log(2.0 * np.pi * spec.sigma**2)
 
 
 def carrier_rows(spec, X):
     """Log base measure of the matching exponential family at every row of
     X. Combined with phi this supplies the per-point additive constant of
-    the kernel-density likelihood: counts get -sum log(x_j!), Gaussian kinds
-    fold the normalizer (constant in phi + carrier), the rest carry 1."""
+    the kernel-density likelihood: counts get -sum log(x_j!), sq-euclidean
+    folds the normalizer (constant in phi + carrier), the rest carry 1."""
     X = np.asarray(X, dtype=np.float64)
     if spec.kind in ("gid", "kl"):
         return -gammaln(X + 1.0).sum(axis=1)
-    const = _normalizer(spec)
-    if const is not None:
-        return const - _phi_terms(spec, X).sum(axis=1)
+    if spec.kind == "sq-euclidean":
+        return _normalizer(spec) - _phi_terms(spec, X).sum(axis=1)
     return np.zeros(X.shape[0])
 
 
@@ -293,9 +269,8 @@ def total_carrier(data, spec, total_phi):
         stored = float(gammaln(data.csr().data + data.epsilon + 1.0).sum())
         implicit = float((d - data.nnz_per_row()).sum() * gammaln(data.epsilon + 1.0))
         return -(stored + implicit)
-    const = _normalizer(spec)
-    if const is not None:
-        return n * const - total_phi
+    if spec.kind == "sq-euclidean":
+        return n * _normalizer(spec) - total_phi
     return 0.0
 
 
@@ -344,22 +319,10 @@ def pairwise_divergences(spec, X, Y):
 
 
 @lru_cache(maxsize=4096)
-def _scalar_base_value(fn, kind, sigma, base):
-    spec = DivergenceSpec(kind, 1, sigma=sigma if kind == "sq-euclidean" else 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(fn(spec, np.array([base]))[0])
-
-
 def _scalar_base(spec, fn, base, what):
     """Map the baseline through a scalar kernel, requiring a finite result."""
-    if spec.kind == "mahalanobis":
-        if base != 0.0:
-            raise DomainError(
-                "mahalanobis statistics require a zero baseline "
-                "(smoothing offsets are not supported for this kind)"
-            )
-        return 0.0
-    out = _scalar_base_value(fn, spec.kind, spec.sigma, float(base))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = float(fn(spec, np.array([base], dtype=np.float64))[0])
     if not np.isfinite(out):
         raise DomainError(
             f"{spec.kind} {what} undefined at off-support value {base} "
@@ -371,7 +334,7 @@ def _scalar_base(spec, fn, base, what):
 def ov_phi(spec, v):
     imp = v.dim - v.nnz
     t = v.base + v.val
-    out = float(np.sum(_phi_terms(spec, t, v.idx)))
+    out = float(np.sum(_phi_terms(spec, t)))
     if imp > 0:
         out += imp * _scalar_base(spec, _phi_terms, v.base, "generator")
     return out

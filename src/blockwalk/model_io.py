@@ -7,9 +7,10 @@ sums, the bound report, the divergence spec and the row ids. It keeps no
 node statistics, so a loaded model serves `propagate` and reevaluate_bound
 but cannot be fit or bounded again. Layout is versioned through the
 embedded JSON header; writers emit arrays in a fixed order so identical
-models produce identical bytes. Files of versions 1 (with statistics) and 2
-(with tree_size, tree_start, tree_end) load by the same names; those arrays
-are never read. q stays beside log_q although the fit makes it as
+models produce identical bytes. Files of versions 1 to 3 load by the same
+names: all three also hold a per-coordinate weight array, 1 and 2 the
+tree_size, tree_start and tree_end, and 1 the statistics; those arrays are
+never read. q stays beside log_q although the fit makes it as
 np.exp(log_q): numpy picks its float64 exp kernel by CPU dispatch, so a q
 recomputed at load is not promised the fitting machine's bits.
 """
@@ -29,12 +30,12 @@ from .variational import BlockParams, BoundReport
 __all__ = ["save_model", "load_model", "reevaluate_bound"]
 
 FORMAT_NAME = "blockwalk-model"
-FORMAT_VERSION = 3
-READABLE_VERSIONS = (1, 2, 3)
+FORMAT_VERSION = 4
+READABLE_VERSIONS = (1, 2, 3, 4)
 # the arrays of the archive, in the order they are written
 ARRAYS = (
     "meta", "tree_left", "tree_right", "tree_perm",
-    "block_a", "block_b", "q", "log_q", "d_ab", "covariance_diag",
+    "block_a", "block_b", "q", "log_q", "d_ab",
 )
 
 
@@ -53,7 +54,6 @@ def save_model(path, model, report, ids, extras=None):
             "dim": spec.dim,
             "sigma": spec.sigma,
             "epsilon": spec.epsilon,
-            "has_covariance": spec.covariance_diag is not None,
         },
         "partition_label": model.partition.label,
         "bound": {
@@ -81,11 +81,6 @@ def save_model(path, model, report, ids, extras=None):
         "q": model.params.values,
         "log_q": model.params.log_values,
         "d_ab": report.d_ab,
-        "covariance_diag": (
-            spec.covariance_diag
-            if spec.covariance_diag is not None
-            else np.empty(0)
-        ),
     }
     _check_header(path, meta)
     _check_arrays(path, arrays, len(meta["ids"]))
@@ -93,26 +88,36 @@ def save_model(path, model, report, ids, extras=None):
         np.savez(fh, **arrays)
 
 
-# Header keys load_model reads, with the entries it reads of each record.
+REAL = (int, float)
+# Header keys load_model reads, with the entries it reads of each record and
+# the type of each entry it takes as it is (the spec's entries go through
+# DivergenceSpec); a bool is no int and no REAL here
 HEADER_KEYS = {
-    "spec": ("kind", "dim", "sigma", "epsilon", "has_covariance"),
-    "partition_label": (),
-    "bound": ("ell", "constant", "entropy_term"),
-    "optimizer": ("converged", "residual", "sweeps"),
-    "ids": (),
+    "spec": dict.fromkeys(("kind", "dim", "sigma", "epsilon")),
+    "partition_label": {},
+    "bound": dict.fromkeys(("ell", "constant", "entropy_term"), REAL),
+    "optimizer": {"converged": bool, "residual": REAL, "sweeps": int},
+    "ids": {},
 }
+TYPE_NAMES = {bool: "a bool", int: "an integer", REAL: "a real number"}
 
 
 def _check_header(path, meta):
     """Refuse a header (meta) that lacks a key load_model reads, naming it
-    (an entry of a record is named `record.entry`), or whose ids are not a
-    list of strings."""
+    (an entry of a record is named `record.entry`), that holds an entry of
+    another type than HEADER_KEYS gives, or whose ids are not a list of
+    strings."""
     for key, entries in HEADER_KEYS.items():
         if key not in meta:
             raise ValueError(f"{path}: header lacks '{key}'")
-        for entry in entries:
+        for entry, want in entries.items():
             if not isinstance(meta[key], dict) or entry not in meta[key]:
                 raise ValueError(f"{path}: header lacks '{key}.{entry}'")
+            got = meta[key][entry]
+            if want and not (isinstance(got, want) and isinstance(got, bool) == (want is bool)):
+                raise ValueError(
+                    f"{path}: header '{key}.{entry}' must be {TYPE_NAMES[want]}, got {got!r}"
+                )
     ids = meta["ids"]
     if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
         raise ValueError(f"{path}: header ids must be a list of strings")
@@ -191,7 +196,6 @@ def load_model(path):
             sp["kind"],
             sp["dim"],
             sigma=sp["sigma"],
-            covariance_diag=z["covariance_diag"] if sp["has_covariance"] else None,
             epsilon=sp["epsilon"],
         )
     except (TypeError, ValueError) as exc:  # TypeError: say, a text dim

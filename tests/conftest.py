@@ -2,25 +2,14 @@ import numpy as np
 import pytest
 
 from blockwalk.dataset import DataMatrix, smooth
-from blockwalk.divergence import DivergenceSpec
 
 
-ALL_KINDS = ["sq-euclidean", "mahalanobis", "gid", "kl", "itakura-saito", "logistic"]
-
-
-def make_spec(kind, d, rng=None, sigma=1.0, epsilon=0.0):
-    if kind == "mahalanobis":
-        if rng is None:
-            cov = np.ones(d)
-        else:
-            cov = rng.uniform(0.5, 2.0, d)
-        return DivergenceSpec(kind, d, covariance_diag=cov, epsilon=epsilon)
-    return DivergenceSpec(kind, d, sigma=sigma, epsilon=epsilon)
+ALL_KINDS = ["sq-euclidean", "gid", "kl", "itakura-saito", "logistic"]
 
 
 def sample_in_domain(kind, rng, n, d):
     """Rows strictly inside the domain of the given divergence kind."""
-    if kind in ("sq-euclidean", "mahalanobis"):
+    if kind == "sq-euclidean":
         return rng.normal(0.0, 2.0, (n, d))
     if kind in ("gid", "itakura-saito"):
         return rng.uniform(0.05, 5.0, (n, d))

@@ -95,22 +95,21 @@ from blockwalk.propagation import DenseBaseline, TransitionModel
 from blockwalk.vectors import OffsetVec
 
 
-def _xgrad_terms(spec, t, idx=None):
+def _xgrad_terms(spec, t):
     """Per-coordinate t * grad(t); gid's t*log(t) extends to 0 by limit."""
     if spec.kind in ("gid", "kl"):
         return xlogy(t, t)
     if spec.kind == "itakura-saito":
         return np.full_like(t, -1.0)
-    return t * _grad_terms(spec, t, idx)
+    return t * _grad_terms(spec, t)
 
 
 def ov_xdotgrad(spec, v):
     imp = v.dim - v.nnz
     t = v.base + v.val
-    out = float(np.sum(_xgrad_terms(spec, t, v.idx)))
+    out = float(np.sum(_xgrad_terms(spec, t)))
     if imp > 0:  # every implicit coordinate holds the baseline
-        off = np.setdiff1d(np.arange(v.dim), v.idx)[:1]
-        out += imp * float(_xgrad_terms(spec, np.array([v.base]), off)[0])
+        out += imp * float(_xgrad_terms(spec, np.array([v.base]))[0])
     return out
 
 
@@ -118,7 +117,7 @@ def ov_grad(spec, v):
     imp = v.dim - v.nnz
     t = v.base + v.val
     base_g = _scalar_base(spec, _grad_terms, v.base, "gradient") if imp > 0 else 0.0
-    return OffsetVec(v.dim, base_g, v.idx, _grad_terms(spec, t, v.idx) - base_g)
+    return OffsetVec(v.dim, base_g, v.idx, _grad_terms(spec, t) - base_g)
 
 
 def ov_divergence(spec, x, y):
@@ -168,14 +167,11 @@ def bregman_information(tree, nid):
     return tree.stats[nid].s1 / n - ov_phi(tree.spec, node_pivot(tree, nid))
 
 
-def grad_inv_terms(spec, u, idx=None):
+def grad_inv_terms(spec, u):
     """The generator's gradient inverse, coordinatewise."""
     kind = spec.kind
     if kind == "sq-euclidean":
         return spec.sigma**2 * u
-    if kind == "mahalanobis":
-        cov = spec.covariance_diag if idx is None else spec.covariance_diag[idx]
-        return 0.5 * cov * u
     if kind in ("gid", "kl"):
         return np.exp(u)
     if kind == "itakura-saito":
@@ -206,21 +202,21 @@ def steal_threshold(spec, p_curr, p_new):
     return float(thr[0]), y[0]
 
 
-def steal_thresholds(spec, pivots, new_pivot, cols=None):
+def steal_thresholds(spec, pivots, new_pivot):
     """No-steal thresholds of every row of `pivots` against `new_pivot`,
     with their minimizers.
 
     Row k's bound is (d(y, p_k) + d(y, p_new)) / 2 at y = grad^-1((grad p_k
-    + grad p_new) / 2). The pivots are dense rows over the columns `cols`
-    (every column when None); a column left out must hold the same value in
-    every pivot, where y equals it and both divergences vanish.
+    + grad p_new) / 2). The pivots are dense rows over every column or over
+    some of them; a column left out must hold the same value in every
+    pivot, where y equals it and both divergences vanish.
     """
-    g = _grad_terms(spec, pivots, cols)
-    g_new = _grad_terms(spec, new_pivot, cols)
-    y = grad_inv_terms(spec, 0.5 * (g + g_new), cols)
-    phi_y = _phi_terms(spec, y, cols)
-    da = phi_y - _phi_terms(spec, pivots, cols) - (y - pivots) * g
-    db = phi_y - _phi_terms(spec, new_pivot, cols) - (y - new_pivot) * g_new
+    g = _grad_terms(spec, pivots)
+    g_new = _grad_terms(spec, new_pivot)
+    y = grad_inv_terms(spec, 0.5 * (g + g_new))
+    phi_y = _phi_terms(spec, y)
+    da = phi_y - _phi_terms(spec, pivots) - (y - pivots) * g
+    db = phi_y - _phi_terms(spec, new_pivot) - (y - new_pivot) * g_new
     return 0.5 * (da + db).sum(axis=-1), y
 
 
@@ -561,7 +557,7 @@ def pivot_rows(ws, rows):
 TIE_SLACK = 1e-12  # relative to the pivots' generator and x'grad(x) sums
 
 
-def _no_steal_limits(ws, cur_rows, cur, new_rows, new, cols):
+def _no_steal_limits(ws, cur_rows, cur, new_rows, new):
     """Divergence to each current pivot (row k of `cur`) below which a
     member cannot move to the new pivot of row k of `new`: the no-steal
     threshold less a rounding slack. `cur_rows` and `new_rows` are the
@@ -569,7 +565,7 @@ def _no_steal_limits(ws, cur_rows, cur, new_rows, new, cols):
     threshold in exact arithmetic and rounding alone decides whether it
     moves, so it is evaluated as an unpruned build evaluates it. The
     arrays may carry leading axes that broadcast against each other."""
-    thr, _ = steal_thresholds(ws.spec, cur, new, cols)
+    thr, _ = steal_thresholds(ws.spec, cur, new)
     mag = np.abs(ws.phi_row) + np.abs(ws.s2_row)
     return thr - TIE_SLACK * (mag[cur_rows] + mag[new_rows])
 
@@ -626,7 +622,7 @@ def reference_grow(ws, scope, m, use_pruning):
             pivots[top, np.searchsorted(cols, new_pivot.idx)] += new_pivot.val
             pivot_rows[top] = new_row
             limits = _no_steal_limits(
-                ws, pivot_rows[:top], pivots[:top], pivot_rows[top], pivots[top], cols
+                ws, pivot_rows[:top], pivots[:top], pivot_rows[top], pivots[top]
             )
         cuts = []
         for k, a in enumerate(anchors):
@@ -1006,10 +1002,12 @@ def reference_per_class_accuracy(pred, labels, ids, labeled_ids):
 
 
 def reference_save_model(path, model, report, ids, version, extras=None):
-    """Write a model file of an older version: version 2 stores the tree's
-    sizes and member ranges (tree_size, tree_start, tree_end) beside the
-    version-3 arrays, and version 1 also the tree's TreeStats arrays as they
-    are; the header is the same but for its version."""
+    """Write a model file of an older version: version 3 stores an empty
+    per-coordinate weight array (covariance_diag) beside the version-4
+    arrays and a false header flag spec.has_covariance; version 2 also the
+    tree's sizes and member ranges (tree_size, tree_start, tree_end), and
+    version 1 also the tree's TreeStats arrays as they are. The header is
+    the same but for its version and that flag."""
     tree = model.tree
     spec = model.spec
     meta = {
@@ -1021,7 +1019,7 @@ def reference_save_model(path, model, report, ids, version, extras=None):
             "dim": spec.dim,
             "sigma": spec.sigma,
             "epsilon": spec.epsilon,
-            "has_covariance": spec.covariance_diag is not None,
+            "has_covariance": False,
         },
         "partition_label": model.partition.label,
         "bound": {
@@ -1050,15 +1048,18 @@ def reference_save_model(path, model, report, ids, version, extras=None):
         "stat_s4_val": st.v4,
         "stat_s4_base": st.b4,
     }
+    ranges = {
+        "tree_size": tree.size,
+        "tree_start": tree.start,
+        "tree_end": tree.start + tree.size,
+    }
     arrays = {
         "meta": np.frombuffer(
             json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
         ),
         "tree_left": tree.left,
         "tree_right": tree.right,
-        "tree_size": tree.size,
-        "tree_start": tree.start,
-        "tree_end": tree.start + tree.size,
+        **(ranges if version <= 2 else {}),
         "tree_perm": tree.perm,
         **(stats if version == 1 else {}),
         "block_a": model.partition.a,
@@ -1066,11 +1067,7 @@ def reference_save_model(path, model, report, ids, version, extras=None):
         "q": model.params.values,
         "log_q": model.params.log_values,
         "d_ab": report.d_ab,
-        "covariance_diag": (
-            spec.covariance_diag
-            if spec.covariance_diag is not None
-            else np.empty(0)
-        ),
+        "covariance_diag": np.empty(0),
     }
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)

@@ -530,7 +530,7 @@ class TestRejectedInputs:
 
     @pytest.mark.parametrize("kind", ["mahalanobis", "bogus"])
     def test_divergence_outside_the_choices(self, synth_dir, tmp_path, capsys, kind):
-        # mahalanobis needs a covariance, which no option gives
+        # mahalanobis is sq-euclidean on whitened rows, and no kind of its own
         with pytest.raises(SystemExit) as exc:
             run(
                 "approximate", "--input", synth_dir / "data.bow", "--divergence",
@@ -547,7 +547,8 @@ class TestRejectedInputs:
             "--fractions", 0.1, "--out", tmp_path / "e",
         )
         assert rc == 1
-        assert "mahalanobis in method 'bvdt:mahalanobis'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown divergence 'mahalanobis' in method 'bvdt:mahalanobis'" in err
 
     @staticmethod
     def fit_simplex_rows(tmp_path, *flags):
@@ -646,7 +647,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "value, flag, want", [("false", False, False), ("yes", False, True),
-                              ("0", True, True)],
+                              ("0", True, True), ("TRUE", False, True), ("No", False, False)],
     )
     def test_exact_words(self, synth_dir, tmp_path, value, flag, want):
         cfg = tmp_path / "run.cfg"
@@ -658,6 +659,18 @@ class TestConfigFile:
         assert rc == 0
         report = json.loads((tmp_path / "m.npz.report.json").read_text())
         assert ("exact_loglik" in report) is want
+
+    @pytest.mark.parametrize("value", ["ture", "2", "on", ""])
+    def test_exact_word_outside_the_words(self, synth_dir, tmp_path, capsys, value):
+        # exact=ture used to fit without the exact log-likelihood and exit 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"divergence=gid\nexact={value}\n")
+        err = self.usage_error(
+            capsys, "approximate", "--config", cfg, "--input", synth_dir / "data.bow",
+            "--out", tmp_path / "m.npz",
+        )
+        assert f"run.cfg:2: key 'exact'" in err and repr(value) in err
+        assert not (tmp_path / "m.npz").exists()
 
     def test_one_file_serves_every_subcommand(self, tmp_path):
         # keys of synth, approximate and propagate in one file; each

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import multivariate_normal, poisson
 
+from blockwalk.dataset import smooth
 from blockwalk.divergence import (
     DivergenceSpec,
     DomainError,
@@ -12,9 +14,11 @@ from blockwalk.divergence import (
     pairwise_divergences,
     phi,
 )
+from blockwalk.propagation import dense_transition_matrix
+from blockwalk.variational import exact_loglik
 from blockwalk.vectors import OffsetVec
 
-from conftest import ALL_KINDS, make_spec, sample_in_domain
+from conftest import ALL_KINDS, sample_in_domain
 from oracles import (
     grad_phi_inv,
     ov_divergence,
@@ -22,6 +26,7 @@ from oracles import (
     ov_xdotgrad,
     reference_pairwise_divergences,
 )
+from test_anchor_tree import dense_to_data
 
 
 GID2 = DivergenceSpec("gid", 2)
@@ -93,14 +98,18 @@ class TestGrad:
         np.testing.assert_allclose(grad_phi(spec, [4.0, 8.0]), [1.0, 2.0])
 
     def test_mahalanobis_identity(self, rng):
-        spec = DivergenceSpec("mahalanobis", 2, covariance_diag=np.ones(2))
+        # phi(x) = x^T Sigma^-1 x is sq-euclidean (sigma=1) on the rows
+        # x * sqrt(2 / Sigma); by the chain rule its gradient is 2x at
+        # Sigma = I
+        spec = DivergenceSpec("sq-euclidean", 2)
+        scale = np.sqrt(2.0 / np.ones(2))
         x = rng.normal(size=2)
-        np.testing.assert_allclose(grad_phi(spec, x), 2 * x)
+        np.testing.assert_allclose(scale * grad_phi(spec, x * scale), 2 * x)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_matches_finite_differences(self, kind, rng):
         d = 4
-        spec = make_spec(kind, d, rng)
+        spec = DivergenceSpec(kind, d)
         for _ in range(20):
             x = sample_in_domain(kind, rng, 1, d)[0]
             g = grad_phi(spec, x)
@@ -128,7 +137,7 @@ class TestGradInv:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_inverse_composition(self, kind, rng):
         d = 5
-        spec = make_spec(kind, d, rng)
+        spec = DivergenceSpec(kind, d)
         for _ in range(50):
             x = sample_in_domain(kind, rng, 1, d)[0]
             back = grad_phi_inv(spec, grad_phi(spec, x))
@@ -158,7 +167,7 @@ class TestBregmanDivergence:
     def test_nonnegative_and_zero_at_self(self, kind, rng):
         # 10^4 random in-domain pairs per kind
         d = 6
-        spec = make_spec(kind, d, rng)
+        spec = DivergenceSpec(kind, d)
         X = sample_in_domain(kind, rng, 100, d)
         Y = sample_in_domain(kind, rng, 100, d)
         D = pairwise_divergences(spec, X, Y)
@@ -178,12 +187,12 @@ class TestBregmanDivergence:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_mean_minimizes_expected_divergence(self, kind, rng):
         d = 4
-        spec = make_spec(kind, d, rng)
+        spec = DivergenceSpec(kind, d)
         X = sample_in_domain(kind, rng, 30, d)
         mu = X.mean(axis=0)
         at_mean = sum(bregman_divergence(spec, x, mu) for x in X)
         for _ in range(100):
-            if kind in ("sq-euclidean", "mahalanobis"):
+            if kind == "sq-euclidean":
                 s = mu + rng.normal(0, 0.3, d)
             elif kind == "logistic":
                 s = np.clip(mu + rng.normal(0, 0.05, d), 1e-3, 1 - 1e-3)
@@ -197,7 +206,7 @@ class TestBregmanDivergence:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("n, m", [(7, 6), (1, 9), (40, 33)])
     def test_pairwise_same_bits_as_one_expression(self, rng, kind, n, m):
-        spec = make_spec(kind, 5, rng)
+        spec = DivergenceSpec(kind, 5)
         X = sample_in_domain(kind, rng, n, 5)
         Y = sample_in_domain(kind, rng, m, 5)
         got = pairwise_divergences(spec, X, Y)
@@ -206,7 +215,7 @@ class TestBregmanDivergence:
     def test_pairwise_matches_pointwise(self, rng):
         for kind in ALL_KINDS:
             d = 5
-            spec = make_spec(kind, d, rng)
+            spec = DivergenceSpec(kind, d)
             X = sample_in_domain(kind, rng, 7, d)
             Y = sample_in_domain(kind, rng, 6, d)
             D = pairwise_divergences(spec, X, Y)
@@ -247,28 +256,65 @@ class TestCarrier:
     @pytest.mark.parametrize("kind", ["sq-euclidean", "mahalanobis", "gid"])
     def test_kernel_is_the_family_density(self, kind, rng):
         # log p(x | y) = -d(x, y) + phi(x) + log carrier(x): a Gaussian with
-        # covariance sigma^2 or Sigma/2, a product of Poissons for gid
+        # covariance sigma^2, a product of Poissons for gid; the diagonal
+        # Mahalanobis case is sq-euclidean (sigma=1) on the rows
+        # x * sqrt(2 / Sigma), a Gaussian with covariance Sigma / 2 once
+        # the whitening's log Jacobian is added
         d = 4
-        spec = make_spec(kind, d, rng, sigma=1.7)
+        if kind == "mahalanobis":
+            cov = rng.uniform(0.5, 2.0, d)
+            spec = DivergenceSpec("sq-euclidean", d)
+        else:
+            cov = None
+            spec = DivergenceSpec(kind, d, sigma=1.7)
         for _ in range(5):
             if kind == "gid":
                 x = rng.integers(0, 6, d).astype(float)
                 y = rng.uniform(0.5, 4.0, d)
                 want = float(np.sum(poisson.logpmf(x, y)))
+            elif kind == "mahalanobis":
+                x, y = rng.normal(size=d), rng.normal(size=d)
+                want = multivariate_normal.logpdf(x, y, np.diag(cov / 2))
+                scale = np.sqrt(2.0 / cov)
+                x, y = x * scale, y * scale
             else:
                 x, y = rng.normal(size=d), rng.normal(size=d)
-                cov = spec.sigma**2 if kind == "sq-euclidean" else spec.covariance_diag / 2
-                want = multivariate_normal.logpdf(x, y, np.diag(np.broadcast_to(cov, d)))
+                want = multivariate_normal.logpdf(x, y, spec.sigma**2 * np.eye(d))
             carrier = carrier_rows(spec, x[None])[0]
             got = -bregman_divergence(spec, x, y) + phi(spec, x) + carrier
+            if kind == "mahalanobis":
+                got += float(np.sum(np.log(scale)))
             assert got == pytest.approx(want, rel=1e-12)
+
+    def test_whitened_rows_are_a_diagonal_gaussian_kernel(self, rng):
+        # the kernel exp(-sum_k (x_k - y_k)^2 / S_k) is sq-euclidean at
+        # sigma=1 on the rows x * sqrt(2 / S): the same transition matrix,
+        # and the exact log-likelihood of a leave-one-out KDE with
+        # covariance diag(S / 2) less the whitening's log Jacobian
+        n, d = 40, 3
+        cov = rng.uniform(0.5, 2.0, d)
+        x = np.abs(rng.normal(0.0, 2.0, (n, d)))  # stored values are >= 0
+        data = smooth(dense_to_data(x * np.sqrt(2.0 / cov)), 0.0)
+        spec = DivergenceSpec("sq-euclidean", d)
+        logits = -(((x[:, None, :] - x[None, :, :]) ** 2) / cov).sum(axis=2)
+        np.fill_diagonal(logits, -np.inf)
+        want = np.exp(logits - logits.max(axis=1, keepdims=True))
+        want /= want.sum(axis=1, keepdims=True)
+        got = dense_transition_matrix(data, spec).p
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        kde = multivariate_normal(np.zeros(d), np.diag(cov / 2))
+        logp = np.array([kde.logpdf(x[i] - x) for i in range(n)])
+        np.fill_diagonal(logp, -np.inf)
+        want = float(np.sum(logsumexp(logp, axis=1)) - n * np.log(n - 1))
+        shift = n * np.sum(0.5 * np.log(2.0 / cov))
+        assert exact_loglik(data, spec) + shift == pytest.approx(want, rel=1e-12)
 
 
 class TestOffsetVecKernels:
     @pytest.mark.parametrize("kind", ["sq-euclidean", "gid", "itakura-saito"])
     def test_partial_support_matches_dense(self, kind, rng):
         d = 9
-        spec = make_spec(kind, d, epsilon=0.5)
+        spec = DivergenceSpec(kind, d, epsilon=0.5)
         idx = np.array([1, 4, 6])
         val = np.array([2.0, 0.5, 3.0])
         v = OffsetVec(d, 0.5, idx, val)

@@ -51,23 +51,24 @@ class TestRoundTrip:
         with np.load(path) as z:
             assert z.files == list(ARRAYS)
         loaded, _, meta = load_model(path)
-        assert meta["version"] == 3
+        assert meta["version"] == 4
         assert loaded.tree.data is None and loaded.tree.stats is None
 
     def test_version_1_file_loads_the_same(self, fitted, tmp_path, rng):
-        # versions 1 and 2 also stored the sizes and ranges, version 1 the
-        # statistics too; neither is read
+        # versions 1 to 3 also stored an empty weight array, versions 1 and
+        # 2 the sizes and ranges, version 1 the statistics too; none is read
         model, report, ids = fitted
         now = tmp_path / "now.npz"
         save_model(now, model, report, ids, extras={"seed": 3})
         m, r, meta = load_model(now)
-        assert meta.pop("version") == 3
+        assert meta.pop("version") == 4
         v = rng.normal(size=(30, 3))
-        for version in (1, 2):
+        for version in (1, 2, 3):
             old = tmp_path / f"v{version}.npz"
             reference_save_model(old, model, report, ids, version, extras={"seed": 3})
             m_old, r_old, meta_old = load_model(old)
             assert meta_old.pop("version") == version
+            assert meta_old["spec"].pop("has_covariance") is False
             assert meta_old == meta
             assert r_old.ell == r.ell == report.ell
             assert (r_old.constant, r_old.entropy_term) == (r.constant, r.entropy_term)
@@ -100,6 +101,23 @@ class TestRoundTrip:
         x = rng.normal(size=(30, 3))
         assert loaded.matmat(x).tobytes() == model.matmat(x).tobytes()
 
+    def test_version_3_weighted_file_is_named(self, fitted, tmp_path):
+        # a version-3 file could hold a kind with per-coordinate weights,
+        # which is fitted now as sq-euclidean on rescaled rows
+        model, report, ids = fitted
+        path = tmp_path / "v3.npz"
+        reference_save_model(path, model, report, ids, 3)
+        with np.load(path) as z:
+            arrays = dict(z)
+        arrays["covariance_diag"] = np.ones(6)
+        _header({"spec.kind": "mahalanobis", "spec.has_covariance": True})(arrays)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        assert str(err.value) == (
+            f"{path}: header spec refused (unknown divergence kind 'mahalanobis')"
+        )
+
     def test_bound_reevaluation(self, fitted, tmp_path):
         model, report, ids = fitted
         path = tmp_path / "m.npz"
@@ -130,9 +148,9 @@ class TestRoundTrip:
         with np.load(path) as z:
             arrays = dict(z)
         meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-        arrays["meta"] = np.frombuffer(json.dumps({**meta, "version": 4}).encode(), np.uint8)
+        arrays["meta"] = np.frombuffer(json.dumps({**meta, "version": 5}).encode(), np.uint8)
         np.savez(path, **arrays)
-        with pytest.raises(ValueError, match="unsupported version 4"):
+        with pytest.raises(ValueError, match="unsupported version 5"):
             load_model(path)
 
     @pytest.mark.parametrize(
@@ -241,7 +259,6 @@ MALFORMED = [
     ("short-q", _cut("q"), "q has 57 entries, expected 58"),
     ("short-perm", _cut("tree_perm"), "tree_perm has 29 entries, expected 30"),
     ("child-listed-never", _cut_first_inner_node, "listed as a child 0 times, expected 1"),
-    ("no-covariance", _drop("covariance_diag"), "missing array 'covariance_diag'"),
     ("float-left", _as("tree_left", float), "tree_left has dtype float64, expected integers"),
     ("float-perm", _as("tree_perm", float), "tree_perm has dtype float64, expected integers"),
     ("float-block", _as("block_b", float), "block_b has dtype float64, expected integers"),
@@ -255,6 +272,25 @@ MALFORMED = [
     ("spec-epsilon", _header({"spec.epsilon": -1}), "epsilon must be >= 0"),
     ("spec-text-dim", _header({"spec.dim": "six"}), "header spec refused ("),
     ("spec-sigma", _header({"spec.kind": "sq-euclidean", "spec.sigma": -1}), "sigma must be > 0"),
+    # header values load_model takes as they are: a text residual stopped
+    # propagate unnamed, a text flag served with no warning
+    ("text-residual", _header({"optimizer.residual": "big", "optimizer.converged": False}),
+     "header 'optimizer.residual' must be a real number, got 'big'"),
+    ("text-converged", _header({"optimizer.converged": "no"}),
+     "header 'optimizer.converged' must be a bool, got 'no'"),
+    ("text-ell", _header({"bound.ell": "x"}), "header 'bound.ell' must be a real number, got 'x'"),
+    ("text-sweeps", _header({"optimizer.sweeps": "two"}),
+     "header 'optimizer.sweeps' must be an integer, got 'two'"),
+    ("bool-sweeps", _header({"optimizer.sweeps": True}),
+     "header 'optimizer.sweeps' must be an integer, got True"),
+    ("float-sweeps", _header({"optimizer.sweeps": 2.0}),
+     "header 'optimizer.sweeps' must be an integer, got 2.0"),
+    ("bool-constant", _header({"bound.constant": False}),
+     "header 'bound.constant' must be a real number, got False"),
+    ("text-entropy", _header({"bound.entropy_term": "0.5"}),
+     "header 'bound.entropy_term' must be a real number, got '0.5'"),
+    ("list-residual", _header({"optimizer.residual": [0.0]}),
+     "header 'optimizer.residual' must be a real number, got [0.0]"),
 ]
 
 
@@ -361,7 +397,7 @@ class TestSaveRefusesWhatLoadRefuses:
 
 HEADER_KEYS = [
     "spec", "bound", "optimizer", "ids", "partition_label",
-    "spec.kind", "spec.dim", "spec.has_covariance", "bound.ell",
+    "spec.kind", "spec.dim", "bound.ell",
     "optimizer.converged",
 ]
 

@@ -21,7 +21,7 @@ from blockwalk.propagation import (
 )
 from blockwalk.variational import optimize_q
 
-from conftest import make_spec, sample_in_domain, smoothed_counts
+from conftest import sample_in_domain, smoothed_counts
 from oracles import (
     closed_form_propagation,
     dense_q_matrix,
@@ -110,15 +110,11 @@ class TestBlockedMatvec:
             np.testing.assert_array_equal(np.diag(q), 0.0)
 
 
-# every kind `exact:<kind>` accepts
-EXACT_KINDS = [k for k in KINDS if k != "mahalanobis"]
-
-
 def kind_data(kind, rng, n, d=4):
     """(smoothed data, spec) of n dense rows inside the domain of `kind`;
     the stored values must be positive, so sq-euclidean rows are folded."""
     x = np.abs(sample_in_domain(kind, rng, n, d))
-    return smooth(dense_to_data(x), 0.0), make_spec(kind, d)
+    return smooth(dense_to_data(x), 0.0), DivergenceSpec(kind, d)
 
 
 class TestDenseTransitionMatrix:
@@ -179,7 +175,7 @@ class TestDenseAgainstReference:
     taken once: p and w must be the reference's byte for byte, the
     reference recomputing those terms per block on new arrays."""
 
-    @pytest.mark.parametrize("kind", EXACT_KINDS)
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize(
         "n, block", [(2, 1), (2, 512), (25, 1), (25, 7), (25, 25), (25, 64)]
     )

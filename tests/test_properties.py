@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from blockwalk import cli
 from blockwalk.anchor_tree import build_cluster_tree
 from blockwalk.dataset import DataMatrix, smooth
-from blockwalk.divergence import DomainError, _check_domain
+from blockwalk.divergence import DivergenceSpec, DomainError, _check_domain
 from blockwalk.model_io import load_model, save_model
 from blockwalk.partition import auto_refine, coarsest_partition
 from blockwalk.propagation import TransitionModel
@@ -22,7 +22,6 @@ from blockwalk.variational import (
     optimize_q,
 )
 
-from conftest import make_spec
 from oracles import (
     brute_block_sums,
     reference_auto_refine,
@@ -57,7 +56,7 @@ def corpora(draw):
 
 def fit(corpus):
     data, kind, rounds = corpus
-    spec = make_spec(kind, data.dim, epsilon=0.5)
+    spec = DivergenceSpec(kind, data.dim, epsilon=0.5)
     tree = build_cluster_tree(data, spec)
     part = auto_refine(coarsest_partition(tree), tree, rounds)
     return data, spec, tree, part
@@ -123,7 +122,7 @@ def test_save_load_round_trip(tmp_path_factory, corpus):
     report = lower_bound(params, part, tree, spec, data)
     v = np.arange(2.0 * data.n_rows).reshape(data.n_rows, 2)
     # every format version: the current writer and the older references
-    for version in (1, 2, None):
+    for version in (1, 2, 3, None):
         path = tmp_path_factory.mktemp("model") / "m.npz"
         if version is None:
             save_model(path, model, report, data.base.ids)
@@ -160,7 +159,7 @@ def test_smoothed_domain_is_the_dense_rule(corpus):
     """The tree rejects a smoothed matrix exactly when the dense domain rule
     rejects its densified rows."""
     data, kind = corpus
-    spec = make_spec(kind, data.dim, epsilon=data.epsilon)
+    spec = DivergenceSpec(kind, data.dim, epsilon=data.epsilon)
     try:
         _check_domain(spec, data.to_dense(), strict=True)
         dense_ok = True
