@@ -26,14 +26,7 @@ from .dataset import (
     write_bow,
     write_labels,
 )
-from .divergence import (
-    DivergenceSpec,
-    DomainError,
-    bregman_divergence,
-    grad_phi,
-    pairwise_divergences,
-    phi,
-)
+from .divergence import DivergenceSpec, DomainError
 from .model_io import load_model, save_model
 from .partition import BlockPartition, coarsest_partition, finest_partition
 from .propagation import (
@@ -71,7 +64,6 @@ __all__ = [
     "TransitionModel",
     "TreeStats",
     "agglomerate_anchors",
-    "bregman_divergence",
     "build_cluster_tree",
     "classify_one_vs_all",
     "coarsest_partition",
@@ -80,15 +72,12 @@ __all__ = [
     "exact_loglik",
     "finest_partition",
     "generate_synthetic",
-    "grad_phi",
     "grow_anchors",
     "load_bow",
     "load_labels",
     "load_model",
     "lower_bound",
     "optimize_q",
-    "pairwise_divergences",
-    "phi",
     "propagate_labels",
     "save_model",
     "smooth",

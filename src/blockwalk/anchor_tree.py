@@ -775,10 +775,11 @@ def _node_stats(ws, tree):
     indicator tree.ancestors.T: each node adds its rows in ascending row
     order from 0. One product with complex rows, stored values as the real
     part and gradient values as the imaginary one, puts s3 and s4 on one
-    support: scipy drops an entry that sums to exactly 0, which a gradient
-    sum can (log 1 = 0 in a full gid row) but a real part, a sum of positive
-    values, cannot. Both parts are the plain sums while every gradient is
-    finite; at +-inf the real part is NaN (complex 1*a - 0*inf)."""
+    support: scipy drops a complex entry only when both parts sum to exactly
+    0 (signed sq-euclidean values can), and there the sparse parts of s3 and
+    s4 are both 0, so each is complete on the support they share. Both parts
+    are the plain sums while every gradient is finite; at +-inf the real
+    part is NaN (complex 1*a - 0*inf)."""
     up, csr = tree.ancestors.T.tocsr(), ws.csr
     rows = sp.csr_matrix((csr.data + 1j * ws.g_val, csr.indices, csr.indptr), csr.shape)
     sums = up @ rows

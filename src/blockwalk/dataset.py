@@ -1,7 +1,8 @@
 """Sparse count data: loading, smoothing, synthetic corpora.
 
-Rows are stored CSR-style with strictly increasing column indices and only
-positive values (zeros are implicit). Smoothing adds a constant offset to
+Rows are stored CSR-style with strictly increasing column indices and
+finite nonzero values of either sign (zeros are implicit; a divergence
+checks its domain on the smoothed rows). Smoothing adds a constant offset to
 every coordinate of every row; it is kept as a view (offset + sparse part) so
 downstream statistics can exploit the decomposition instead of densifying.
 """
@@ -32,7 +33,7 @@ __all__ = [
 
 
 class DataMatrix:
-    """Sparse nonnegative matrix with row identifiers."""
+    """Sparse real matrix with row identifiers."""
 
     def __init__(self, n_rows, n_cols, indptr, indices, values, ids):
         self.n_rows = int(n_rows)
@@ -70,8 +71,8 @@ class DataMatrix:
                 k = int(np.argmax(bad))
                 i = int(np.searchsorted(self.indptr, k, side="right")) - 1
                 raise ValueError(f"row {i}: stored value {self.values[k]} is not finite")
-            if not np.all(self.values > 0):
-                raise ValueError("stored values must be > 0 (zeros are implicit)")
+            if not np.all(self.values != 0):
+                raise ValueError("stored values must be nonzero (zeros are implicit)")
             # one step per adjacent pair of entries; a step into a row's
             # first entry crosses a row boundary and may go down
             bad = np.diff(self.indices) <= 0
@@ -272,8 +273,6 @@ def _load_dense_csv(path):
             raise ValueError(f"{path}:{ln}: malformed line {raw!r}") from None
         if not np.all(np.isfinite(vec)):
             raise ValueError(f"{path}:{ln}: non-finite value")
-        if np.any(vec < 0):
-            raise ValueError(f"{path}:{ln}: negative value")
         nz = np.nonzero(vec)[0]
         rows.append((nz.astype(np.int64), vec[nz]))
     ids = [str(i) for i in range(len(rows))]

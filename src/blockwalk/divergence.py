@@ -7,17 +7,16 @@ argument of a divergence is always the datapoint, the second the kernel
 center. One-dimensional textbook definitions (logistic, itakura-saito,
 relative entropy) are summed over coordinates.
 
-Three evaluation layers share the same kernels: scalars/dense vectors (public
-API), dense row batches (exact baselines), and OffsetVec inputs (cluster
+Two evaluation layers share the same kernels: dense row blocks (the exact
+baselines: `dense_rows`, `row_blocks`) and OffsetVec inputs (cluster
 statistics, where off-support coordinates sit at a common baseline).
 
 Every data layout shares one domain rule and one carrier per kind. The rule
-is `_outside`: `_check_domain` applies it to a vector or a stack of rows,
-and `check_smoothed` to a smoothed sparse matrix, on its stored values plus
-the offset and on the offset at its implicit coordinates. The carrier is
-`carrier_rows` (`total_carrier` is its sum over a smoothed matrix);
-sq-euclidean takes its log normalizer from `_normalizer`. The tree and the
-bound branch on no kind.
+is `_outside`, and `check_smoothed` applies it to a smoothed sparse matrix,
+on its stored values plus the offset and on the offset at its implicit
+coordinates; the tree and the exact baselines run it alike. The carrier
+sum is `total_carrier`; sq-euclidean takes its log normalizer from
+`_normalizer`. The tree and the bound branch on no kind.
 
 A squared distance with per-coordinate weights, sum_j w_j (x_j - y_j)^2, is
 sq-euclidean at sigma = 1 on the rescaled rows x_j * sqrt(2 w_j): the same
@@ -37,13 +36,11 @@ __all__ = [
     "COUNT_KINDS",
     "DivergenceSpec",
     "DomainError",
-    "phi",
-    "grad_phi",
-    "bregman_divergence",
     "check_smoothed",
     "total_carrier",
-    "phi_rows",
-    "pairwise_divergences",
+    "total_phi",
+    "dense_rows",
+    "row_blocks",
     "ov_phi",
 ]
 
@@ -93,38 +90,19 @@ class DivergenceSpec:
 # ---------------------------------------------------------------------------
 
 
-def _outside(kind, x, strict):
-    """Mask of the entries of x outside the domain of `kind`, or False where
-    the domain is all of R. `strict` asks for the relative interior, where
-    the gradient is finite; only gid and kl admit zero outside it."""
-    if kind in ("gid", "kl"):
-        return x <= 0 if strict else x < 0
-    if kind == "itakura-saito":
-        return x <= 0
+def _outside(kind, x):
+    """Mask of the entries of x outside the relative interior of the domain
+    of `kind`, where the gradient is finite, or False where the domain is
+    all of R."""
     if kind == "logistic":
         return (x <= 0) | (x >= 1)
-    return False  # sq-euclidean
+    if kind == "sq-euclidean":
+        return False
+    return x <= 0  # gid, kl, itakura-saito
 
 
-def _rule(kind, strict):
-    if kind == "logistic":
-        return "entries in (0,1)"
-    if kind in ("gid", "kl") and not strict:
-        return "nonnegative entries"
-    return "positive entries"
-
-
-def _check_domain(spec, x, strict, name="x"):
-    """Reject entries of a vector or a stack of rows outside the domain; the
-    error's index is j for a vector and (i, j) for rows."""
-    bad = _outside(spec.kind, x, strict)
-    if np.any(bad):
-        at = tuple(int(k) for k in np.unravel_index(int(np.argmax(bad)), x.shape))
-        raise DomainError(
-            f"{spec.kind} requires {_rule(spec.kind, strict)}; "
-            f"{name}[{', '.join(map(str, at))}] = {x[at]}",
-            at[0] if x.ndim == 1 else at,
-        )
+def _rule(kind):
+    return "entries in (0,1)" if kind == "logistic" else "positive entries"
 
 
 def check_smoothed(spec, data):
@@ -139,21 +117,21 @@ def check_smoothed(spec, data):
         )
     kind, eps, csr = spec.kind, data.epsilon, data.csr()
     short = np.flatnonzero(data.nnz_per_row() < data.dim)
-    if short.size and np.any(_outside(kind, eps, strict=True)):
+    if short.size and np.any(_outside(kind, eps)):
         i = int(short[0])
         j = int(np.setdiff1d(np.arange(data.dim), data.base.row(i)[0])[0])
         raise DomainError(
-            f"{kind} requires {_rule(kind, True)}; row {i} column {j} is "
+            f"{kind} requires {_rule(kind)}; row {i} column {j} is "
             f"implicit, at the smoothing offset {eps}",
             (i, j),
         )
-    bad = _outside(kind, csr.data + eps, strict=True)
+    bad = _outside(kind, csr.data + eps)
     if np.any(bad):
         k = int(np.argmax(bad))
         i = int(np.searchsorted(csr.indptr, k, side="right")) - 1
         j = int(csr.indices[k])
         raise DomainError(
-            f"{kind} requires {_rule(kind, True)}; row {i} column {j} is "
+            f"{kind} requires {_rule(kind)}; row {i} column {j} is "
             f"{csr.data[k] + eps} after smoothing",
             (i, j),
         )
@@ -165,13 +143,6 @@ def check_smoothed(spec, data):
             raise DomainError(
                 f"kl requires simplex rows; row {i} sums to {totals[i]:.6g}", i
             )
-
-
-def _as_vector(spec, x, name="x"):
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (spec.dim,):
-        raise ValueError(f"{name} must have shape ({spec.dim},), got {x.shape}")
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -202,45 +173,8 @@ def _grad_terms(spec, t):
 
 
 # ---------------------------------------------------------------------------
-# Public pointwise API
+# Dense row blocks (the exact baselines)
 # ---------------------------------------------------------------------------
-
-
-def phi(spec, x):
-    """Generator value. gid/kl admit zero coordinates via the x*log(x) limit."""
-    x = _as_vector(spec, x)
-    _check_domain(spec, x, strict=False)
-    return float(np.sum(_phi_terms(spec, x)))
-
-
-def grad_phi(spec, x):
-    """Generator gradient; requires x in the relative interior of the domain."""
-    x = _as_vector(spec, x)
-    _check_domain(spec, x, strict=True)
-    return _grad_terms(spec, x)
-
-
-def bregman_divergence(spec, x, y):
-    """d(x, y) = phi(x) - phi(y) - (x - y)' grad(y); x datapoint, y center."""
-    x = _as_vector(spec, x)
-    y = _as_vector(spec, y, name="y")
-    _check_domain(spec, x, strict=False)
-    _check_domain(spec, y, strict=True, name="y")
-    g = _grad_terms(spec, y)
-    return float(
-        np.sum(_phi_terms(spec, x)) - np.sum(_phi_terms(spec, y)) - np.dot(x - y, g)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Dense row batches (exact baselines, brute-force oracles)
-# ---------------------------------------------------------------------------
-
-
-def phi_rows(spec, X):
-    X = np.asarray(X, dtype=np.float64)
-    _check_domain(spec, X, strict=False, name="X")
-    return _phi_terms(spec, X).sum(axis=1)
 
 
 def _normalizer(spec):
@@ -248,30 +182,27 @@ def _normalizer(spec):
     return -0.5 * spec.dim * np.log(2.0 * np.pi * spec.sigma**2)
 
 
-def carrier_rows(spec, X):
-    """Log base measure of the matching exponential family at every row of
-    X. Combined with phi this supplies the per-point additive constant of
-    the kernel-density likelihood: counts get -sum log(x_j!), sq-euclidean
-    folds the normalizer (constant in phi + carrier), the rest carry 1."""
-    X = np.asarray(X, dtype=np.float64)
-    if spec.kind in ("gid", "kl"):
-        return -gammaln(X + 1.0).sum(axis=1)
-    if spec.kind == "sq-euclidean":
-        return _normalizer(spec) - _phi_terms(spec, X).sum(axis=1)
-    return np.zeros(X.shape[0])
-
-
-def total_carrier(data, spec, total_phi):
+def total_carrier(data, spec, phi_sum):
     """Log carrier summed over the rows of a SmoothedMatrix, whose generator
-    values sum to total_phi, without densifying it."""
+    values sum to phi_sum, without densifying it."""
     n, d = data.n_rows, data.dim
     if spec.kind in ("gid", "kl"):
         stored = float(gammaln(data.csr().data + data.epsilon + 1.0).sum())
         implicit = float((d - data.nnz_per_row()).sum() * gammaln(data.epsilon + 1.0))
         return -(stored + implicit)
     if spec.kind == "sq-euclidean":
-        return n * _normalizer(spec) - total_phi
+        return n * _normalizer(spec) - phi_sum
     return 0.0
+
+
+def total_phi(data, spec):
+    """Generator values summed over the rows of a SmoothedMatrix, from its
+    stored values and, at the offset, its implicit coordinates."""
+    implicit = data.n_rows * data.dim - data.base.nnz
+    total = float(_phi_terms(spec, data.csr().data + data.epsilon).sum())
+    if implicit:
+        total += implicit * _scalar_base(spec, _phi_terms, data.epsilon, "generator")
+    return total
 
 
 # Rows per block of the dense N x N baselines, which hold one block of
@@ -279,37 +210,40 @@ def total_carrier(data, spec, total_phi):
 ROW_BLOCK = 512
 
 
-def _divergences_to(spec, Y):
-    """Divergences to the centers Y, one block of rows at a time.
+def dense_rows(spec, data, what, cap):
+    """The rows of a SmoothedMatrix as one dense array, for the exact
+    baseline `what` (named in the messages): N must be 2 to cap, and the
+    rows must pass check_smoothed."""
+    n = data.n_rows
+    if n < 2:
+        raise ValueError(f"{what} needs at least 2 points")
+    if n > cap:
+        raise ValueError(f"{what} refused for N={n} > cap={cap}")
+    check_smoothed(spec, data)
+    return data.to_dense()
 
-    Y's strict domain check, generator sums, gradient and y'grad(y) are
-    taken here, once. Returns fill(X, out=None), which writes d(x_i, y_j)
-    for the rows X into out (len(X), len(Y)), or into a new array, as
-    ((px - py) + yg) - X @ G.T and returns it. fill does not check X:
-    pairwise_divergences does, and the dense baselines pass rows of Y
-    itself.
-    """
-    Y = np.asarray(Y, dtype=np.float64)
-    _check_domain(spec, Y, strict=True, name="Y")
+
+def row_blocks(spec, Y, out=None):
+    """The divergences d(y_i, y_j) between the dense_rows Y, one block of
+    ROW_BLOCK rows at a time. The centers' terms (generator sums, gradient,
+    y'grad(y)) are taken once. Yields (lo, hi, blk), blk holding the rows
+    lo:hi as ((px - py) + yg) - X @ G.T with +inf on the diagonal, written
+    into out[lo:hi], or into one buffer reused by every block when out is
+    None."""
+    n = Y.shape[0]
     py = _phi_terms(spec, Y).sum(axis=1)
     G = _grad_terms(spec, Y)
     yg = np.einsum("ij,ij->i", Y, G)
-
-    def fill(X, out=None):
+    buf = np.empty((min(ROW_BLOCK, n), n)) if out is None else None
+    for lo in range(0, n, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, n)
+        X = Y[lo:hi]
         px = _phi_terms(spec, X).sum(axis=1)
-        out = np.subtract(px[:, None], py, out=out)
-        out += yg
-        out -= X @ G.T
-        return out
-
-    return fill
-
-
-def pairwise_divergences(spec, X, Y):
-    """Matrix of d(x_i, y_j) for dense row stacks X (n,d) and Y (m,d)."""
-    X = np.asarray(X, dtype=np.float64)
-    _check_domain(spec, X, strict=False, name="X")
-    return _divergences_to(spec, Y)(X)
+        blk = np.subtract(px[:, None], py, out=buf[: hi - lo] if out is None else out[lo:hi])
+        blk += yg
+        blk -= X @ G.T
+        blk[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        yield lo, hi, blk
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .divergence import ROW_BLOCK, _divergences_to
+from .divergence import dense_rows, row_blocks
 
 __all__ = [
     "TransitionModel",
@@ -87,22 +87,14 @@ class DenseBaseline:
 def dense_transition_matrix(data, spec, cap=8192, keep_w=False):
     """Exact row-softmax transition matrix with log-sum-exp stabilization;
     the similarity matrix w is filled only when keep_w is set. Each block of
-    ROW_BLOCK rows is computed in place in p: the divergences, the zero
+    row_blocks is computed in place in p: the divergences with the zero
     diagonal (as +inf), the shift by the row minimum, exp and the row
     normalization."""
-    n = data.n_rows
-    if n < 2:
-        raise ValueError("transition matrix needs at least 2 points")
-    if n > cap:
-        raise ValueError(f"dense transition matrix refused for N={n} > cap={cap}")
-    dense = data.to_dense()
-    fill = _divergences_to(spec, dense)
+    dense = dense_rows(spec, data, "dense transition matrix", cap)
+    n = dense.shape[0]
     p = np.empty((n, n))
     w = np.empty((n, n)) if keep_w else None
-    for lo in range(0, n, ROW_BLOCK):
-        hi = min(lo + ROW_BLOCK, n)
-        blk = fill(dense[lo:hi], p[lo:hi])
-        blk[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+    for lo, hi, blk in row_blocks(spec, dense, p):
         if keep_w:
             np.exp(np.negative(blk, out=w[lo:hi]), out=w[lo:hi])
         np.subtract(blk.min(axis=1, keepdims=True), blk, out=blk)  # -d - (-min d)

@@ -39,13 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .divergence import (
-    ROW_BLOCK,
-    _divergences_to,
-    carrier_rows,
-    phi_rows,
-    total_carrier,
-)
+from .divergence import dense_rows, row_blocks, total_carrier, total_phi
 
 __all__ = [
     "BlockParams",
@@ -92,36 +86,27 @@ def block_divergence_sums(tree, partition):
 # ---------------------------------------------------------------------------
 
 
-def constant_term(tree):
-    """Additive constant of the bound: -N log(N-1) + sum phi + sum carrier."""
-    _need_fit_data(tree)
-    data, spec = tree.data, tree.spec
+def _constant(data, spec, phi_sum):
+    """-N log(N-1) + sum phi + sum carrier over the rows of data, whose
+    generator values sum to phi_sum."""
     n = data.n_rows
-    total_phi = float(tree.stats.s1[tree.root])
-    carrier = total_carrier(data, spec, total_phi)
-    return -n * np.log(n - 1) + total_phi + carrier
+    return -n * np.log(n - 1) + phi_sum + total_carrier(data, spec, phi_sum)
+
+
+def constant_term(tree):
+    """Additive constant of the bound, from the root's generator sum."""
+    _need_fit_data(tree)
+    return _constant(tree.data, tree.spec, float(tree.stats.s1[tree.root]))
 
 
 def exact_loglik(data, spec, cap=8192):
-    """Dense kernel-density log-likelihood; test scale only. The divergences
-    are taken one block of ROW_BLOCK rows at a time, each row's logsumexp
-    from its block, so no N x N matrix is held."""
-    n = data.n_rows
-    if n < 2:
-        raise ValueError("exact log-likelihood needs at least 2 points")
-    if n > cap:
-        raise ValueError(f"exact log-likelihood refused for N={n} > cap={cap}")
-    dense = data.to_dense()
-    fill = _divergences_to(spec, dense)
-    buf = np.empty((min(ROW_BLOCK, n), n))
-    lse = np.empty(n)
-    for lo in range(0, n, ROW_BLOCK):
-        hi = min(lo + ROW_BLOCK, n)
-        blk = fill(dense[lo:hi], buf[: hi - lo])
-        blk[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+    """Dense kernel-density log-likelihood; test scale only. Each row's
+    logsumexp is taken from its block of row_blocks, so no N x N matrix is
+    held, and the additive constant is the bound's."""
+    lse = np.empty(data.n_rows)
+    for lo, hi, blk in row_blocks(spec, dense_rows(spec, data, "exact log-likelihood", cap)):
         lse[lo:hi] = logsumexp(np.negative(blk, out=blk), axis=1)
-    extra = phi_rows(spec, dense) + carrier_rows(spec, dense)
-    return float(np.sum(lse + extra) - n * np.log(n - 1))
+    return float(np.sum(lse) + _constant(data, spec, total_phi(data, spec)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 """Independent test oracles.
 
 These deliberately avoid the library's fast paths: block divergence sums come
-from dense brute-force double sums, and the block parameters come from a
-plain projected-gradient ascent on the concave objective over the explicit
-constraint matrix. They exist to certify the decoupled statistics and the
-exact two-pass optimizer against a second route. The OffsetVec divergence
-helpers (ov_grad, ov_xdotgrad, ov_dot, ov_divergence) check the tree
-workspace's per-row kernels and the dataset's smoothing, and the
-sq-euclidean block sum from coordinate sums and squared norms checks the
-general one. The no-steal bound, merge_cost, single-block refinement and
-the tree helpers below them are here because no program path runs them. The
+from dense brute-force double sums over the dense pointwise layer (phi,
+grad_phi, bregman_divergence, pairwise_divergences, phi_rows, carrier_rows
+and their check _check_domain, which admits gid's and kl's zeros in a
+datapoint where the package's one rule asks for the relative interior),
+and the block parameters come from a plain projected-gradient ascent on the
+concave objective over the explicit constraint matrix. They exist to
+certify the decoupled statistics and the exact two-pass optimizer against
+a second route. The OffsetVec divergence helpers (ov_grad, ov_xdotgrad,
+ov_dot, ov_divergence) check the tree workspace's per-row kernels and the
+dataset's smoothing, and the sq-euclidean block sum from coordinate sums
+and squared norms checks the general one. The no-steal bound, merge_cost,
+single-block refinement and the tree helpers below them are here because
+no program path runs them. The
 reference tree builder grows every scope with reference_grow, which keeps
 per-anchor sorted member lists where the library keeps two arrays over the
 scope, and which evaluates the divergences to one pivot at a time with
@@ -62,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import expit, logsumexp, xlogy
+from scipy.special import expit, gammaln, logsumexp, xlogy
 
 from blockwalk import anchor_tree, variational
 from blockwalk.anchor_tree import (
@@ -80,19 +84,109 @@ from blockwalk.anchor_tree import (
 from blockwalk.dataset import DataMatrix, LabelSet
 from blockwalk.divergence import (
     DomainError,
-    _as_vector,
-    _check_domain,
     _grad_terms,
+    _normalizer,
+    _outside,
     _phi_terms,
+    _rule,
     _scalar_base,
-    carrier_rows,
     ov_phi,
-    pairwise_divergences,
-    phi_rows,
+    total_phi,
 )
 from blockwalk.partition import BlockPartition
 from blockwalk.propagation import DenseBaseline, TransitionModel
 from blockwalk.vectors import OffsetVec
+
+
+# ---------------------------------------------------------------------------
+# Dense pointwise references: vectors and stacks of rows
+# ---------------------------------------------------------------------------
+
+
+def _check_domain(spec, x, strict, name="x"):
+    """Reject entries of a vector or a stack of rows outside the domain; the
+    error's index is j for a vector and (i, j) for rows. `strict` asks for the
+    relative interior, the package's one rule; without it gid and kl admit
+    zero, where x log x extends by its limit."""
+    loose = not strict and spec.kind in ("gid", "kl")
+    bad = x < 0 if loose else _outside(spec.kind, x)
+    if np.any(bad):
+        at = tuple(int(k) for k in np.unravel_index(int(np.argmax(bad)), x.shape))
+        rule = "nonnegative entries" if loose else _rule(spec.kind)
+        raise DomainError(
+            f"{spec.kind} requires {rule}; "
+            f"{name}[{', '.join(map(str, at))}] = {x[at]}",
+            at[0] if x.ndim == 1 else at,
+        )
+
+
+def _as_vector(spec, x, name="x"):
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (spec.dim,):
+        raise ValueError(f"{name} must have shape ({spec.dim},), got {x.shape}")
+    return x
+
+
+def phi(spec, x):
+    """Generator value. gid/kl admit zero coordinates via the x*log(x) limit."""
+    x = _as_vector(spec, x)
+    _check_domain(spec, x, strict=False)
+    return float(np.sum(_phi_terms(spec, x)))
+
+
+def grad_phi(spec, x):
+    """Generator gradient; requires x in the relative interior of the domain."""
+    x = _as_vector(spec, x)
+    _check_domain(spec, x, strict=True)
+    return _grad_terms(spec, x)
+
+
+def bregman_divergence(spec, x, y):
+    """d(x, y) = phi(x) - phi(y) - (x - y)' grad(y); x datapoint, y center."""
+    x = _as_vector(spec, x)
+    y = _as_vector(spec, y, name="y")
+    _check_domain(spec, x, strict=False)
+    _check_domain(spec, y, strict=True, name="y")
+    g = _grad_terms(spec, y)
+    return float(
+        np.sum(_phi_terms(spec, x)) - np.sum(_phi_terms(spec, y)) - np.dot(x - y, g)
+    )
+
+
+def phi_rows(spec, X):
+    X = np.asarray(X, dtype=np.float64)
+    _check_domain(spec, X, strict=False, name="X")
+    return _phi_terms(spec, X).sum(axis=1)
+
+
+def carrier_rows(spec, X):
+    """Log base measure of the matching exponential family at every row of
+    X. Combined with phi this supplies the per-point additive constant of
+    the kernel-density likelihood: counts get -sum log(x_j!), sq-euclidean
+    folds the normalizer (constant in phi + carrier), the rest carry 1."""
+    X = np.asarray(X, dtype=np.float64)
+    if spec.kind in ("gid", "kl"):
+        return -gammaln(X + 1.0).sum(axis=1)
+    if spec.kind == "sq-euclidean":
+        return _normalizer(spec) - _phi_terms(spec, X).sum(axis=1)
+    return np.zeros(X.shape[0])
+
+
+def pairwise_divergences(spec, X, Y):
+    """Matrix of d(x_i, y_j) for dense row stacks X (n,d) and Y (m,d), as
+    ((px - py) + yg) - X @ G.T; X is checked on the domain, Y on its
+    relative interior."""
+    X = np.asarray(X, dtype=np.float64)
+    _check_domain(spec, X, strict=False, name="X")
+    Y = np.asarray(Y, dtype=np.float64)
+    _check_domain(spec, Y, strict=True, name="Y")
+    py = _phi_terms(spec, Y).sum(axis=1)
+    G = _grad_terms(spec, Y)
+    yg = np.einsum("ij,ij->i", Y, G)
+    out = np.subtract(_phi_terms(spec, X).sum(axis=1)[:, None], py)
+    out += yg
+    out -= X @ G.T
+    return out
 
 
 def _xgrad_terms(spec, t):
@@ -450,14 +544,14 @@ def reference_dense_transition(data, spec, block_rows, keep_w=False):
 
 def reference_exact_loglik(data, spec):
     """Kernel-density log-likelihood from the whole N x N divergence matrix
-    and one logsumexp over it."""
-    n = data.n_rows
+    and one logsumexp over it, plus the package's additive constant (which
+    the bound shares; the dense per-row constant is checked against it to a
+    tolerance in tests/test_variational.py)."""
     dense = data.to_dense()
     D = reference_pairwise_divergences(spec, dense, dense)
     np.fill_diagonal(D, np.inf)
     lse = logsumexp(-D, axis=1)
-    extra = phi_rows(spec, dense) + carrier_rows(spec, dense)
-    return float(np.sum(lse + extra) - n * np.log(n - 1))
+    return float(np.sum(lse) + variational._constant(data, spec, total_phi(data, spec)))
 
 
 def closed_form_propagation(p_matrix, y0, alpha):
@@ -940,8 +1034,8 @@ def reference_validate(n_rows, n_cols, indptr, indices, values, ids):
             for v in values[indptr[i] : indptr[i + 1]]:
                 if not math.isfinite(v):
                     return f"row {i}: stored value {v} is not finite"
-        if not np.all(values > 0):
-            return "stored values must be > 0 (zeros are implicit)"
+        if not np.all(values != 0):
+            return "stored values must be nonzero (zeros are implicit)"
         for i in range(n_rows):
             row = indices[indptr[i] : indptr[i + 1]]
             if row.size > 1 and np.any(np.diff(row) <= 0):

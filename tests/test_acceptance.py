@@ -11,7 +11,7 @@ import pytest
 from blockwalk.anchor_tree import build_cluster_tree
 from blockwalk.cli import build_model, make_divergence_spec, run_propagation, stratified_subset
 from blockwalk.dataset import SyntheticSpec, block_topic_alphas, generate_synthetic, smooth
-from blockwalk.divergence import DivergenceSpec, bregman_divergence, pairwise_divergences
+from blockwalk.divergence import DivergenceSpec
 from blockwalk.partition import auto_refine, coarsest_partition, finest_partition
 from blockwalk.propagation import (
     PropagationConfig,
@@ -29,9 +29,11 @@ from blockwalk.variational import (
 
 from conftest import random_count_matrix, sample_in_domain
 from oracles import (
+    bregman_divergence,
     closed_form_propagation,
     dense_q_matrix,
     euclidean_block_divergence_sum,
+    pairwise_divergences,
     projected_ascent_q,
     reference_cluster_tree,
     steal_threshold,

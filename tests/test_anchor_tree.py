@@ -24,15 +24,7 @@ from blockwalk.dataset import (
     generate_synthetic,
     smooth,
 )
-from blockwalk.divergence import (
-    DivergenceSpec,
-    DomainError,
-    bregman_divergence,
-    grad_phi,
-    ov_phi,
-    pairwise_divergences,
-    phi,
-)
+from blockwalk.divergence import DivergenceSpec, DomainError, ov_phi
 from blockwalk.vectors import OffsetVec
 
 from conftest import (
@@ -42,14 +34,18 @@ from conftest import (
     smoothed_counts,
 )
 from oracles import (
+    bregman_divergence,
     bregman_information,
     div_block,
     div_to_pivot,
+    grad_phi,
     is_leaf,
     merge_cost,
     node_pivot,
     ov_grad,
     ov_xdotgrad,
+    pairwise_divergences,
+    phi,
     pivot_rows,
     reference_cluster_tree,
     reference_greedy_merge,

@@ -594,6 +594,36 @@ class TestRejectedInputs:
         assert "error: labels missing for id '0'" in capsys.readouterr().err
 
 
+    def test_exact_kl_off_the_simplex_named(self, tmp_path, capsys):
+        # the exact operator built a transition matrix from these rows,
+        # which bvdt:kl refused; both paths now run one domain check
+        x = np.random.default_rng(4).uniform(0.1, 1.0, (30, 4))
+        x *= 2.0 / x.sum(axis=1, keepdims=True)
+        csv, labels = tmp_path / "rows.csv", tmp_path / "labels.csv"
+        csv.write_text("".join(",".join(map(repr, r)) + "\n" for r in x.tolist()))
+        labels.write_text("".join(f"{i},c{i % 2}\n" for i in range(30)))
+        rc = run(
+            "experiment", "--input", csv, "--format", "dense-csv", "--labels", labels,
+            "--methods", "exact:kl", "--fractions", 0.1, "--out", tmp_path / "e",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: kl requires simplex rows; row " in err and err.endswith(" sums to 2\n")
+
+    def test_centred_rows_fit_sq_euclidean(self, tmp_path):
+        # sq-euclidean's domain is all of R: dense-csv refused these rows
+        # as negative values
+        x = np.random.default_rng(8).normal(0.0, 1.0, (30, 3))
+        csv = tmp_path / "centred.csv"
+        csv.write_text("".join(",".join(map(repr, r)) + "\n" for r in x.tolist()))
+        rc = run(
+            "approximate", "--input", csv, "--format", "dense-csv",
+            "--divergence", "sq-euclidean", "--exact", "--out", tmp_path / "m.npz",
+        )
+        assert rc == 0
+        report = json.loads((tmp_path / "m.npz.report.json").read_text())
+        assert report["ell"] <= report["exact_loglik"]
+
 class TestConfigFile:
     """A config file's values are parsed by their options' own types; bad
     files, lines, values and keys are usage errors (exit code 2)."""

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blockwalk.dataset as dataset
+from blockwalk.anchor_tree import build_cluster_tree
 from blockwalk.dataset import (
     DataMatrix,
     LabelSet,
@@ -37,7 +38,8 @@ def check_message(n_rows, n_cols, indptr, indices, values, ids):
 def csr_triples(draw):
     """Small CSR triples, mostly well formed: each row holds 0..4 columns,
     sorted and distinct or, one row in five, as drawn (repeats, any order);
-    now and then a stored 0 or two indptr entries swapped."""
+    values of either sign, now and then a stored 0 or two indptr entries
+    swapped."""
     n_rows = draw(st.integers(1, 6))
     n_cols = draw(st.integers(1, 6))
     rows = []
@@ -50,7 +52,7 @@ def csr_triples(draw):
         indptr[i], indptr[i + 1] = indptr[i + 1], indptr[i]
     indices = [c for r in rows for c in r]
     values = draw(
-        st.lists(st.sampled_from([1.0, 2.0, 3.5]), min_size=len(indices),
+        st.lists(st.sampled_from([1.0, 2.0, 3.5, -1.0]), min_size=len(indices),
                  max_size=len(indices))
     )
     if values and draw(st.integers(0, 9)) == 0:
@@ -84,11 +86,20 @@ class TestDataMatrixChecks:
         assert check_message(*args) == want
         assert reference_validate(*args) == want
 
+    def test_values_of_either_sign_but_no_zero(self):
+        # zeros are implicit; a negative value is data, for sq-euclidean's R
+        args = [3, 4, [0, 2, 2, 4], [0, 3, 1, 2], [1.0, -1.0, 3.0, -2.5], "abc"]
+        assert check_message(*args) is None
+        args[4][3] = 0.0
+        want = "stored values must be nonzero (zeros are implicit)"
+        assert check_message(*args) == want
+        assert reference_validate(*args) == want
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_names_its_row(self, bad):
         # a NaN passed every check on its way to an unnamed "> 0" message,
         # and an inf built a model until the block sums went non-finite
-        args = (3, 4, [0, 2, 2, 4], [0, 3, 1, 2], [1.0, 2.0, 3.0, bad], "abc")
+        args = (3, 4, [0, 2, 2, 4], [0, 3, 1, 2], [1.0, -2.0, 3.0, bad], "abc")
         want = f"row 2: stored value {bad} is not finite"
         assert check_message(*args) == want
         assert reference_validate(*args) == want
@@ -182,14 +193,24 @@ class TestLoadDenseCsv:
         with pytest.raises(ValueError, match="expected 2 fields"):
             load_bow(p, "dense-csv")
 
-    @pytest.mark.parametrize(
-        "value, want", [(v, "non-finite") for v in ("nan", "inf", "-inf")] + [("-1", "negative")]
-    )
+    @pytest.mark.parametrize("value, want", [(v, "non-finite") for v in ("nan", "inf", "-inf")])
     def test_bad_value_names_its_line(self, tmp_path, value, want):
         p = tmp_path / "a.csv"
         p.write_text(f"1,0,2\n0,{value},3\n")
         with pytest.raises(ValueError, match=rf"a\.csv:2: {want} value"):
             load_bow(p, "dense-csv")
+
+    def test_negative_value_loads_and_a_gid_fit_names_it(self, tmp_path):
+        # a sign is the divergence's rule, checked on the smoothed rows:
+        # the loader refused -1 for every kind, sq-euclidean's R included
+        p = tmp_path / "a.csv"
+        p.write_text("1,0,2\n0,-1,3\n")
+        data = load_bow(p, "dense-csv")
+        assert data.row(1)[1].tolist() == [-1.0, 3.0]
+        spec = DivergenceSpec("gid", 3, epsilon=0.5)
+        with pytest.raises(DomainError, match="row 1 column 1 is -0.5 after smoothing") as err:
+            build_cluster_tree(smooth(data, 0.5), spec)
+        assert err.value.index == (1, 1)
 
     def test_empty_rejected(self, tmp_path):
         p = tmp_path / "a.csv"

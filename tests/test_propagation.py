@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockwalk import propagation
+from blockwalk import divergence
 from blockwalk.anchor_tree import build_cluster_tree
 from blockwalk.dataset import LabelSet, smooth
-from blockwalk.divergence import KINDS, DivergenceSpec, pairwise_divergences
+from blockwalk.divergence import KINDS, DivergenceSpec
 from blockwalk.partition import auto_refine, coarsest_partition, finest_partition
 from blockwalk.propagation import (
     PropagationConfig,
@@ -25,6 +25,7 @@ from conftest import sample_in_domain, smoothed_counts
 from oracles import (
     closed_form_propagation,
     dense_q_matrix,
+    pairwise_divergences,
     reference_dense_transition,
     reference_propagate,
 )
@@ -111,9 +112,9 @@ class TestBlockedMatvec:
 
 
 def kind_data(kind, rng, n, d=4):
-    """(smoothed data, spec) of n dense rows inside the domain of `kind`;
-    the stored values must be positive, so sq-euclidean rows are folded."""
-    x = np.abs(sample_in_domain(kind, rng, n, d))
+    """(smoothed data, spec) of n dense rows inside the domain of `kind`,
+    of either sign for sq-euclidean."""
+    x = sample_in_domain(kind, rng, n, d)
     return smooth(dense_to_data(x), 0.0), DivergenceSpec(kind, d)
 
 
@@ -154,11 +155,19 @@ class TestDenseTransitionMatrix:
     def test_blockwise_equals_whole(self, rng, monkeypatch):
         data = smoothed_counts(rng, 25, 5)
         spec = DivergenceSpec("gid", 5, epsilon=0.5)
-        monkeypatch.setattr(propagation, "ROW_BLOCK", 7)
+        monkeypatch.setattr(divergence, "ROW_BLOCK", 7)
         a = dense_transition_matrix(data, spec)
-        monkeypatch.setattr(propagation, "ROW_BLOCK", 512)
+        monkeypatch.setattr(divergence, "ROW_BLOCK", 512)
         b = dense_transition_matrix(data, spec)
         np.testing.assert_allclose(a.p, b.p, atol=1e-15)
+
+    def test_centred_rows_as_their_shift(self, rng):
+        # sq-euclidean takes rows of either sign; a shift changes no distance
+        x = rng.normal(0.0, 1.0, (30, 3))
+        spec = DivergenceSpec("sq-euclidean", 3)
+        p = dense_transition_matrix(smooth(dense_to_data(x), 0.0), spec).p
+        shifted = dense_transition_matrix(smooth(dense_to_data(x + 10.0), 0.0), spec).p
+        np.testing.assert_allclose(p, shifted, rtol=0, atol=1e-12)
 
     def test_similarities_kept_on_request_only(self, rng):
         data = smoothed_counts(rng, 12, 4)
@@ -180,7 +189,7 @@ class TestDenseAgainstReference:
         "n, block", [(2, 1), (2, 512), (25, 1), (25, 7), (25, 25), (25, 64)]
     )
     def test_same_bits(self, rng, monkeypatch, kind, n, block):
-        monkeypatch.setattr(propagation, "ROW_BLOCK", block)
+        monkeypatch.setattr(divergence, "ROW_BLOCK", block)
         data, spec = kind_data(kind, rng, n)
         for keep_w in (False, True):
             got = dense_transition_matrix(data, spec, keep_w=keep_w)
@@ -192,7 +201,7 @@ class TestDenseAgainstReference:
                 assert got.w is None
 
     def test_count_data_same_bits(self, rng, monkeypatch):
-        monkeypatch.setattr(propagation, "ROW_BLOCK", 16)
+        monkeypatch.setattr(divergence, "ROW_BLOCK", 16)
         data = smoothed_counts(rng, 40, 6)
         spec = DivergenceSpec("gid", 6, epsilon=0.5)
         got = dense_transition_matrix(data, spec, keep_w=True)
@@ -205,7 +214,7 @@ class TestDenseAgainstReference:
         # Traced peak above the N x N output(s): about 1.3 row blocks in
         # place against about 5.3 when each block's softmax takes new arrays.
         n, block_rows = 400, 50
-        monkeypatch.setattr(propagation, "ROW_BLOCK", block_rows)
+        monkeypatch.setattr(divergence, "ROW_BLOCK", block_rows)
         data = smoothed_counts(rng, n, 5)
         spec = DivergenceSpec("gid", 5, epsilon=0.5)
         tracemalloc.start()

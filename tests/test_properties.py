@@ -5,16 +5,17 @@ trip), and over every kind the CLI fits: a valid model or a named error."""
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockwalk import cli
 from blockwalk.anchor_tree import build_cluster_tree
 from blockwalk.dataset import DataMatrix, smooth
-from blockwalk.divergence import DivergenceSpec, DomainError, _check_domain
+from blockwalk.divergence import DivergenceSpec, DomainError
 from blockwalk.model_io import load_model, save_model
 from blockwalk.partition import auto_refine, coarsest_partition
-from blockwalk.propagation import TransitionModel
+from blockwalk.propagation import TransitionModel, dense_transition_matrix
 from blockwalk.variational import (
     block_divergence_sums,
     exact_loglik,
@@ -23,6 +24,7 @@ from blockwalk.variational import (
 )
 
 from oracles import (
+    _check_domain,
     brute_block_sums,
     reference_auto_refine,
     reference_save_model,
@@ -153,24 +155,48 @@ def smoothed_corpora(draw):
     return smooth(DataMatrix.from_rows(rows, d), eps), kind
 
 
+def domain_verdict(build, *args):
+    """None where build(*args) passes the domain check, else the message
+    and index of its DomainError."""
+    try:
+        build(*args)
+    except DomainError as exc:
+        return str(exc), exc.index
+    return None
+
+
 @settings(PROPERTY, max_examples=200)
 @given(smoothed_corpora())
 def test_smoothed_domain_is_the_dense_rule(corpus):
     """The tree rejects a smoothed matrix exactly when the dense domain rule
-    rejects its densified rows."""
+    rejects its densified rows, and the exact transition matrix and
+    log-likelihood accept or reject it as the tree does, with the same
+    message and index."""
     data, kind = corpus
     spec = DivergenceSpec(kind, data.dim, epsilon=data.epsilon)
-    try:
-        _check_domain(spec, data.to_dense(), strict=True)
-        dense_ok = True
-    except DomainError:
-        dense_ok = False
-    try:
-        build_cluster_tree(data, spec)
-        tree_ok = True
-    except DomainError:
-        tree_ok = False
-    assert tree_ok == dense_ok
+    dense_ok = domain_verdict(_check_domain, spec, data.to_dense(), True) is None
+    tree = domain_verdict(build_cluster_tree, data, spec)
+    assert (tree is None) == dense_ok
+    with np.errstate(all="ignore"):
+        assert domain_verdict(dense_transition_matrix, data, spec) == tree
+        assert domain_verdict(exact_loglik, data, spec) == tree
+
+
+@pytest.mark.parametrize(
+    "kind, value, want",
+    [("kl", 0.5, ("kl requires simplex rows; row 3 sums to 1.25", 3)),
+     ("logistic", 1.5,
+      ("logistic requires entries in (0,1); row 3 column 2 is 1.5 after smoothing", (3, 2)))],
+)
+def test_every_path_names_one_bad_entry_alike(kind, value, want):
+    # the exact paths took kl rows off the simplex, and named the logistic
+    # entry Y[3, 2] = 1.5 where the tree named its row and column
+    x = np.full((5, 4), 0.25)
+    x[3, 2] = value
+    data = smooth(DataMatrix.from_rows([(np.arange(4), r) for r in x], 4), 0.0)
+    spec = DivergenceSpec(kind, 4)
+    for build in (build_cluster_tree, dense_transition_matrix, exact_loglik):
+        assert domain_verdict(build, data, spec) == want
 
 
 # every kind `approximate --divergence` accepts
@@ -183,9 +209,10 @@ HUGE = [1e12, 1e100, 1e200, 1e300]  # merge costs and block sums overflow
 @st.composite
 def cli_inputs(draw):
     """(data, kind, epsilon, partition mode), the rows in the kind's own
-    domain and with copied rows: counts up to 1e300 for gid, itakura-saito
-    and sq-euclidean at the CLI's default offset; kl's rows those counts
-    normalized and logistic's values in (0, 1), both at offset 0."""
+    domain and with copied rows: counts up to 1e300 for gid and
+    itakura-saito at the CLI's default offset, and those values of either
+    sign for sq-euclidean; kl's rows those counts normalized and logistic's
+    values in (0, 1), both at offset 0."""
     kind = draw(st.sampled_from(APPROXIMATE_KINDS))
     n = draw(st.integers(2, 24))
     d = draw(st.integers(1, 6))
@@ -196,6 +223,8 @@ def cli_inputs(draw):
         value = st.sampled_from([1e-300, 0.1, 0.5, 0.97, 1.0 - 1e-16])
     else:
         value = st.integers(1, 4).map(float) | st.sampled_from(HUGE)
+        if kind == "sq-euclidean":
+            value = st.tuples(value, st.sampled_from([1.0, -1.0])).map(np.prod)
     rows = []
     for _ in range(n):
         idx = np.flatnonzero(draw(stored))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blockwalk.divergence as divergence
 import blockwalk.variational as variational
 from blockwalk.anchor_tree import build_cluster_tree
 from blockwalk.cli import build_model
@@ -15,7 +16,7 @@ from blockwalk.dataset import (
     generate_synthetic,
     smooth,
 )
-from blockwalk.divergence import KINDS, DivergenceSpec, carrier_rows, phi
+from blockwalk.divergence import KINDS, DivergenceSpec
 from blockwalk.partition import (
     BlockPartition,
     auto_refine,
@@ -33,10 +34,15 @@ from blockwalk.variational import (
 
 from conftest import smoothed_counts
 from oracles import (
+    bregman_divergence,
     brute_block_sums,
+    carrier_rows,
     euclidean_block_divergence_sum,
     is_leaf,
     ov_dot,
+    pairwise_divergences,
+    phi,
+    phi_rows,
     projected_ascent_q,
     reference_exact_loglik,
     reference_optimize_q,
@@ -91,6 +97,25 @@ class TestBlockDivergenceSum:
             fast = block_divergence_sums(tree, part)
             brute = brute_block_sums(tree, part, spec, data)
             np.testing.assert_allclose(fast, brute, rtol=1e-8, atol=1e-9)
+
+    def test_columns_summing_to_zero(self, rng):
+        # integer rows x and -x: every column sums to exactly 0 over the
+        # root, real part and gradient part alike, so scipy drops the
+        # complex entry from s3 and s4 together
+        x = rng.integers(-4, 5, (6, 3)).astype(float)
+        data = smooth(dense_to_data(np.vstack([x, -x])), 0.0)
+        spec = DivergenceSpec("sq-euclidean", 3)
+        tree = build_cluster_tree(data, spec)
+        assert tree.stats.ptr[tree.root] == tree.stats.ptr[tree.root + 1]
+        dense = data.to_dense()
+        for nid in range(tree.n_nodes):  # sigma = 1: the gradient is the row
+            st, want = tree.stats[nid], dense[subtree_rows(tree, nid)].sum(axis=0)
+            assert np.array_equal(st.s3.to_dense(), want)
+            assert np.array_equal(st.s4.to_dense(), want)
+        for part in (coarsest_partition(tree), finest_partition(tree)):
+            fast = block_divergence_sums(tree, part)
+            brute = brute_block_sums(tree, part, spec, data)
+            np.testing.assert_allclose(fast, brute, rtol=1e-12, atol=1e-12)
 
     def test_matches_per_block_offset_dots(self, rng):
         # sparse rows over a wide vocabulary: node supports overlap in part
@@ -176,7 +201,6 @@ class TestOptimizeQ:
         tree = build_cluster_tree(data, spec)
         part = finest_partition(tree)
         params = optimize_q(tree, part, spec, data)
-        from blockwalk.divergence import pairwise_divergences
 
         dense = data.to_dense()
         D = pairwise_divergences(spec, dense, dense)
@@ -418,8 +442,6 @@ class TestExactLoglik:
         data = smoothed_counts(rng, 32, 5)
         spec = DivergenceSpec("gid", 5, epsilon=0.5)
         dense = data.to_dense()
-        from blockwalk.divergence import bregman_divergence, carrier_rows, phi_rows
-
         total = 0.0
         for i in range(32):
             s = sum(
@@ -439,7 +461,7 @@ class TestExactLoglik:
         # whole N x N matrix. Blocks of one row are left out here: BLAS can
         # round a one-row product otherwise than a whole product this small
         # (seen at N = 25).
-        monkeypatch.setattr(variational, "ROW_BLOCK", block)
+        monkeypatch.setattr(divergence, "ROW_BLOCK", block)
         data, spec = kind_data(kind, rng, n)
         assert exact_loglik(data, spec) == reference_exact_loglik(data, spec)
 
@@ -449,7 +471,7 @@ class TestExactLoglik:
         # blocks of the default height: N = 513 leaves a last block of one
         # row, N = 1100 takes three blocks
         data, spec = kind_data(kind, rng, n, d=17)
-        assert variational.ROW_BLOCK < n
+        assert divergence.ROW_BLOCK < n
         assert exact_loglik(data, spec) == reference_exact_loglik(data, spec)
 
     def test_requires_two_points(self):
